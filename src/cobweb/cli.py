@@ -91,30 +91,48 @@ def _hasse_dot(P: CobwebPoset) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _print_ints(values: Sequence[int], sep: str = " ") -> None:
+    """Print exact decimals on one line, whatever their number of digits.
+
+    CPython 3.10.7 and later refuse int -> str past a digit limit (4300
+    by default).  The limit is lifted for this conversion only and then put
+    back, so the rest of the process keeps its protection.
+    """
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        text = sep.join(map(str, values))
+    else:
+        previous = get_limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            text = sep.join(map(str, values))
+        finally:
+            sys.set_int_max_str_digits(previous)
+    print(text)
+
+
 def _cmd_fib(args: argparse.Namespace) -> int:
-    print(fibcalc.fib(args.n))
+    _print_ints([fibcalc.fib(args.n)])
     return EXIT_OK
 
 
 def _cmd_fibfact(args: argparse.Namespace) -> int:
-    print(fibcalc.fib_factorial(args.n))
+    _print_ints([fibcalc.fib_factorial(args.n)])
     return EXIT_OK
 
 
 def _cmd_falling(args: argparse.Namespace) -> int:
-    print(fibcalc.falling_f_factorial(args.n, args.k))
+    _print_ints([fibcalc.falling_f_factorial(args.n, args.k)])
     return EXIT_OK
 
 
 def _cmd_binom(args: argparse.Namespace) -> int:
-    print(fibcalc.fibonomial(args.n, args.k))
+    _print_ints([fibcalc.fibonomial(args.n, args.k)])
     return EXIT_OK
 
 
 def _cmd_row(args: argparse.Namespace) -> int:
-    row = fibcalc.fibonomial_row(args.n)
-    sep = "," if args.format == "csv" else " "
-    print(sep.join(str(v) for v in row))
+    _print_ints(fibcalc.fibonomial_row(args.n), "," if args.format == "csv" else " ")
     return EXIT_OK
 
 

@@ -3,10 +3,31 @@
 Everything here is pure integer math: no floating point, no rounding, no
 overflow.  All functions are total on nonnegative indices and safe to call
 from multiple threads.
+
+No routine divides one big number by another big number:
+
+- F-factorials and falling F-factorials are balanced product trees, so the
+  large multiplies meet operands of like size (Karatsuba, not schoolbook).
+- A Fibonomial C_F(n, k) with j = min(k, n - k) of at least
+  _PRIMITIVE_MIN_K is a product of Fibonacci primitive parts, one small
+  exact division per part.  Below that, the falling F-factorial of length
+  j divided by j_F! is cheaper, as the divisor is small.
+- A Fibonomial row comes from its step recurrence, one division by F(j)
+  per entry.
+
+Every division is checked for a zero remainder and raises AssertionError
+otherwise.  This is the integrality self-check: the quotients are integers
+by theory, so a remainder means a wrong Fibonacci value or a bug.  It sees
+only values that enter a division: a prime p has P_p = F(p), taken as is.
+
+F(0.._FIB_CAP) are cached once computed.  A larger isolated F(n) comes from
+fast doubling, and a run of larger values is iterated locally and dropped
+when the call returns, so the memory kept between calls is bounded.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 
 __all__ = [
@@ -17,8 +38,23 @@ __all__ = [
     "fibonomial_row",
 ]
 
-# Append-only sequence cache.  The lock guards extension; readers only index
-# below the published length, which is safe because entries never change.
+# Largest cached index.  The cache holds about 0.35 * CAP^2 bits, under 1 MB
+# at 4096; an uncapped cache grown to F(40000) held 76 MB.
+_FIB_CAP = 4096
+
+# Smallest min(k, n - k) that takes the primitive-part route.  Measured for
+# n = 400..3000, the primitive route took 1.04-1.14x the time of the direct
+# quotient at j = 176 and 0.91-0.98x at j = 192, whatever n was.
+_PRIMITIVE_MIN_K = 184
+
+# Product-tree leaves of at most this many factors go to math.prod.  Leaves
+# of 8 to 32 measured alike; one flat math.prod over F(1..650) took 2.5x as
+# long as the tree.
+_PRODUCT_LEAF = 16
+
+# Append-only sequence cache of F(0.._FIB_CAP).  The lock guards extension;
+# readers only index below the published length, which is safe because
+# entries never change.
 _FIB = [0, 1]
 _FIB_LOCK = threading.Lock()
 
@@ -28,24 +64,87 @@ def _check_index(value: int, name: str) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {value}")
 
 
-def fib(n: int) -> int:
-    """Return the n-th Fibonacci number, with F(0)=0 and F(1)=F(2)=1."""
-    _check_index(n, "n")
+def _grow_cache(n: int) -> None:
+    """Extend the cache to cover index n, for n <= _FIB_CAP."""
     if n >= len(_FIB):
         with _FIB_LOCK:
             while len(_FIB) <= n:
                 _FIB.append(_FIB[-1] + _FIB[-2])
-    return _FIB[n]
+
+
+def _fib_pair(n: int) -> tuple[int, int]:
+    """(F(n), F(n+1)) by fast doubling, from the top bit of n down.
+
+    F(2m) = F(m) * (2F(m+1) - F(m)) and F(2m+1) = F(m)^2 + F(m+1)^2.
+    """
+    a, b = 0, 1
+    for bit in bin(n)[2:]:
+        c = a * (2 * b - a)
+        d = a * a + b * b
+        a, b = (d, c + d) if bit == "1" else (c, d)
+    return a, b
+
+
+def _fib_run(lo: int, hi: int) -> list[int]:
+    """[F(lo), ..., F(hi - 1)]; the values above _FIB_CAP are not cached."""
+    if hi <= len(_FIB):
+        return _FIB[lo:hi]
+    cut = min(hi, _FIB_CAP + 1)
+    run: list[int] = []
+    if lo < cut:
+        _grow_cache(cut - 1)
+        run = _FIB[lo:cut]
+    start = max(lo, cut)
+    if start < hi:
+        a, b = _fib_pair(start)
+        for _ in range(start, hi):
+            run.append(a)
+            a, b = b, a + b
+    return run
+
+
+def _product(factors: list[int]) -> int:
+    """Product of factors by a balanced tree, so big multiplies meet like sizes."""
+    if len(factors) <= _PRODUCT_LEAF:
+        return math.prod(factors)
+    mid = len(factors) // 2
+    return _product(factors[:mid]) * _product(factors[mid:])
+
+
+def _exact_div(numerator: int, denominator: int, what: str, *args: int) -> int:
+    """numerator // denominator; a nonzero remainder raises AssertionError.
+
+    The message names the division as what.format(*args), built only on
+    failure.
+    """
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise AssertionError(
+            f"{what.format(*args)}: non-exact division of a {numerator.bit_length()}-bit "
+            f"numerator by a {denominator.bit_length()}-bit denominator"
+        )
+    return quotient
+
+
+def fib(n: int) -> int:
+    """Return the n-th Fibonacci number, with F(0)=0 and F(1)=F(2)=1.
+
+    An index up to _FIB_CAP is served from the cache.  A larger one takes
+    O(log n) multiplies by fast doubling and is not cached.
+    """
+    _check_index(n, "n")
+    if n < len(_FIB):
+        return _FIB[n]
+    if n <= _FIB_CAP:
+        _grow_cache(n)
+        return _FIB[n]
+    return _fib_pair(n)[0]
 
 
 def fib_factorial(n: int) -> int:
     """Product F(1)*F(2)*...*F(n); the empty product (n = 0) is 1."""
     _check_index(n, "n")
-    fib(n)
-    out = 1
-    for s in range(1, n + 1):
-        out *= _FIB[s]
-    return out
+    return _product(_fib_run(1, n + 1))
 
 
 def falling_f_factorial(n: int, k: int) -> int:
@@ -57,39 +156,95 @@ def falling_f_factorial(n: int, k: int) -> int:
     """
     _check_index(n, "n")
     _check_index(k, "k")
-    if k == 0:
-        return 1
     if k > n:
         return 0
-    fib(n)
-    out = 1
-    for j in range(k):
-        out *= _FIB[n - j]
-    return out
+    return _product(_fib_run(n - k + 1, n + 1))
+
+
+def _carry_indices(n: int, k: int) -> list[int]:
+    """The d with n mod d < k mod d, for 1 <= k <= n - k.
+
+    Such a d has a multiple in (n - k, n].  Every d <= k does; a larger d
+    has at most one, q * d with q <= n // (k + 1), so only the d in
+    ((n - k) / q, n / q] are tried for each such q.
+    """
+    candidates = list(range(1, k + 1))
+    for q in range(1, n // (k + 1) + 1):
+        candidates += range(max(k, (n - k) // q) + 1, n // q + 1)
+    return [d for d in candidates if n % d < k % d]
+
+
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[m] = the smallest prime factor of m for 2 <= m <= n; spf[1] = 1."""
+    spf = list(range(n + 1))
+    for p in range(2, math.isqrt(n) + 1):
+        if spf[p] == p:
+            for m in range(p * p, n + 1, p):
+                if spf[m] == m:
+                    spf[m] = p
+    return spf
+
+
+def _primitive_part(d: int, spf: list[int], fibs: list[int]) -> int:
+    """P_d = product over e | d of F(e)^mu(d/e), with fibs[e] = F(e).
+
+    Only a squarefree d/e counts, so e runs over d divided by the products
+    of distinct primes of d.  A prime d has P_d = F(d).  Any other d takes
+    one exact division of numbers of O(d) bits.
+    """
+    if spf[d] == d:
+        return fibs[d]
+    terms = [(d, 1)]
+    m = d
+    while m > 1:
+        p = spf[m]
+        while m % p == 0:
+            m //= p
+        terms += [(e // p, -sign) for e, sign in terms]
+    numerator = math.prod([fibs[e] for e, sign in terms if sign > 0])
+    denominator = math.prod([fibs[e] for e, sign in terms if sign < 0])
+    return _exact_div(numerator, denominator, "primitive part P_{}", d)
 
 
 def fibonomial(n: int, k: int) -> int:
-    """Fibonomial coefficient: falling F-factorial of length k over the k-F-factorial.
+    """Fibonomial coefficient C_F(n, k) = n_F! / (k_F! * (n-k)_F!).
 
-    The division is exact for every 0 <= k <= n; a nonzero remainder would be
-    an implementation bug and raises AssertionError.  Returns 0 for k > n,
-    mirroring the ordinary binomial convention.
+    Returns 0 for k > n, mirroring the ordinary binomial convention.  With
+    j = min(k, n - k) below _PRIMITIVE_MIN_K the result is the exact
+    quotient of the falling F-factorial of length j by j_F!.
+
+    Otherwise it is a product of primitive parts.  F(m) is the product of
+    P_d over the d dividing m (Carmichael 1913), so C_F(n, k) is the
+    product of P_d^(floor(n/d) - floor(k/d) - floor((n-k)/d)).  Each
+    exponent is 0 or 1, and it is 1 exactly when n mod d < k mod d (Knuth
+    & Wilf 1989).  That route costs a product tree over the result's bits
+    plus one small exact division per P_d, instead of a schoolbook division
+    of the whole result.  A nonzero remainder in any division raises
+    AssertionError.
     """
     _check_index(n, "n")
     _check_index(k, "k")
     if k > n:
         return 0
-    numerator = falling_f_factorial(n, k)
-    denominator = fib_factorial(k)
-    quotient, remainder = divmod(numerator, denominator)
-    if remainder:
-        raise AssertionError(
-            f"fibonomial({n}, {k}): non-exact division {numerator} / {denominator}"
-        )
-    return quotient
+    j = min(k, n - k)
+    if j < _PRIMITIVE_MIN_K:
+        falling = _product(_fib_run(n - j + 1, n + 1))
+        return _exact_div(falling, _product(_fib_run(1, j + 1)), "fibonomial({}, {})", n, k)
+    fibs = _fib_run(0, n + 1)
+    spf = _smallest_prime_factors(n)
+    return _product([_primitive_part(d, spf, fibs) for d in _carry_indices(n, j)])
 
 
 def fibonomial_row(n: int) -> list[int]:
-    """Row [C_F(n,0), ..., C_F(n,n)] of the Fibonomial triangle; palindromic."""
+    """Row [C_F(n,0), ..., C_F(n,n)] of the Fibonomial triangle; palindromic.
+
+    The first half comes from C_F(n, j) = C_F(n, j-1) * F(n-j+1) / F(j).
+    Each step is an exact division by F(j), and a nonzero remainder raises
+    AssertionError.  The second half mirrors the first.
+    """
     _check_index(n, "n")
-    return [fibonomial(n, k) for k in range(n + 1)]
+    fibs = _fib_run(0, n + 1)
+    half = [1]
+    for j in range(1, n // 2 + 1):
+        half.append(_exact_div(half[-1] * fibs[n - j + 1], fibs[j], "fibonomial_row({}) at k={}", n, j))
+    return half + [half[n - k] for k in range(len(half), n + 1)]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cobweb import chains
+from cobweb import chains, fibcalc
 from cobweb.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, run
 from cobweb.poset import build_cobweb
 from cobweb.zeta import IncidenceMatrix, cobweb_from_matrix
@@ -57,6 +57,51 @@ class TestScalarVerbs:
         assert capsys.readouterr().out == "1 3 6 3 1\n"
         assert run(["row", "4", "--format", "csv"]) == EXIT_OK
         assert capsys.readouterr().out == "1,3,6,3,1\n"
+
+
+def digit_limit() -> int | None:
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    return None if get_limit is None else get_limit()
+
+
+def exact_text(values: list[int], sep: str = " ") -> str:
+    """Decimal text of values, with the int/str digit limit lifted meanwhile."""
+    previous = digit_limit()
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return sep.join(map(str, values)) + "\n"
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
+
+
+class TestResultsOverDigitLimit:
+    """Results of more than 4300 digits print in full and leave the limit as it was."""
+
+    def test_fib_30000(self, capsys):
+        a, b = 0, 1
+        for _ in range(30000):
+            a, b = b, a + b
+        before = digit_limit()
+        assert run(["fib", "30000"]) == EXIT_OK
+        assert digit_limit() == before
+        out, err = out_of(capsys)
+        assert err == ""
+        assert len(out) > 4301
+        assert out == exact_text([a])
+
+    def test_row_300(self, capsys):
+        before = digit_limit()
+        assert run(["row", "300", "--format", "csv"]) == EXIT_OK
+        assert digit_limit() == before
+        assert capsys.readouterr().out == exact_text(fibcalc.fibonomial_row(300), ",")
+
+    def test_without_a_digit_limit(self, capsys, monkeypatch):
+        # Pythons before 3.10.7 have no limit and no sys.get_int_max_str_digits.
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        assert run(["binom", "10", "5"]) == EXIT_OK
+        assert capsys.readouterr().out == "136136\n"
 
 
 class TestUsageErrors:

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cobweb import fibcalc
 from cobweb.fibcalc import (
     falling_f_factorial,
     fib,
@@ -47,6 +50,15 @@ def ratio_form_fibonomial(n: int, k: int) -> int:
     return numerator // denominator
 
 
+def pascal_fibonomial_row(n: int) -> list[int]:
+    """Independent oracle without division: C(m,k) = F(k-1) C(m-1,k) + F(m-k+1) C(m-1,k-1)."""
+    seq = naive_fib_sequence(n + 1)
+    row = [1]
+    for m in range(1, n + 1):
+        row = [1] + [seq[k - 1] * row[k] + seq[m - k + 1] * row[k - 1] for k in range(1, m)] + [1]
+    return row
+
+
 class TestFib:
     def test_examples(self):
         assert fib(1) == 1
@@ -77,6 +89,45 @@ class TestFib:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(fib, range(801)))
         assert results == expected
+
+    def test_above_cache_cap_matches_naive_recurrence(self):
+        cap = fibcalc._FIB_CAP
+        oracle = naive_fib_sequence(cap + 300)
+        assert [fib(n) for n in range(cap - 5, cap + 301)] == oracle[cap - 5:]
+        assert len(fibcalc._FIB) <= cap + 1
+
+    def test_isolated_large_index_by_fast_doubling(self):
+        a, b = 0, 1
+        for _ in range(20000):
+            a, b = b, a + b
+        assert fib(20000) == a
+        assert len(fibcalc._FIB) <= fibcalc._FIB_CAP + 1
+
+    def test_bulk_routes_above_cache_cap(self):
+        cap = fibcalc._FIB_CAP
+        oracle = naive_fib_sequence(cap + 60)
+        expected = 1
+        for s in range(cap - 20, cap + 61):
+            expected *= oracle[s]
+        assert falling_f_factorial(cap + 60, 81) == expected
+        assert fibonomial(cap + 60, 3) == oracle[cap + 60] * oracle[cap + 59] * oracle[cap + 58] // 2
+        assert len(fibcalc._FIB) <= cap + 1
+
+    def test_concurrent_growth_across_cache_cap(self):
+        cap = fibcalc._FIB_CAP
+        indices = list(range(cap - 400, cap + 400))
+        random.Random(0).shuffle(indices)
+        oracle = naive_fib_sequence(cap + 400)
+        del fibcalc._FIB[2:]  # every worker now races to grow the cache
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(fib, indices, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [oracle[n] for n in indices]
+        assert fibcalc._FIB == naive_fib_sequence(cap)[: len(fibcalc._FIB)]
 
 
 class TestFibFactorial:
@@ -146,6 +197,47 @@ class TestFibonomial:
                 assert value == fibonomial(n, n - k)
                 assert value == ratio_form_fibonomial(n, k)
 
+    @given(st.integers(0, 300), st.data(), st.sampled_from(["quotient", "primitive"]))
+    def test_both_routes_match_ratio_oracle(self, n, data, route):
+        # min(k, n - k) <= 150 here, all below the real crossover, so the
+        # crossover is moved to put each draw on the chosen side of it.
+        k = data.draw(st.integers(0, n + 2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fibcalc, "_PRIMITIVE_MIN_K", 0 if route == "primitive" else n + 1)
+            assert fibonomial(n, k) == ratio_form_fibonomial(n, k)
+
+    def test_both_sides_of_the_real_crossover(self):
+        cross = fibcalc._PRIMITIVE_MIN_K
+        n = 2 * cross + 40
+        for k in (cross - 1, cross, n - cross, n - cross + 1, n // 2):
+            assert fibonomial(n, k) == ratio_form_fibonomial(n, k)
+
+    def test_primitive_parts_rebuild_fibonacci(self):
+        # F(m) is the product of P_d over the divisors d of m.
+        seq = naive_fib_sequence(200)
+        spf = fibcalc._smallest_prime_factors(200)
+        parts = [0] + [fibcalc._primitive_part(d, spf, seq) for d in range(1, 201)]
+        for m in range(1, 201):
+            product = 1
+            for d in range(1, m + 1):
+                if m % d == 0:
+                    product *= parts[d]
+            assert product == seq[m]
+
+    def test_corrupted_fibonacci_value_fails_integrality_check(self):
+        fib(400)
+        fibcalc._FIB[7] += 1  # F(7) = 13 becomes 14
+        try:
+            with pytest.raises(AssertionError, match="non-exact"):
+                fibonomial(20, 10)  # direct quotient
+            with pytest.raises(AssertionError, match="non-exact"):
+                fibonomial(400, 200)  # primitive parts: P_203 divides by F(7)
+            with pytest.raises(AssertionError, match="non-exact"):
+                fibonomial_row(20)
+        finally:
+            fibcalc._FIB[7] -= 1
+        assert fibonomial(400, 200) == ratio_form_fibonomial(400, 200)
+
     @given(st.integers(0, 150), st.integers(0, 150))
     def test_multiplicative_identity(self, n, k):
         # Cross-multiplied factorial-ratio form: holds exactly or the value is 0.
@@ -166,3 +258,17 @@ class TestFibonomialRow:
             row = fibonomial_row(n)
             assert len(row) == n + 1
             assert row == row[::-1]
+
+    def test_recurrence_matches_per_entry_to_120(self):
+        for n in range(121):
+            assert fibonomial_row(n) == [fibonomial(n, k) for k in range(n + 1)]
+
+    def test_matches_pascal_oracle_at_300(self):
+        assert fibonomial_row(300) == pascal_fibonomial_row(300)
+
+    def test_spot_check_at_600(self):
+        row = fibonomial_row(600)
+        assert len(row) == 601 and row == row[::-1]
+        for k in (0, 1, 2, 97, fibcalc._PRIMITIVE_MIN_K - 1, fibcalc._PRIMITIVE_MIN_K, 299, 300, 451, 600):
+            assert row[k] == fibonomial(600, k)
+        assert row[300] == ratio_form_fibonomial(600, 300)

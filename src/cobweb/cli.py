@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import chains, fibcalc, zeta
 from .poset import CobwebPoset, Vertex, build_cobweb
@@ -70,25 +70,29 @@ def _resolve_limit(args: argparse.Namespace) -> int:
     return limit
 
 
-def _emit(body: str, out: Path | None) -> None:
+def _emit(chunks: Iterable[str], out: Path | None) -> None:
+    """Write text chunks to stdout, or to `out` when given, one at a time."""
     if out is None:
-        sys.stdout.write(body)
+        sys.stdout.writelines(chunks)
     else:
-        out.write_text(body)
+        with out.open("w") as f:
+            f.writelines(chunks)
 
 
-def _hasse_dot(P: CobwebPoset) -> str:
-    """DOT digraph of the Hasse diagram: nodes v{level}_{index}, edges low -> high."""
-    lines = ["digraph cobweb {", "  rankdir=BT;"]
-    for s in range(1, P.depth + 1):
-        group = " ".join(f"{v.node_id()};" for v in P.level_vertices(s))
-        lines.append(f"  {{ rank=same; {group} }}")
-    for s in range(1, P.depth):
-        for x in P.level_vertices(s):
-            for y in P.level_vertices(s + 1):
-                lines.append(f"  {x.node_id()} -> {y.node_id()};")
-    lines.append("}")
-    return "".join(line + "\n" for line in lines)
+def _hasse_dot(P: CobwebPoset) -> Iterator[str]:
+    """DOT digraph of the Hasse diagram: nodes v{level}_{index}, edges low -> high.
+
+    Yields the header with the rank groups, then one chunk per pair of
+    consecutive levels, then the closing brace, so the whole diagram is
+    never held as one string.
+    """
+    ids = [[v.node_id() for v in P.level_vertices(s)] for s in range(1, P.depth + 1)]
+    yield "digraph cobweb {\n  rankdir=BT;\n" + "".join(
+        f"  {{ rank=same; {'; '.join(level)}; }}\n" for level in ids
+    )
+    for low, high in zip(ids, ids[1:]):
+        yield "".join(f"  {x} -> " + f";\n  {x} -> ".join(high) + ";\n" for x in low)
+    yield "}\n"
 
 
 def _print_ints(values: Sequence[int], sep: str = " ") -> None:
@@ -152,10 +156,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     _warn_depth(args.depth)
     P = build_cobweb(args.depth)
     if args.format == "csv":
-        body = zeta.zeta_matrix(P).to_csv()
+        chunks: Iterable[str] = [zeta.zeta_matrix(P).to_csv()]
     else:
-        body = _hasse_dot(P)
-    _emit(body, args.out)
+        chunks = _hasse_dot(P)
+    _emit(chunks, args.out)
     return EXIT_OK
 
 

@@ -8,7 +8,7 @@ level on the diagonal, all-ones blocks above, zeros below.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .poset import CobwebPoset
 
@@ -22,6 +22,10 @@ __all__ = [
 ]
 
 DEFAULT_DIM_CAP = 10_000
+
+# bytes.translate tables between the entries 0/1 and the CSV digits b"0"/b"1".
+_ENTRY_TO_CELL = bytes.maketrans(b"\x00\x01", b"01")
+_CELL_TO_ENTRY = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class MatrixSizeError(Exception):
@@ -44,7 +48,7 @@ class IncidenceMatrix:
         for r in packed:
             if len(r) != dim:
                 raise ValueError(f"matrix must be square; got a row of length {len(r)} in a {dim}-row matrix")
-            if any(b not in (0, 1) for b in r):
+            if r.translate(None, b"\x00\x01"):
                 raise ValueError("entries must be 0 or 1")
         self.dim = dim
         self._rows = packed
@@ -57,26 +61,30 @@ class IncidenceMatrix:
 
     def to_csv(self) -> str:
         """One comma-separated 0/1 row per line, newline-terminated, no header."""
-        return "".join(
-            ",".join("1" if b else "0" for b in r) + "\n" for r in self._rows
-        )
+        width = 2 * self.dim
+        body = (bytearray(b",") * (width - 1) + b"\n") * self.dim
+        for i, r in enumerate(self._rows):
+            body[i * width:(i + 1) * width:2] = r.translate(_ENTRY_TO_CELL)
+        return body.decode("ascii")
 
     @classmethod
     def from_csv(cls, text: str) -> "IncidenceMatrix":
-        """Strict inverse of to_csv; rejects anything but a square 0/1 body."""
+        """Strict inverse of to_csv; rejects anything but a square 0/1 body.
+
+        Lines end at "\n" only.  A line is valid when its even positions
+        hold 0/1 cells and its odd positions hold commas.
+        """
         if not text or not text.endswith("\n"):
             raise ValueError("CSV body must be nonempty and newline-terminated")
         rows = []
-        for line in text.splitlines():
-            row = []
-            for cell in line.split(","):
-                if cell == "0":
-                    row.append(0)
-                elif cell == "1":
-                    row.append(1)
-                else:
-                    raise ValueError(f"bad CSV cell {cell!r}; expected '0' or '1'")
-            rows.append(row)
+        for line in text.split("\n")[:-1]:
+            # Each non-ASCII character becomes one b"?", which fails the check.
+            data = line.encode("ascii", "replace")
+            cells = data[::2]
+            if not len(data) % 2 or data[1::2].translate(None, b",") or cells.translate(None, b"01"):
+                bad = next(c for c in line.split(",") if c not in ("0", "1"))
+                raise ValueError(f"bad CSV cell {bad!r}; expected '0' or '1'")
+            rows.append(cells.translate(_CELL_TO_ENTRY))
         return cls(rows)
 
     def __eq__(self, other: object) -> bool:
@@ -91,6 +99,24 @@ class IncidenceMatrix:
         return f"IncidenceMatrix(dim={self.dim})"
 
 
+def _row_templates(level_sizes: Sequence[int]) -> Iterator[bytes]:
+    """Every zeta row in canonical order, from the level sizes alone.
+
+    The row of vertex i in the level ending at column block_end is 1 at i and
+    at every column from block_end on, and 0 everywhere else.
+    """
+    dim = sum(level_sizes)
+    block_end = 0
+    for size in level_sizes:
+        block_end += size
+        ones_tail = b"\x01" * (dim - block_end)
+        for i in range(block_end - size, block_end):
+            row = bytearray(dim)
+            row[i] = 1
+            row[block_end:] = ones_tail
+            yield bytes(row)
+
+
 def zeta_matrix(P: CobwebPoset, dim_cap: int = DEFAULT_DIM_CAP) -> IncidenceMatrix:
     """Incidence matrix over the canonical order: entry(i, j) = 1 iff v_i <= v_j.
 
@@ -102,18 +128,7 @@ def zeta_matrix(P: CobwebPoset, dim_cap: int = DEFAULT_DIM_CAP) -> IncidenceMatr
     dim = P.vertex_count
     if dim > dim_cap:
         raise MatrixSizeError(dim, dim_cap)
-    rows = []
-    offset = 0
-    for size in P.level_sizes:
-        block_end = offset + size
-        ones_tail = b"\x01" * (dim - block_end)
-        for i in range(offset, block_end):
-            row = bytearray(dim)
-            row[i] = 1
-            row[block_end:] = ones_tail
-            rows.append(bytes(row))
-        offset = block_end
-    return IncidenceMatrix(rows)
+    return IncidenceMatrix(_row_templates(P.level_sizes))
 
 
 def staircase_check(M: IncidenceMatrix, P: CobwebPoset) -> bool:
@@ -121,18 +136,17 @@ def staircase_check(M: IncidenceMatrix, P: CobwebPoset) -> bool:
 
     For every pair i < j in canonical order the entry must be 1 exactly when
     v_j sits on a strictly higher level, and 0 when the two vertices share a
-    level.  Raises ValueError on a dimension mismatch between M and P.
+    level.  Each row's strict upper part is compared as bytes with the same
+    part of the row template of P's level sizes; the diagonal and the lower
+    triangle are not read.  Raises ValueError on a dimension mismatch
+    between M and P.
     """
     if M.dim != P.vertex_count:
         raise ValueError(f"dimension mismatch: matrix is {M.dim}, poset has {P.vertex_count} vertices")
-    verts = P.vertices()
-    for i in range(M.dim):
-        level_i = verts[i].level
-        for j in range(i + 1, M.dim):
-            expected = 1 if verts[j].level > level_i else 0
-            if M.entry(i, j) != expected:
-                return False
-    return True
+    return all(
+        row[i + 1:] == template[i + 1:]
+        for i, (row, template) in enumerate(zip(M._rows, _row_templates(P.level_sizes)))
+    )
 
 
 def cobweb_from_matrix(M: IncidenceMatrix) -> CobwebPoset:
@@ -140,24 +154,25 @@ def cobweb_from_matrix(M: IncidenceMatrix) -> CobwebPoset:
 
     Levels are read off as maximal contiguous runs of vertices incomparable
     with the run's first vertex.  The run sizes must form an initial segment
-    of the Fibonacci numbers, and the whole matrix must then agree with the
-    rebuilt poset's order relation entry for entry.
+    of the Fibonacci numbers.  Every whole row must then equal, as bytes, its
+    row template for those sizes, which is the rebuilt poset's order relation
+    entry for entry.  A row that differs is scanned for its first wrong
+    column, so the error names the first bad entry in row-major order.
     """
     if M.dim == 0:
         raise ValueError("empty matrix encodes no poset")
+    rows = M._rows
     sizes = []
     start = 0
-    for j in range(1, M.dim):
-        if M.entry(start, j):
-            sizes.append(j - start)
-            start = j
+    while (nxt := rows[start].find(1, start + 1)) >= 0:
+        sizes.append(nxt - start)
+        start = nxt
     sizes.append(M.dim - start)
     P = CobwebPoset(len(sizes))
     if tuple(sizes) != P.level_sizes:
         raise ValueError(f"level sizes {sizes} are not an initial Fibonacci segment")
-    verts = P.vertices()
-    for i, vi in enumerate(verts):
-        for j, vj in enumerate(verts):
-            if M.entry(i, j) != (1 if P.leq(vi, vj) else 0):
-                raise ValueError(f"entry ({i}, {j}) inconsistent with the cobweb order")
+    for i, (row, template) in enumerate(zip(rows, _row_templates(P.level_sizes))):
+        if row != template:
+            j = next(j for j in range(M.dim) if row[j] != template[j])
+            raise ValueError(f"entry ({i}, {j}) inconsistent with the cobweb order")
     return P

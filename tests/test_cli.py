@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cobweb import chains, fibcalc
+from cobweb import chains, cli, fibcalc
 from cobweb.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, run
 from cobweb.poset import build_cobweb
 from cobweb.zeta import IncidenceMatrix, cobweb_from_matrix
@@ -185,6 +185,21 @@ class TestExport:
         assert capsys.readouterr().out.count("->") == 1
         assert run(["export", "5", "--format", "dot"]) == EXIT_OK
         assert capsys.readouterr().out.count("->") == 24
+
+    def test_dot_depth_six_matches_golden(self, tmp_path, capsys):
+        golden = (GOLDEN / "hasse_p6.dot").read_bytes()
+        assert run(["export", "6", "--format", "dot"]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == golden
+        target = tmp_path / "p6.dot"
+        assert run(["export", "6", "--format", "dot", "--out", str(target)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert target.read_bytes() == golden
+
+    def test_dot_streams_one_chunk_per_level_pair(self):
+        chunks = list(cli._hasse_dot(build_cobweb(6)))
+        assert len(chunks) == 7  # header and ranks, 5 level pairs, closing brace
+        assert [c.count("->") for c in chunks[1:-1]] == [1, 2, 6, 15, 40]
+        assert "".join(chunks).encode() == (GOLDEN / "hasse_p6.dot").read_bytes()
 
     def test_round_trip_depth_six(self, tmp_path, capsys):
         target = tmp_path / "p6.csv"

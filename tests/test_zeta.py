@@ -5,9 +5,10 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cobweb.fibcalc import fib
-from cobweb.poset import build_cobweb
+from cobweb.poset import CobwebPoset, build_cobweb
 from cobweb.zeta import (
     IncidenceMatrix,
     MatrixSizeError,
@@ -44,6 +45,36 @@ def expected_block_rows(depth: int) -> list[list[int]]:
                         rows[i][j] = 1
         # rows below the diagonal stay 0
     return rows
+
+
+def oracle_cobweb_from_matrix(M: IncidenceMatrix) -> CobwebPoset:
+    """Independent oracle: the per-entry reconstruction, one P.leq per pair."""
+    if M.dim == 0:
+        raise ValueError("empty matrix encodes no poset")
+    sizes = []
+    start = 0
+    for j in range(1, M.dim):
+        if M.entry(start, j):
+            sizes.append(j - start)
+            start = j
+    sizes.append(M.dim - start)
+    P = CobwebPoset(len(sizes))
+    if tuple(sizes) != P.level_sizes:
+        raise ValueError(f"level sizes {sizes} are not an initial Fibonacci segment")
+    verts = P.vertices()
+    for i, vi in enumerate(verts):
+        for j, vj in enumerate(verts):
+            if M.entry(i, j) != (1 if P.leq(vi, vj) else 0):
+                raise ValueError(f"entry ({i}, {j}) inconsistent with the cobweb order")
+    return P
+
+
+def flipped(P: CobwebPoset, i: int, j: int) -> IncidenceMatrix:
+    """The zeta matrix of P with entry (i, j) flipped."""
+    M = zeta_matrix(P)
+    rows = [bytearray(M.row(r)) for r in range(M.dim)]
+    rows[i][j] ^= 1
+    return IncidenceMatrix(rows)
 
 
 class TestZetaMatrix:
@@ -122,6 +153,13 @@ class TestStaircaseCheck:
         with pytest.raises(ValueError):
             staircase_check(zeta_matrix(build_cobweb(3)), build_cobweb(4))
 
+    @given(st.integers(1, 7), st.data())
+    def test_single_flip_fails_exactly_above_the_diagonal(self, depth, data):
+        P = build_cobweb(depth)
+        i = data.draw(st.integers(0, P.vertex_count - 1))
+        j = data.draw(st.integers(0, P.vertex_count - 1))
+        assert staircase_check(flipped(P, i, j), P) is (j <= i)
+
 
 class TestCsv:
     def test_golden_files(self):
@@ -147,6 +185,11 @@ class TestCsv:
         with pytest.raises(ValueError):
             IncidenceMatrix.from_csv("1,1\n1\n")
 
+    @pytest.mark.parametrize("text", ["1,1\r\n0,1\r\n", "1,1\x0c0,1\n", "1,1\u20280,1\n"])
+    def test_from_csv_splits_on_newline_only(self, text):
+        with pytest.raises(ValueError, match="bad CSV cell"):
+            IncidenceMatrix.from_csv(text)
+
 
 class TestMatrixType:
     def test_rejects_non_square(self):
@@ -156,6 +199,16 @@ class TestMatrixType:
     def test_rejects_non_binary(self):
         with pytest.raises(ValueError):
             IncidenceMatrix([[2]])
+
+    @given(st.integers(1, 5), st.integers(2, 255), st.data())
+    def test_rejects_any_other_byte_anywhere(self, depth, value, data):
+        M = zeta_matrix(build_cobweb(depth))
+        rows = [bytearray(M.row(r)) for r in range(M.dim)]
+        i = data.draw(st.integers(0, M.dim - 1))
+        j = data.draw(st.integers(0, M.dim - 1))
+        rows[i][j] = value
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            IncidenceMatrix(rows)
 
     def test_rows_are_immutable_copies(self):
         source = [bytearray([1, 0]), bytearray([0, 1])]
@@ -183,3 +236,15 @@ class TestReconstruction:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             cobweb_from_matrix(IncidenceMatrix(()))
+
+    @given(st.integers(1, 7), st.data())
+    def test_single_flip_raises_the_oracle_error(self, depth, data):
+        P = build_cobweb(depth)
+        i = data.draw(st.integers(0, P.vertex_count - 1))
+        j = data.draw(st.integers(0, P.vertex_count - 1))
+        M = flipped(P, i, j)
+        with pytest.raises(ValueError) as expected:
+            oracle_cobweb_from_matrix(M)
+        with pytest.raises(ValueError) as got:
+            cobweb_from_matrix(M)
+        assert str(got.value) == str(expected.value)

@@ -1,9 +1,13 @@
 """Maximal-chain counting: closed-form counts and brute-force DFS oracles.
 
 Each closed-form counter has an enumeration twin that walks the poset's
-cover relation chain by chain and never consults the formula.  A guard
-refuses enumerations whose predicted size exceeds a limit, so sweeps stay
-desk-scale by default; the limit can be raised deliberately.
+cover relation chain by chain and never consults the formula.  The counting
+walk visits every vertex below the target level one at a time, in Python;
+for each vertex one level below the target it reads the level of every
+cover and counts those at the target in a single C pass, so the last
+vertex of every chain is still examined.  A guard refuses enumerations and
+listings whose predicted size exceeds a limit, so sweeps stay desk-scale by
+default; the limit can be raised deliberately.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import countOf, itemgetter
 from typing import Iterator, Literal, Sequence
 
 from .fibcalc import fib, fib_factorial, falling_f_factorial, fibonomial
@@ -38,6 +43,8 @@ DEFAULT_ENUMERATION_LIMIT = 10**8
 # Per-level subset counting switches from explicit enumeration to math.comb
 # once a factor would exceed this many subsets.
 _ENUMERATE_SUBSETS_MAX = 10**6
+
+_level = itemgetter(0)  # Vertex.level, read in C
 
 
 class EnumerationGuardError(RuntimeError):
@@ -117,21 +124,30 @@ def _guard(predicted: int, limit: int) -> None:
 
 
 def _dfs_count(P: CobwebPoset, start: Vertex, stop_level: int) -> int:
-    # Exhaustive walk along cover edges, counting one leaf per chain.  No
-    # closed form anywhere in here: this is the independent oracle.  Counting
-    # mode allocates nothing per chain.
+    # Exhaustive walk along cover edges.  No closed form anywhere in here:
+    # this is the independent oracle.  Vertices below stop_level - 1 are
+    # visited one at a time.  For a vertex at stop_level - 1 the levels of
+    # all its covers are read and those at stop_level counted in one C pass,
+    # so every chain's last vertex is still examined.  Counting mode
+    # allocates nothing per chain.
     if start.level == stop_level:
         return 1
+    last = stop_level - 1
+    covers_above = P.covers_above
+    if start.level == last:
+        return countOf(map(_level, covers_above(start)), stop_level)
     count = 0
-    stack = [iter(P.covers_above(start))]
+    stack = [iter(covers_above(start))]
     while stack:
         v = next(stack[-1], None)
         if v is None:
             stack.pop()
+        elif v.level == last:
+            count += countOf(map(_level, covers_above(v)), stop_level)
         elif v.level == stop_level:
             count += 1
         else:
-            stack.append(iter(P.covers_above(v)))
+            stack.append(iter(covers_above(v)))
     return count
 
 
@@ -157,17 +173,30 @@ def enumerate_layer_chains(P: CobwebPoset, spec: LayerSpec, limit: int = DEFAULT
     return _dfs_count(P, spec.from_vertex, spec.to_level)
 
 
-def iter_chains(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[tuple[Vertex, ...]]:
+def iter_chains(
+    P: CobwebPoset, start: Vertex, stop_level: int, limit: int = DEFAULT_ENUMERATION_LIMIT
+) -> Iterator[tuple[Vertex, ...]]:
     """Stream every maximal chain from `start` up to `stop_level`, in DFS order.
 
     Chains are yielded as vertex tuples, one vertex per level, next vertex
-    chosen by ascending index.  Lazy: intended for export and debugging; use
-    the counters when only the number of chains matters.
+    chosen by ascending index.  The arguments are validated and the guard
+    applied when this is called, before any chain is walked; refuses
+    (EnumerationGuardError) when the predicted count exceeds `limit`.
+    Lazy: intended for export and debugging; use the counters when only
+    the number of chains matters.
     """
     P.check_vertex(start)
     if not start.level <= stop_level <= P.depth:
         raise ValueError(f"stop_level must be in {start.level}..{P.depth}, got {stop_level}")
+    if start.level == stop_level:
+        predicted = 1
+    else:
+        predicted = count_layer_chains_formula(start.level, stop_level)
+    _guard(predicted, limit)
+    return _walk_chains(P, start, stop_level)
 
+
+def _walk_chains(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[tuple[Vertex, ...]]:
     path: list[Vertex] = []
 
     def walk(v: Vertex) -> Iterator[tuple[Vertex, ...]]:

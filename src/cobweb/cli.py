@@ -163,20 +163,21 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _NodeIds(dict):
+    """Vertex -> node id, each id worked out on first use and then looked up."""
+
+    def __missing__(self, v: Vertex) -> str:
+        self[v] = name = v.node_id()
+        return name
+
+
 def _cmd_chains(args: argparse.Namespace) -> int:
     limit = _resolve_limit(args)
     _warn_depth(args.n)
     P = build_cobweb(args.n)
-    start = args.from_vertex
-    P.check_vertex(start)
-    if start.level == args.n:
-        predicted = 1
-    else:
-        predicted = chains.count_layer_chains_formula(start.level, args.n)
-    if predicted > limit:
-        raise chains.EnumerationGuardError(predicted, limit)
-    for chain in chains.iter_chains(P, start, args.n):
-        print(" ".join(v.node_id() for v in chain))
+    listing = chains.iter_chains(P, args.from_vertex, args.n, limit)
+    ids = _NodeIds()
+    sys.stdout.writelines(" ".join(map(ids.__getitem__, chain)) + "\n" for chain in listing)
     return EXIT_OK
 
 

@@ -50,10 +50,14 @@ class CobwebPoset:
 
     def check_vertex(self, v: Vertex) -> None:
         """Reject vertices that do not belong to this poset."""
-        self._check_level(v.level)
-        size = self.level_sizes[v.level - 1]
-        if not 0 <= v.index < size:
-            raise ValueError(f"vertex {v!r} invalid: level {v.level} has {size} vertices")
+        # The level test is _check_level's, written out: this runs once per
+        # covers_above call, inside the DFS oracle.
+        level, index = v
+        if not 1 <= level <= self.depth:
+            raise ValueError(f"level must be in 1..{self.depth}, got {level}")
+        size = self.level_sizes[level - 1]
+        if not 0 <= index < size:
+            raise ValueError(f"vertex {v!r} invalid: level {level} has {size} vertices")
 
     def level_size(self, level: int) -> int:
         """Number of vertices at one level; always fib(level)."""
@@ -98,9 +102,11 @@ class CobwebPoset:
     def covers_above(self, x: Vertex) -> tuple[Vertex, ...]:
         """Every vertex covering x: the whole next level (empty at the top)."""
         self.check_vertex(x)
-        if x.level == self.depth:
+        level = x.level + 1
+        if level > self.depth:
             return ()
-        return self.level_vertices(x.level + 1)
+        # Levels are never empty, so a miss is the only falsy result.
+        return self._levels.get(level) or self.level_vertices(level)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CobwebPoset):

@@ -6,7 +6,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cobweb import chains
 from cobweb.chains import (
@@ -23,11 +23,57 @@ from cobweb.chains import (
     verify_observation,
 )
 from cobweb.fibcalc import fib, fib_factorial
-from cobweb.poset import Vertex, build_cobweb
+from cobweb.poset import CobwebPoset, Vertex, build_cobweb
 
 REPORT_LINE = re.compile(
     r"^observation=[123] k=\d+ n=\d+ formula=\d+ oracle=\d+ status=(pass|fail)$"
 )
+
+
+def naive_count(P: CobwebPoset, v: Vertex, stop_level: int) -> int:
+    """Reference oracle: recursive walk that counts leaves one at a time."""
+    if v.level == stop_level:
+        return 1
+    return sum(naive_count(P, w, stop_level) for w in P.covers_above(v))
+
+
+class CountingPoset(CobwebPoset):
+    """A cobweb poset that counts its covers_above calls."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, depth: int) -> None:
+        super().__init__(depth)
+        self.calls = 0
+
+    def covers_above(self, x: Vertex) -> tuple[Vertex, ...]:
+        self.calls += 1
+        return super().covers_above(x)
+
+
+class PlantedPoset(CobwebPoset):
+    """A cobweb poset whose cover relation differs at one planted vertex."""
+
+    __slots__ = ("planted", "planted_covers")
+
+    def __init__(self, depth: int, planted: Vertex, planted_covers: tuple[Vertex, ...]) -> None:
+        super().__init__(depth)
+        self.planted = planted
+        self.planted_covers = planted_covers
+
+    def covers_above(self, x: Vertex) -> tuple[Vertex, ...]:
+        if x == self.planted:
+            self.check_vertex(x)
+            return self.planted_covers
+        return super().covers_above(x)
+
+
+@st.composite
+def walks(draw):
+    depth = draw(st.integers(1, 8))
+    k = draw(st.integers(1, depth))
+    start = Vertex(k, draw(st.integers(0, fib(k) - 1)))
+    return build_cobweb(depth), start, draw(st.integers(k, depth))
 
 
 class TestRootFormula:
@@ -114,6 +160,58 @@ class TestLayerEnumeration:
             enumerate_layer_chains(P, LayerSpec(Vertex(3, 0), 6))
 
 
+class TestDfsOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(walks())
+    def test_matches_naive_walk(self, walk):
+        P, start, stop = walk
+        assert chains._dfs_count(P, start, stop) == naive_count(P, start, stop)
+
+    # Planted at level n - 1 = 5 of a depth-7 poset, walked to level n = 6.
+    # Level 6 has 8 vertices.  Each plant changes the number of covers of
+    # the planted vertex that sit at level 6, or the number of covers, or both.
+    LEVEL6 = tuple(Vertex(6, i) for i in range(8))
+    PLANTS = {
+        "dropped": LEVEL6[:3] + LEVEL6[4:],
+        "duplicated": LEVEL6 + LEVEL6[2:3],
+        "two_levels_up": LEVEL6 + (Vertex(7, 0),),
+        "all_three": LEVEL6[:3] + LEVEL6[4:] + LEVEL6[2:3] + (Vertex(7, 0),),
+        "dropped_and_two_up": LEVEL6[1:] + (Vertex(7, 12),),
+    }
+
+    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    @pytest.mark.parametrize("planted", [Vertex(5, 0), Vertex(5, 3)])
+    def test_irregular_cover_relation(self, plant, planted):
+        covers = self.PLANTS[plant]
+        P = PlantedPoset(7, planted, covers)
+        leaves = sum(1 for w in covers if w.level == 6)
+        # Chains reaching the planted vertex from the root: 4!_F = 6.
+        expected = count_from_root_formula(6) + (leaves - 8) * fib_factorial(4)
+        for start in (P.root, Vertex(3, 1), planted):
+            assert chains._dfs_count(P, start, 6) == naive_count(P, start, 6)
+        assert chains._dfs_count(P, planted, 6) == leaves
+        assert chains._dfs_count(P, P.root, 6) == expected
+        # Each plant defeats a shortcut that trusts the size of the cover
+        # tuple, or the formula, or both.
+        assert leaves != len(covers) or expected != count_from_root_formula(6)
+
+    @pytest.mark.parametrize("k, n", [(1, 2), (1, 7), (2, 7), (3, 6), (4, 7), (6, 7), (7, 7)])
+    def test_covers_above_call_count(self, k, n):
+        P = CountingPoset(7)
+        start = P.level_vertices(k)[-1]
+        counted = chains._dfs_count(P, start, n)
+        # 1 + sum over j = k+1..n-1 of F(k+1)...F(j): one call per vertex
+        # visited below level n.
+        expected = 0 if k == n else 1 + sum(
+            math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k + 1, n)
+        )
+        assert P.calls == expected
+        # The listing walk makes the same calls.
+        P.calls = 0
+        assert sum(1 for _ in iter_chains(P, start, n)) == counted
+        assert P.calls == expected
+
+
 class TestGuard:
     def test_refuses_just_over_the_limit(self):
         P = build_cobweb(5)
@@ -167,6 +265,29 @@ class TestIterChains:
         P = build_cobweb(4)
         with pytest.raises(ValueError):
             list(iter_chains(P, Vertex(3, 0), 2))
+
+    def test_refuses_when_called_before_any_walk(self):
+        P = CountingPoset(20)
+        with pytest.raises(ValueError):
+            iter_chains(P, Vertex(3, 0), 2)
+        with pytest.raises(ValueError):
+            iter_chains(P, Vertex(3, 2), 5)
+        with pytest.raises(EnumerationGuardError) as exc:
+            iter_chains(P, Vertex(3, 1), 20)
+        assert exc.value.predicted == count_layer_chains_formula(3, 20)
+        assert exc.value.limit == chains.DEFAULT_ENUMERATION_LIMIT
+        assert P.calls == 0
+
+    def test_limit_argument(self):
+        P = CountingPoset(5)
+        with pytest.raises(EnumerationGuardError) as exc:
+            iter_chains(P, Vertex(2, 0), 5, limit=29)
+        assert (exc.value.predicted, exc.value.limit) == (30, 29)
+        assert len(list(iter_chains(P, Vertex(2, 0), 5, limit=30))) == 30
+        with pytest.raises(EnumerationGuardError) as exc:
+            iter_chains(P, Vertex(5, 0), 5, limit=0)
+        assert exc.value.predicted == 1
+        assert P.calls == 1 + 2 + 2 * 3
 
 
 class TestObs3Quotient:

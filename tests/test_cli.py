@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import re
 import subprocess
 import sys
@@ -223,6 +225,24 @@ class TestChainsVerb:
         out, err = out_of(capsys)
         assert out == ""
         assert "122522400" in err
+
+    @pytest.mark.parametrize("start, n", [("1:0", 6), ("4:2", 7), ("5:4", 5), ("6:7", 8)])
+    def test_listing_is_product_of_levels(self, capsys, start, n):
+        level, index = map(int, start.split(":"))
+        names = [[f"v{s}_{i}" for i in range(fibcalc.fib(s))] for s in range(level + 1, n + 1)]
+        expected = "".join(
+            " ".join((f"v{level}_{index}", *rest)) + "\n" for rest in itertools.product(*names)
+        )
+        assert run(["chains", str(n), "--from", start]) == EXIT_OK
+        assert out_of(capsys) == (expected, "")
+
+    def test_guard_refusal_text(self, capsys):
+        predicted = math.prod(fibcalc.fib(s) for s in range(4, 13))
+        assert run(["chains", "12", "--from", "3:1"]) == EXIT_GUARD
+        assert out_of(capsys) == ("", (
+            f"guard: enumeration would visit {predicted} chains, over the limit of "
+            f"{chains.DEFAULT_ENUMERATION_LIMIT}; use the closed-form counter or raise the limit explicitly\n"
+        ))
 
     def test_override_is_loud(self, capsys):
         assert run(["chains", "4", "--unsafe-enumeration-limit", "2"]) == EXIT_GUARD

@@ -101,6 +101,22 @@ class TestRelations:
         with pytest.raises(ValueError):
             P.level_vertices(0)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda P: P.check_vertex(Vertex(0, 0)), "level must be in 1..5, got 0"),
+        (lambda P: P.check_vertex(Vertex(6, 0)), "level must be in 1..5, got 6"),
+        (lambda P: P.check_vertex(Vertex(3, 2)), "vertex Vertex(level=3, index=2) invalid: level 3 has 2 vertices"),
+        (lambda P: P.check_vertex(Vertex(4, -1)), "vertex Vertex(level=4, index=-1) invalid: level 4 has 3 vertices"),
+        (lambda P: P.covers_above(Vertex(2, 1)), "vertex Vertex(level=2, index=1) invalid: level 2 has 1 vertices"),
+        (lambda P: P.covers_above(Vertex(-1, 0)), "level must be in 1..5, got -1"),
+        (lambda P: P.leq(Vertex(1, 0), Vertex(5, 5)), "vertex Vertex(level=5, index=5) invalid: level 5 has 5 vertices"),
+        (lambda P: P.level_vertices(0), "level must be in 1..5, got 0"),
+        (lambda P: P.level_size(6), "level must be in 1..5, got 6"),
+    ])
+    def test_error_messages(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call(build_cobweb(5))
+        assert str(exc.value) == message
+
     def test_covers_are_whole_next_level(self):
         P = build_cobweb(5)
         assert P.covers_above(Vertex(3, 1)) == P.level_vertices(4)

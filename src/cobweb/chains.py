@@ -5,16 +5,18 @@ cover relation chain by chain and never consults the formula.  The counting
 walk visits every vertex below the target level one at a time, in Python;
 for each vertex one level below the target it reads the level of every
 cover and counts those at the target in a single C pass, so the last
-vertex of every chain is still examined.  A guard refuses enumerations and
-listings whose predicted size exceeds a limit, so sweeps stay desk-scale by
-default; the limit can be raised deliberately.
+vertex of every chain is still examined.  One admission check validates
+and guards every walk, counted or listed, before it starts.  It refuses
+(EnumerationGuardError) a walk whose predicted chain count exceeds a
+limit, so sweeps stay desk-scale by default; the limit can be raised
+deliberately.  Its predictor is the falling F-factorial, not the closed
+forms under test, so a wrong formula cannot change what the guard admits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from operator import countOf, itemgetter
 from typing import Iterator, Literal, Sequence
 
@@ -40,10 +42,6 @@ __all__ = [
 
 DEFAULT_ENUMERATION_LIMIT = 10**8
 
-# Per-level subset counting switches from explicit enumeration to math.comb
-# once a factor would exceed this many subsets.
-_ENUMERATE_SUBSETS_MAX = 10**6
-
 _level = itemgetter(0)  # Vertex.level, read in C
 
 
@@ -66,17 +64,16 @@ class ChainVerificationError(RuntimeError):
     """
 
     def __init__(self, k: int, n: int, layer_chains: int, per_copy_chains: int, expected: int) -> None:
-        quotient, remainder = divmod(layer_chains, per_copy_chains)
         self.k = k
         self.n = n
         self.layer_chains = layer_chains
         self.per_copy_chains = per_copy_chains
         self.expected = expected
-        self.quotient = quotient if remainder == 0 else None
+        self.quotient = quotient = _exact_quotient(layer_chains, per_copy_chains)
         super().__init__(
             f"quotient identity failed at k={k}, n={n}: layer chains {layer_chains}, "
             f"per-copy chains {per_copy_chains}, quotient "
-            f"{quotient if remainder == 0 else f'{layer_chains}/{per_copy_chains} (inexact)'}, "
+            f"{quotient if quotient is not None else f'{layer_chains}/{per_copy_chains} (inexact)'}, "
             f"expected fibonomial {expected}"
         )
 
@@ -94,8 +91,8 @@ class LayerSpec:
         return self.to_level - self.from_vertex.level
 
     def validate(self, P: CobwebPoset) -> None:
-        P.check_vertex(self.from_vertex)
-        if not self.from_vertex.level < self.to_level <= P.depth:
+        """Reject a spec that climbs no level; the walk admission checks the rest."""
+        if self.m < 1:
             raise ValueError(
                 f"to_level must be in {self.from_vertex.level + 1}..{P.depth}, got {self.to_level}"
             )
@@ -113,12 +110,23 @@ def count_layer_chains_formula(k: int, n: int) -> int:
 
     Equals the falling F-factorial with n - k descending factors.
     """
-    if k < 1 or n <= k:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_pair(k, n)
     return falling_f_factorial(n, n - k)
 
 
-def _guard(predicted: int, limit: int) -> None:
+def _check_pair(k: int, n: int) -> None:
+    if k < 1 or n <= k:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+
+
+def _admit(P: CobwebPoset, start: Vertex, stop_level: int, limit: int) -> None:
+    # The one admission check of every walk.  The predictor is the falling
+    # F-factorial itself, never a counter under test: from the root it is
+    # n_F! because F(1) = 1, and a walk of no steps is its empty product 1.
+    P.check_vertex(start)
+    if not start.level <= stop_level <= P.depth:
+        raise ValueError(f"stop_level must be in {start.level}..{P.depth}, got {stop_level}")
+    predicted = falling_f_factorial(stop_level, stop_level - start.level)
     if predicted > limit:
         raise EnumerationGuardError(predicted, limit)
 
@@ -156,9 +164,7 @@ def enumerate_from_root(P: CobwebPoset, n: int, limit: int = DEFAULT_ENUMERATION
 
     Refuses (EnumerationGuardError) when the predicted count exceeds `limit`.
     """
-    if not 1 <= n <= P.depth:
-        raise ValueError(f"n must be in 1..{P.depth}, got {n}")
-    _guard(count_from_root_formula(n), limit)
+    _admit(P, P.root, n, limit)
     return _dfs_count(P, P.root, n)
 
 
@@ -169,7 +175,7 @@ def enumerate_layer_chains(P: CobwebPoset, spec: LayerSpec, limit: int = DEFAULT
     assert that start-invariance explicitly.
     """
     spec.validate(P)
-    _guard(count_layer_chains_formula(spec.from_vertex.level, spec.to_level), limit)
+    _admit(P, spec.from_vertex, spec.to_level, limit)
     return _dfs_count(P, spec.from_vertex, spec.to_level)
 
 
@@ -185,14 +191,7 @@ def iter_chains(
     Lazy: intended for export and debugging; use the counters when only
     the number of chains matters.
     """
-    P.check_vertex(start)
-    if not start.level <= stop_level <= P.depth:
-        raise ValueError(f"stop_level must be in {start.level}..{P.depth}, got {stop_level}")
-    if start.level == stop_level:
-        predicted = 1
-    else:
-        predicted = count_layer_chains_formula(start.level, stop_level)
-    _guard(predicted, limit)
+    _admit(P, start, stop_level, limit)
     return _walk_chains(P, start, stop_level)
 
 
@@ -224,8 +223,7 @@ def obs3_quotient(k: int, n: int, mode: Obs3Mode = "formula", limit: int = DEFAU
     ChainVerificationError, carrying all the numbers, when the division is
     not exact or the quotient disagrees.
     """
-    if k < 1 or n <= k:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_pair(k, n)
     if mode == "formula":
         layer = count_layer_chains_formula(k, n)
     elif mode == "enumerate":
@@ -233,25 +231,21 @@ def obs3_quotient(k: int, n: int, mode: Obs3Mode = "formula", limit: int = DEFAU
         layer = enumerate_layer_chains(P, LayerSpec(Vertex(k, 0), n), limit)
     else:
         raise ValueError(f"mode must be 'formula' or 'enumerate', got {mode!r}")
-    per_copy = fib_factorial(n - k)
-    expected = fibonomial(n, k)
-    quotient, remainder = divmod(layer, per_copy)
-    if remainder or quotient != expected:
-        raise ChainVerificationError(k, n, layer, per_copy, expected)
-    return quotient
+    case, per_copy = _quotient_case(k, n, layer)
+    if not case.passed:
+        raise ChainVerificationError(k, n, layer, per_copy, case.formula)
+    return case.oracle
 
 
 def induced_copy_count(k: int, n: int, profile: Sequence[int]) -> int:
     """Ways to choose one subset per level k+1..n with sizes given by `profile`.
 
     Diagnostic counter for the literal subposet-copy reading: the product of
-    ordinary binomials C(level size, profile entry).  Each factor is counted
-    by explicit subset enumeration when small enough, by math.comb otherwise;
-    the routes agree and tests cross-check them.  Probing different profiles
-    shows which copy shapes do or do not reproduce the Fibonomial.
+    ordinary binomials C(level size, profile entry), each from math.comb;
+    tests check them against explicit subset enumeration.  Probing different
+    profiles shows which copy shapes do or do not reproduce the Fibonomial.
     """
-    if k < 1 or n <= k:
-        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    _check_pair(k, n)
     m = n - k
     if len(profile) != m:
         raise ValueError(f"profile must have {m} entries for levels {k + 1}..{n}, got {len(profile)}")
@@ -262,10 +256,7 @@ def induced_copy_count(k: int, n: int, profile: Sequence[int]) -> int:
             raise ValueError(
                 f"profile[{j}] = {want} out of range: level {k + 1 + j} has {ambient} vertices"
             )
-        if math.comb(ambient, want) <= _ENUMERATE_SUBSETS_MAX:
-            total *= sum(1 for _ in combinations(range(ambient), want))
-        else:
-            total *= math.comb(ambient, want)
+        total *= math.comb(ambient, want)
     return total
 
 
@@ -313,16 +304,19 @@ def _compare_case(k: int, n: int, formula: int, oracle: int, start: Vertex | Non
     return VerificationCase(k=k, n=n, formula=formula, oracle=oracle, passed=formula == oracle, start=start)
 
 
-def _obs3_case(k: int, n: int, mode: Obs3Mode, limit: int) -> VerificationCase:
+def _exact_quotient(dividend: int, divisor: int) -> int | None:
+    quotient, remainder = divmod(dividend, divisor)
+    return None if remainder else quotient
+
+
+def _quotient_case(k: int, n: int, layer: int) -> tuple[VerificationCase, int]:
+    # Checks layer / (n-k)_F! against fibonomial(n, k), and returns the case
+    # and the divisor.  An inexact division reports the raw layer count.
     expected = fibonomial(n, k)
-    try:
-        quotient = obs3_quotient(k, n, mode, limit)
-    except ChainVerificationError as exc:
-        # Inexact division reports the raw layer count so the line cannot
-        # masquerade as a pass.
-        oracle = exc.quotient if exc.quotient is not None else exc.layer_chains
-        return VerificationCase(k=k, n=n, formula=expected, oracle=oracle, passed=False)
-    return _compare_case(k, n, expected, quotient)
+    per_copy = fib_factorial(n - k)
+    quotient = _exact_quotient(layer, per_copy)
+    oracle = layer if quotient is None else quotient
+    return VerificationCase(k=k, n=n, formula=expected, oracle=oracle, passed=quotient == expected), per_copy
 
 
 def verify_observation(observation: int, max_n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> VerificationReport:
@@ -356,12 +350,14 @@ def verify_observation(observation: int, max_n: int, limit: int = DEFAULT_ENUMER
                     oracle = enumerate_layer_chains(P, LayerSpec(start, n), limit)
                     cases.append(_compare_case(k, n, formula, oracle, start=start))
     elif observation == 3:
+        P = build_cobweb(max_n)
         for n in range(2, max_n + 1):
             for k in range(1, n):
-                cases.append(_obs3_case(k, n, "enumerate", limit))
+                layer = enumerate_layer_chains(P, LayerSpec(Vertex(k, 0), n), limit)
+                cases.append(_quotient_case(k, n, layer)[0])
         for n in range(2, 3 * max_n + 1):
             for k in range(1, n):
-                cases.append(_obs3_case(k, n, "formula", limit))
+                cases.append(_quotient_case(k, n, count_layer_chains_formula(k, n))[0])
     else:
         raise ValueError(f"observation must be 1, 2 or 3, got {observation}")
     return VerificationReport(observation=observation, max_n=max_n, cases=tuple(cases))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +23,7 @@ from cobweb.chains import (
     obs3_quotient,
     verify_observation,
 )
-from cobweb.fibcalc import fib, fib_factorial
+from cobweb.fibcalc import fib, fib_factorial, fibonomial
 from cobweb.poset import CobwebPoset, Vertex, build_cobweb
 
 REPORT_LINE = re.compile(
@@ -235,6 +236,23 @@ class TestGuard:
         with pytest.raises(EnumerationGuardError):
             enumerate_layer_chains(P, LayerSpec(Vertex(1, 0), 6), limit=100)
 
+    @settings(max_examples=60, deadline=None)
+    @given(walks())
+    def test_one_predictor_for_every_entry_point(self, walk):
+        P, start, stop = walk
+        count = naive_count(P, start, stop)
+        entries = [lambda limit: iter_chains(P, start, stop, limit)]
+        if start == P.root:
+            entries.append(lambda limit: enumerate_from_root(P, stop, limit))
+        if stop > start.level:
+            entries.append(lambda limit: enumerate_layer_chains(P, LayerSpec(start, stop), limit))
+        for entry in entries:
+            admitted = entry(count)
+            assert (admitted if isinstance(admitted, int) else sum(1 for _ in admitted)) == count
+            with pytest.raises(EnumerationGuardError) as exc:
+                entry(count - 1)
+            assert (exc.value.predicted, exc.value.limit) == (count, count - 1)
+
 
 class TestIterChains:
     def test_lists_depth_three(self):
@@ -310,6 +328,40 @@ class TestObs3Quotient:
         with pytest.raises(ValueError):
             obs3_quotient(1, 4, mode="guess")
 
+    # Vertex 3:0 keeps two of its three covers.  From 1:0 to level 4 that
+    # leaves 2 + 3 = 5 chains, not divisible by 3_F! = 2; from 3:0 it leaves
+    # 2 chains, an exact quotient by 1_F! = 1 that is not C_F(4, 3) = 3.
+    PLANTED = (Vertex(3, 0), (Vertex(4, 0), Vertex(4, 1)))
+
+    @pytest.fixture
+    def planted(self, monkeypatch):
+        monkeypatch.setattr(chains, "build_cobweb", lambda depth: PlantedPoset(depth, *self.PLANTED))
+
+    @pytest.mark.parametrize("k, layer, per_copy, quotient", [(1, 5, 2, None), (3, 2, 1, 2)])
+    def test_sweep_reports_planted_fault(self, planted, k, layer, per_copy, quotient):
+        report = verify_observation(3, 4)
+        [case] = [c for c in report.cases[:6] if (c.k, c.n) == (k, 4)]
+        # An inexact layer count is reported raw, an exact one as its quotient.
+        oracle = layer if quotient is None else quotient
+        assert (case.formula, case.oracle, case.passed) == (fibonomial(4, k), oracle, False)
+        line = f"observation=3 k={k} n=4 formula={fibonomial(4, k)} oracle={oracle} status=fail"
+        assert line in report.to_text().splitlines()
+        with pytest.raises(ChainVerificationError) as exc:
+            obs3_quotient(k, 4, "enumerate")
+        err = exc.value
+        assert (err.k, err.n, err.layer_chains, err.per_copy_chains) == (k, 4, layer, per_copy)
+        assert (err.quotient, err.expected) == (quotient, fibonomial(4, k))
+
+    def test_sweep_reports_wrong_fibonomial(self, monkeypatch):
+        monkeypatch.setattr(chains, "fibonomial", lambda n, k: fibonomial(n, k) + 1)
+        report = verify_observation(3, 3)
+        assert len(report.counterexamples) == len(report.cases) == 3 + math.comb(9, 2)
+        for c in report.cases:
+            assert (c.formula, c.oracle) == (fibonomial(c.n, c.k) + 1, fibonomial(c.n, c.k))
+        with pytest.raises(ChainVerificationError) as exc:
+            obs3_quotient(2, 5)
+        assert (exc.value.quotient, exc.value.expected) == (fibonomial(5, 2), fibonomial(5, 2) + 1)
+
     def test_error_carries_all_numbers(self):
         err = ChainVerificationError(2, 4, layer_chains=7, per_copy_chains=2, expected=6)
         assert err.quotient is None  # 7/2 is not exact
@@ -335,12 +387,19 @@ class TestInducedCopyCount:
         assert fibonomial(4, 1) == 3
 
     def test_matches_binomial_products(self):
-        # crosses the internal enumerate/comb threshold: level 10 has 55 vertices
+        # far past subset enumeration: level 10 has 55 vertices, C(55, 17) ~ 6.8e13
         profile = [1, 1, 2, 3, 5, 8, 13, 21, 17]
         expected = 1
         for j, want in enumerate(profile):
             expected *= math.comb(fib(2 + j), want)
         assert induced_copy_count(1, 10, profile) == expected
+
+    @given(st.integers(1, 5), st.integers(1, 3), st.data())
+    def test_matches_subset_enumeration(self, k, m, data):
+        sizes = [fib(s) for s in range(k + 1, k + m + 1)]
+        profile = [data.draw(st.integers(0, size)) for size in sizes]
+        expected = math.prod(sum(1 for _ in combinations(range(size), want)) for size, want in zip(sizes, profile))
+        assert induced_copy_count(k, k + m, profile) == expected
 
     def test_full_levels_count_one_way(self):
         profile = [fib(s) for s in range(2, 7)]

@@ -25,7 +25,7 @@ from .chains import (
     verify_observation,
 )
 from .fibcalc import fib, fib_factorial, falling_f_factorial, fibonomial, fibonomial_row
-from .poset import CobwebPoset, Vertex, build_cobweb
+from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
 from .zeta import (
     DEFAULT_DIM_CAP,
     IncidenceMatrix,
@@ -47,6 +47,7 @@ __all__ = [
     "Vertex",
     "CobwebPoset",
     "build_cobweb",
+    "GuardError",
     "IncidenceMatrix",
     "MatrixSizeError",
     "DEFAULT_DIM_CAP",

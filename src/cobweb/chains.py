@@ -21,7 +21,7 @@ from operator import countOf, itemgetter
 from typing import Iterator, Literal, Sequence
 
 from .fibcalc import fib, fib_factorial, falling_f_factorial, fibonomial
-from .poset import CobwebPoset, Vertex, build_cobweb
+from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
 
 __all__ = [
     "DEFAULT_ENUMERATION_LIMIT",
@@ -45,16 +45,13 @@ DEFAULT_ENUMERATION_LIMIT = 10**8
 _level = itemgetter(0)  # Vertex.level, read in C
 
 
-class EnumerationGuardError(RuntimeError):
+class EnumerationGuardError(GuardError):
     """Enumeration refused: the predicted chain count exceeds the guard limit."""
 
-    def __init__(self, predicted: int, limit: int) -> None:
-        super().__init__(
-            f"enumeration would visit {predicted} chains, over the limit of {limit}; "
-            "use the closed-form counter or raise the limit explicitly"
-        )
-        self.predicted = predicted
-        self.limit = limit
+    template = (
+        "enumeration would visit {predicted} chains, over the limit of {limit}; "
+        "use the closed-form counter or raise the limit explicitly"
+    )
 
 
 class ChainVerificationError(RuntimeError):
@@ -330,27 +327,32 @@ def verify_observation(observation: int, max_n: int, limit: int = DEFAULT_ENUMER
     and closed-form for n <= 3 * max_n.
 
     Mismatches become counterexample cases in the report; only guard refusals
-    and invalid arguments raise.
+    and invalid arguments raise, and both before any walk starts.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
+    if observation not in (1, 2, 3):
+        raise ValueError(f"observation must be 1, 2 or 3, got {observation}")
+    # Every walk is admitted before any starts.  The root's walk to level n
+    # predicts the most chains of any walk to n, and 1 at n = 1 and 2, so
+    # admitting those in turn refuses the walk the sweep would refuse first.
+    P = build_cobweb(max_n)
+    for n in range(2, max_n + 1):
+        _admit(P, P.root, n, limit)
     cases: list[VerificationCase] = []
     if observation == 1:
-        P = build_cobweb(max_n)
         for n in range(1, max_n + 1):
             formula = count_from_root_formula(n)
             oracle = enumerate_from_root(P, n, limit)
             cases.append(_compare_case(1, n, formula, oracle))
     elif observation == 2:
-        P = build_cobweb(max_n)
         for k in range(1, max_n):
             for n in range(k + 1, max_n + 1):
                 formula = count_layer_chains_formula(k, n)
                 for start in P.level_vertices(k):
                     oracle = enumerate_layer_chains(P, LayerSpec(start, n), limit)
                     cases.append(_compare_case(k, n, formula, oracle, start=start))
-    elif observation == 3:
-        P = build_cobweb(max_n)
+    else:
         for n in range(2, max_n + 1):
             for k in range(1, n):
                 layer = enumerate_layer_chains(P, LayerSpec(Vertex(k, 0), n), limit)
@@ -358,6 +360,4 @@ def verify_observation(observation: int, max_n: int, limit: int = DEFAULT_ENUMER
         for n in range(2, 3 * max_n + 1):
             for k in range(1, n):
                 cases.append(_quotient_case(k, n, count_layer_chains_formula(k, n))[0])
-    else:
-        raise ValueError(f"observation must be 1, 2 or 3, got {observation}")
     return VerificationReport(observation=observation, max_n=max_n, cases=tuple(cases))

@@ -1,8 +1,8 @@
 """Command-line front end: tables, poset exports, verification sweeps, benchmarks.
 
 Exit status contract: 0 success, 1 verification failure (any counterexample
-or benchmark mismatch), 2 usage error, 3 guard refusal (enumeration or dense
-matrix over its cap).  All numeric data output is exact decimal; timings are
+or benchmark mismatch), 2 usage error, 3 guard refusal (any GuardError, raised
+before work starts).  All numeric data output is exact decimal; timings are
 wall-clock, labeled non-deterministic, and formatted in fixed point.
 """
 
@@ -15,27 +15,12 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from . import chains, fibcalc, zeta
-from .poset import CobwebPoset, Vertex, build_cobweb
+from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
-
-# Vertex materialization grows as F(depth + 2); past this depth the CLI warns.
-DEPTH_WARNING_THRESHOLD = 25
-
-
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
-def _warn_depth(depth: int) -> None:
-    if depth > DEPTH_WARNING_THRESHOLD:
-        _warn(
-            f"depth {depth} implies O(F({depth + 2})) vertices; "
-            f"outputs beyond depth {DEPTH_WARNING_THRESHOLD} get very large"
-        )
 
 
 def _nonnegative(text: str) -> int:
@@ -66,17 +51,8 @@ def _resolve_limit(args: argparse.Namespace) -> int:
     limit = args.unsafe_enumeration_limit
     if limit is None:
         return chains.DEFAULT_ENUMERATION_LIMIT
-    _warn(f"enumeration guard overridden to {limit} predicted chains")
+    print(f"warning: enumeration guard overridden to {limit} predicted chains", file=sys.stderr)
     return limit
-
-
-def _emit(chunks: Iterable[str], out: Path | None) -> None:
-    """Write text chunks to stdout, or to `out` when given, one at a time."""
-    if out is None:
-        sys.stdout.writelines(chunks)
-    else:
-        with out.open("w") as f:
-            f.writelines(chunks)
 
 
 def _hasse_dot(P: CobwebPoset) -> Iterator[str]:
@@ -95,8 +71,8 @@ def _hasse_dot(P: CobwebPoset) -> Iterator[str]:
     yield "}\n"
 
 
-def _print_ints(values: Sequence[int], sep: str = " ") -> None:
-    """Print exact decimals on one line, whatever their number of digits.
+def _print_ints(values: Sequence[int], sep: str = " ", prefix: str = "") -> None:
+    """Print exact decimals on one line after `prefix`, whatever their number of digits.
 
     CPython 3.10.7 and later refuse int -> str past a digit limit (4300
     by default).  The limit is lifted for this conversion only and then put
@@ -112,7 +88,7 @@ def _print_ints(values: Sequence[int], sep: str = " ") -> None:
             text = sep.join(map(str, values))
         finally:
             sys.set_int_max_str_digits(previous)
-    print(text)
+    print(prefix + text)
 
 
 def _cmd_fib(args: argparse.Namespace) -> int:
@@ -141,25 +117,29 @@ def _cmd_row(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    _warn_depth(args.depth)
     P = build_cobweb(args.depth)
     sizes = P.level_sizes
-    edges = sum(a * b for a, b in zip(sizes, sizes[1:]))
     print(f"depth={P.depth}")
-    print(f"level_sizes={','.join(str(s) for s in sizes)}")
-    print(f"vertices={P.vertex_count}")
-    print(f"edges={edges}")
+    _print_ints(sizes, ",", "level_sizes=")
+    _print_ints([P.vertex_count], prefix="vertices=")
+    _print_ints([sum(a * b for a, b in zip(sizes, sizes[1:]))], prefix="edges=")
     return EXIT_OK
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    _warn_depth(args.depth)
+    # One admission for both formats: a DOT edge list grows like the matrix.
     P = build_cobweb(args.depth)
+    if P.vertex_count > zeta.DEFAULT_DIM_CAP:
+        raise zeta.MatrixSizeError(P.vertex_count, zeta.DEFAULT_DIM_CAP)
     if args.format == "csv":
         chunks: Iterable[str] = [zeta.zeta_matrix(P).to_csv()]
     else:
         chunks = _hasse_dot(P)
-    _emit(chunks, args.out)
+    if args.out is None:
+        sys.stdout.writelines(chunks)
+    else:
+        with args.out.open("w") as f:
+            f.writelines(chunks)
     return EXIT_OK
 
 
@@ -173,7 +153,6 @@ class _NodeIds(dict):
 
 def _cmd_chains(args: argparse.Namespace) -> int:
     limit = _resolve_limit(args)
-    _warn_depth(args.n)
     P = build_cobweb(args.n)
     listing = chains.iter_chains(P, args.from_vertex, args.n, limit)
     ids = _NodeIds()
@@ -212,11 +191,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             enumerated = chains.enumerate_from_root(P, n, limit)
             enum_s = time.perf_counter() - t0
         except chains.EnumerationGuardError as exc:
-            print(
-                f"guard: enumeration for n={n} predicts {exc.predicted} chains "
-                f"over the limit of {exc.limit}; skipped",
-                file=sys.stderr,
-            )
+            print(f"guard: n={n} skipped: {exc}", file=sys.stderr)
             print(f"n={n} formula={formula} formula_s={formula_s:.6f} enumeration=skipped enumeration_s=- match=-")
             continue
         match = "yes" if enumerated == formula else "no"
@@ -300,7 +275,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.handler(args)
-    except (chains.EnumerationGuardError, zeta.MatrixSizeError) as exc:
+    except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except (ValueError, OSError) as exc:

@@ -6,7 +6,28 @@ from typing import NamedTuple
 
 from .fibcalc import fib
 
-__all__ = ["Vertex", "CobwebPoset", "build_cobweb"]
+__all__ = ["GuardError", "Vertex", "CobwebPoset", "build_cobweb"]
+
+_EXACT_BELOW = 10**4300  # CPython's default int -> str limit is 4300 digits
+
+
+class GuardError(RuntimeError):
+    """Work refused before it starts: its predicted cost exceeds a limit.
+
+    Subclasses word it by a `template` with {predicted} and {limit} fields;
+    a number of more than 4300 digits is named there by its bit length.
+    """
+
+    template = "predicted cost {predicted} exceeds the limit of {limit}"
+
+    def __init__(self, predicted: int, limit: int) -> None:
+        super().__init__(self.template.format(predicted=_number(predicted), limit=_number(limit)))
+        self.predicted = predicted
+        self.limit = limit
+
+
+def _number(n: int) -> str:
+    return str(n) if abs(n) < _EXACT_BELOW else f"(a {n.bit_length()}-bit number)"
 
 
 class Vertex(NamedTuple):

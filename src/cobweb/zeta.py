@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .poset import CobwebPoset
+from .poset import CobwebPoset, GuardError
 
 __all__ = [
     "DEFAULT_DIM_CAP",
@@ -28,11 +28,13 @@ _ENTRY_TO_CELL = bytes.maketrans(b"\x00\x01", b"01")
 _CELL_TO_ENTRY = bytes.maketrans(b"01", b"\x00\x01")
 
 
-class MatrixSizeError(Exception):
+class MatrixSizeError(GuardError):
     """Dense materialization refused: the matrix would exceed the row cap."""
 
+    template = "incidence matrix would be {predicted}x{predicted}; cap is {limit} rows"
+
     def __init__(self, dim: int, cap: int) -> None:
-        super().__init__(f"incidence matrix would be {dim}x{dim}; cap is {cap} rows")
+        super().__init__(dim, cap)
         self.dim = dim
         self.cap = cap
 

@@ -24,7 +24,7 @@ from cobweb.chains import (
     verify_observation,
 )
 from cobweb.fibcalc import fib, fib_factorial, fibonomial
-from cobweb.poset import CobwebPoset, Vertex, build_cobweb
+from cobweb.poset import CobwebPoset, GuardError, Vertex, build_cobweb
 
 REPORT_LINE = re.compile(
     r"^observation=[123] k=\d+ n=\d+ formula=\d+ oracle=\d+ status=(pass|fail)$"
@@ -235,6 +235,41 @@ class TestGuard:
         P = build_cobweb(6)
         with pytest.raises(EnumerationGuardError):
             enumerate_layer_chains(P, LayerSpec(Vertex(1, 0), 6), limit=100)
+
+    def test_is_the_shared_guard_error(self):
+        with pytest.raises(GuardError) as exc:
+            enumerate_from_root(build_cobweb(5), 5, limit=29)
+        assert isinstance(exc.value, EnumerationGuardError)
+        assert isinstance(exc.value, RuntimeError)
+        assert (exc.value.predicted, exc.value.limit) == (30, 29)
+
+    def test_message_for_small_numbers(self):
+        assert str(EnumerationGuardError(30, 29)) == (
+            "enumeration would visit 30 chains, over the limit of 29; "
+            "use the closed-form counter or raise the limit explicitly"
+        )
+
+    def test_message_past_the_digit_limit(self):
+        # 10**5000 has 5001 digits: str() of it raises under the default limit.
+        err = EnumerationGuardError(10**5000, 10**8)
+        assert (err.predicted, err.limit) == (10**5000, 10**8)
+        assert str(err) == (
+            f"enumeration would visit (a {(10**5000).bit_length()}-bit number) chains, "
+            "over the limit of 100000000; use the closed-form counter or raise the limit explicitly"
+        )
+
+    @pytest.mark.parametrize("observation", [1, 2, 3])
+    @pytest.mark.parametrize("max_n, limit, predicted", [(10, 10**8, 122522400), (7, 100, 240), (7, 0, 1)])
+    def test_sweep_refuses_before_any_walk(self, monkeypatch, observation, max_n, limit, predicted):
+        # The refusal names the sweep's first walk over the limit: the root walk
+        # to the lowest such level.
+        def walk(*args):
+            raise AssertionError("a walk started before the sweep was admitted")
+
+        monkeypatch.setattr(chains, "_dfs_count", walk)
+        with pytest.raises(EnumerationGuardError) as exc:
+            verify_observation(observation, max_n, limit)
+        assert (exc.value.predicted, exc.value.limit) == (predicted, limit)
 
     @settings(max_examples=60, deadline=None)
     @given(walks())

@@ -7,11 +7,12 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from cobweb import chains, cli, fibcalc
+from cobweb import chains, cli, fibcalc, zeta
 from cobweb.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, run
 from cobweb.poset import build_cobweb
 from cobweb.zeta import IncidenceMatrix, cobweb_from_matrix
@@ -140,11 +141,30 @@ class TestBuild:
             "depth=5\nlevel_sizes=1,1,2,3,5\nvertices=12\nedges=24\n"
         )
 
-    def test_deep_poset_warns_but_succeeds(self, capsys):
+    def test_deep_poset_succeeds_without_warning(self, capsys):
         assert run(["build", "30"]) == EXIT_OK
         out, err = out_of(capsys)
         assert "vertices=2178308\n" in out  # F(32) - 1
-        assert "warning" in err
+        assert err == ""
+
+    def test_past_the_digit_limit(self, capsys):
+        # F(3100) has 648 digits, over a limit lowered to 640 for this test.
+        sizes = [fibcalc.fib(s) for s in range(1, 3101)]
+        expected = (
+            "depth=3100\nlevel_sizes=" + exact_text(sizes, ",")
+            + "vertices=" + exact_text([sum(sizes)])
+            + "edges=" + exact_text([sum(a * b for a, b in zip(sizes, sizes[1:]))])
+        )
+        before = digit_limit()
+        if before is not None:
+            sys.set_int_max_str_digits(640)
+        try:
+            assert run(["build", "3100"]) == EXIT_OK
+            assert digit_limit() == (None if before is None else 640)
+        finally:
+            if before is not None:
+                sys.set_int_max_str_digits(before)
+        assert out_of(capsys) == (expected, "")
 
 
 class TestExport:
@@ -209,6 +229,50 @@ class TestExport:
         capsys.readouterr()
         rebuilt = cobweb_from_matrix(IncidenceMatrix.from_csv(target.read_text()))
         assert rebuilt == build_cobweb(6)
+
+
+def refuse_work(*args, **kwargs):
+    raise AssertionError("work started before the guard refused")
+
+
+class TestGuardRefusals:
+    """Every refusing request exits 3 before any work, with nothing on stdout."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        for owner, name in [(chains, "_dfs_count"), (chains, "_walk_chains"),
+                            (zeta, "_row_templates"), (cli, "_hasse_dot")]:
+            monkeypatch.setattr(owner, name, refuse_work)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chains", "12", "--from", "3:0"],
+            ["chains", "500"],  # predicts an 86,374-bit count, past the digit limit
+            ["verify", "--max-n", "10"],
+            ["export", "19", "--format", "csv"],
+            ["export", "19", "--format", "dot"],
+            ["export", "40", "--format", "dot"],
+        ],
+        ids=" ".join,
+    )
+    def test_refused_before_work(self, capsys, no_work, argv):
+        t0 = time.perf_counter()
+        assert run(argv) == EXIT_GUARD
+        elapsed = time.perf_counter() - t0
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("guard:")
+        assert elapsed < 0.5
+
+    def test_export_cap_boundary(self, capsys, monkeypatch):
+        monkeypatch.setattr(zeta, "DEFAULT_DIM_CAP", 12)
+        assert run(["export", "5", "--format", "dot"]) == EXIT_OK  # 12 vertices
+        out, err = out_of(capsys)
+        assert (out.count("->"), err) == (24, "")
+        monkeypatch.setattr(cli, "_hasse_dot", refuse_work)
+        assert run(["export", "6", "--format", "dot"]) == EXIT_GUARD  # 20 vertices
+        assert out_of(capsys) == ("", "guard: incidence matrix would be 20x20; cap is 12 rows\n")
 
 
 class TestChainsVerb:

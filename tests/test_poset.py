@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cobweb.fibcalc import fib
-from cobweb.poset import CobwebPoset, Vertex, build_cobweb
+from cobweb.poset import CobwebPoset, GuardError, Vertex, build_cobweb
 
 
 def reachable_by_covers(P: CobwebPoset, x: Vertex) -> set[Vertex]:
@@ -159,3 +159,18 @@ class TestAxiomsByExhaustion:
             above = reachable_by_covers(P, x)
             for y in verts:
                 assert P.leq(x, y) == (x == y or y in above)
+
+
+class TestGuardError:
+    def test_numbers_of_up_to_4300_digits_print_exactly(self):
+        # str() of the 4300-digit number works under the default limit; the
+        # expected text is built from digits, not by converting it.
+        err = GuardError(10**4300 - 1, 7)
+        assert (err.predicted, err.limit) == (10**4300 - 1, 7)
+        assert str(err) == f"predicted cost {'9' * 4300} exceeds the limit of 7"
+
+    def test_longer_numbers_are_named_by_bit_length(self):
+        assert (10**4300).bit_length() == 14285
+        assert str(GuardError(10**4300, 10**9000)) == (
+            f"predicted cost (a 14285-bit number) exceeds the limit of (a {(10**9000).bit_length()}-bit number)"
+        )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cobweb.fibcalc import fib
-from cobweb.poset import CobwebPoset, build_cobweb
+from cobweb.poset import CobwebPoset, GuardError, build_cobweb
 from cobweb.zeta import (
     IncidenceMatrix,
     MatrixSizeError,
@@ -129,6 +129,25 @@ class TestZetaMatrix:
         with pytest.raises(MatrixSizeError):
             zeta_matrix(P, dim_cap=11)
         assert zeta_matrix(P, dim_cap=12).dim == 12
+
+    def test_is_the_shared_guard_error(self):
+        with pytest.raises(GuardError) as exc:
+            zeta_matrix(build_cobweb(5), dim_cap=11)
+        assert isinstance(exc.value, MatrixSizeError)
+        assert (exc.value.predicted, exc.value.limit) == (exc.value.dim, exc.value.cap) == (12, 11)
+
+    def test_message_for_small_numbers(self):
+        assert str(MatrixSizeError(dim=10945, cap=10000)) == (
+            "incidence matrix would be 10945x10945; cap is 10000 rows"
+        )
+
+    def test_message_past_the_digit_limit(self):
+        bits = (10**5000).bit_length()
+        err = MatrixSizeError(10**5000, 10**4)
+        assert (err.dim, err.cap) == (10**5000, 10**4)
+        assert str(err) == (
+            f"incidence matrix would be (a {bits}-bit number)x(a {bits}-bit number); cap is 10000 rows"
+        )
 
 
 class TestStaircaseCheck:

@@ -1,16 +1,23 @@
-"""Maximal-chain counting: closed-form counts and brute-force DFS oracles.
+"""Maximal-chain counting: closed-form counts and DFS oracles over the cover relation.
 
 Each closed-form counter has an enumeration twin that walks the poset's
-cover relation chain by chain and never consults the formula.  The counting
-walk visits every vertex below the target level one at a time, in Python;
-for each vertex one level below the target it reads the level of every
-cover and counts those at the target in a single C pass, so the last
-vertex of every chain is still examined.  One admission check validates
-and guards every walk, counted or listed, before it starts.  It refuses
-(EnumerationGuardError) a walk whose predicted chain count exceeds a
-limit, so sweeps stay desk-scale by default; the limit can be raised
-deliberately.  Its predictor is the falling F-factorial, not the closed
-forms under test, so a wrong formula cannot change what the guard admits.
+cover relation and never consults the formula.  The counting walk works
+per vertex and per edge, not chain by chain: it is memoized by vertex, so
+each vertex's covers are read once and its count is the sum over its cover
+edges; for a vertex one level below the target it reads the level of every
+cover and counts those at the target in a single C pass.  `iter_chains` is
+the chain-by-chain walk: it lists every chain, and the tests use it as the
+counter's ground truth.
+
+One admission check validates and guards every walk, counted or listed,
+before it starts.  It refuses (EnumerationGuardError) a walk whose
+predicted chain count exceeds a limit, so sweeps stay desk-scale by
+default; the limit can be raised deliberately.  Its predictor is the
+falling F-factorial, not the closed forms under test, so a wrong formula
+cannot change what the guard admits.  For the counter the chain count is a
+conservative price: each edge it reads lies on a counted chain, and past
+the smallest walks the edges are far fewer than the chains (1,155 against
+2,227,680 from the root to level 9).
 """
 
 from __future__ import annotations
@@ -129,37 +136,38 @@ def _admit(P: CobwebPoset, start: Vertex, stop_level: int, limit: int) -> None:
 
 
 def _dfs_count(P: CobwebPoset, start: Vertex, stop_level: int) -> int:
-    # Exhaustive walk along cover edges.  No closed form anywhere in here:
-    # this is the independent oracle.  Vertices below stop_level - 1 are
-    # visited one at a time.  For a vertex at stop_level - 1 the levels of
-    # all its covers are read and those at stop_level counted in one C pass,
-    # so every chain's last vertex is still examined.  Counting mode
-    # allocates nothing per chain.
-    if start.level == stop_level:
-        return 1
+    # Depth-first walk along cover edges, memoized by vertex.  No closed form
+    # anywhere in here: this is the independent oracle.  A vertex counts the
+    # chains from it to stop_level: 1 at stop_level; at stop_level - 1 its
+    # covers at stop_level, counted in one C pass over their levels; below
+    # that the sum over its covers.  The memo holds one count per vertex and
+    # is fresh for each walk, so covers_above is called once per distinct
+    # vertex and every cover edge is read once, never once per chain.
     last = stop_level - 1
     covers_above = P.covers_above
-    if start.level == last:
-        return countOf(map(_level, covers_above(start)), stop_level)
-    count = 0
-    stack = [iter(covers_above(start))]
-    while stack:
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-        elif v.level == last:
-            count += countOf(map(_level, covers_above(v)), stop_level)
-        elif v.level == stop_level:
-            count += 1
-        else:
-            stack.append(iter(covers_above(v)))
-    return count
+    memo: dict[Vertex, int] = {}
+
+    def count(v: Vertex) -> int:
+        total = memo.get(v)
+        if total is None:
+            if v.level == last:
+                total = countOf(map(_level, covers_above(v)), stop_level)
+            elif v.level == stop_level:
+                total = 1
+            else:
+                total = sum(map(count, covers_above(v)))
+            memo[v] = total
+        return total
+
+    return count(start)
 
 
 def enumerate_from_root(P: CobwebPoset, n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """Count maximal chains from the root to any vertex of level n by DFS.
 
-    Refuses (EnumerationGuardError) when the predicted count exceeds `limit`.
+    The walk counts per vertex and per edge, not chain by chain; iter_chains
+    is the walk that visits every chain.  Refuses (EnumerationGuardError)
+    when the predicted chain count exceeds `limit`.
     """
     _admit(P, P.root, n, limit)
     return _dfs_count(P, P.root, n)
@@ -168,8 +176,9 @@ def enumerate_from_root(P: CobwebPoset, n: int, limit: int = DEFAULT_ENUMERATION
 def enumerate_layer_chains(P: CobwebPoset, spec: LayerSpec, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """Count chains from spec.from_vertex up to spec.to_level by DFS.
 
-    The count is the same for every start vertex of the same level; sweeps
-    assert that start-invariance explicitly.
+    The walk counts per vertex and per edge, not chain by chain.  The count
+    is the same for every start vertex of the same level; sweeps assert
+    that start-invariance explicitly.
     """
     spec.validate(P)
     _admit(P, spec.from_vertex, spec.to_level, limit)
@@ -185,8 +194,9 @@ def iter_chains(
     chosen by ascending index.  The arguments are validated and the guard
     applied when this is called, before any chain is walked; refuses
     (EnumerationGuardError) when the predicted count exceeds `limit`.
-    Lazy: intended for export and debugging; use the counters when only
-    the number of chains matters.
+    Lazy, and the chain-by-chain walk: intended for export, debugging and
+    as the counters' ground truth; use the counters when only the number
+    of chains matters.
     """
     _admit(P, start, stop_level, limit)
     return _walk_chains(P, start, stop_level)

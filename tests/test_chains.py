@@ -162,11 +162,17 @@ class TestLayerEnumeration:
 
 
 class TestDfsOracle:
+    @staticmethod
+    def assert_three_way(P: CobwebPoset, start: Vertex, stop: int) -> None:
+        # The memoized counter, the chain-by-chain listing and the recursive
+        # leaf count must agree.
+        counted = chains._dfs_count(P, start, stop)
+        assert counted == sum(1 for _ in iter_chains(P, start, stop)) == naive_count(P, start, stop)
+
     @settings(max_examples=60, deadline=None)
     @given(walks())
     def test_matches_naive_walk(self, walk):
-        P, start, stop = walk
-        assert chains._dfs_count(P, start, stop) == naive_count(P, start, stop)
+        self.assert_three_way(*walk)
 
     # Planted at level n - 1 = 5 of a depth-7 poset, walked to level n = 6.
     # Level 6 has 8 vertices.  Each plant changes the number of covers of
@@ -188,29 +194,44 @@ class TestDfsOracle:
         leaves = sum(1 for w in covers if w.level == 6)
         # Chains reaching the planted vertex from the root: 4!_F = 6.
         expected = count_from_root_formula(6) + (leaves - 8) * fib_factorial(4)
-        for start in (P.root, Vertex(3, 1), planted):
-            assert chains._dfs_count(P, start, 6) == naive_count(P, start, 6)
+        for start in (P.root, Vertex(3, 1), Vertex(4, 2), Vertex(5, 1), planted):
+            for stop in (6, 7):
+                self.assert_three_way(P, start, stop)
         assert chains._dfs_count(P, planted, 6) == leaves
         assert chains._dfs_count(P, P.root, 6) == expected
         # Each plant defeats a shortcut that trusts the size of the cover
         # tuple, or the formula, or both.
         assert leaves != len(covers) or expected != count_from_root_formula(6)
 
+    @pytest.mark.parametrize("plant", sorted(PLANTS))
+    def test_memo_is_per_vertex(self, plant):
+        # A memo keyed by level would hand the planted vertex's count to its
+        # siblings, or theirs to it, whenever the plant has other than 8
+        # covers at level 6.
+        covers = self.PLANTS[plant]
+        planted = Vertex(5, 3)
+        P = PlantedPoset(7, planted, covers)
+        leaves = sum(1 for w in covers if w.level == 6)
+        assert chains._dfs_count(P, Vertex(5, 0), 6) == 8
+        for v in P.level_vertices(4):
+            assert chains._dfs_count(P, v, 6) == (fib(5) - 1) * 8 + leaves
+
     @pytest.mark.parametrize("k, n", [(1, 2), (1, 7), (2, 7), (3, 6), (4, 7), (6, 7), (7, 7)])
     def test_covers_above_call_count(self, k, n):
         P = CountingPoset(7)
         start = P.level_vertices(k)[-1]
         counted = chains._dfs_count(P, start, n)
-        # 1 + sum over j = k+1..n-1 of F(k+1)...F(j): one call per vertex
-        # visited below level n.
-        expected = 0 if k == n else 1 + sum(
-            math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k + 1, n)
-        )
-        assert P.calls == expected
-        # The listing walk makes the same calls.
+        # The counter calls covers_above once per distinct vertex below
+        # level n: the start, then every vertex of levels k+1..n-1, so
+        # 1 + F(k+1) + ... + F(n-1) calls (20 at k=1, n=7).
+        assert P.calls == (0 if k == n else 1 + sum(fib(j) for j in range(k + 1, n)))
+        # The listing walk calls it once per path: 1 + the sum over
+        # j = k+1..n-1 of F(k+1)...F(j) (280 at k=1, n=7).
         P.calls = 0
         assert sum(1 for _ in iter_chains(P, start, n)) == counted
-        assert P.calls == expected
+        assert P.calls == (0 if k == n else 1 + sum(
+            math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k + 1, n)
+        ))
 
 
 class TestGuard:

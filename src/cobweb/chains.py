@@ -2,12 +2,12 @@
 
 Each closed-form counter has an enumeration twin that walks the poset's
 cover relation and never consults the formula.  The counting walk works
-per vertex and per edge, not chain by chain: it is memoized by vertex, so
-each vertex's covers are read once and its count is the sum over its cover
-edges; for a vertex one level below the target it reads the level of every
-cover and counts those at the target in a single C pass.  `iter_chains` is
-the chain-by-chain walk: it lists every chain, and the tests use it as the
-counter's ground truth.
+per vertex and per edge, not chain by chain: one counter per target level,
+memoized by vertex, reads each vertex's covers once and sums its count over
+its cover edges (one level below the target it counts the covers at the
+target in a single C pass), and serves every start vertex of a sweep.
+`iter_chains` is the chain-by-chain walk: it lists every chain, and the
+tests use it as the counter's ground truth.
 
 One admission check validates and guards every walk, counted or listed,
 before it starts.  It refuses (EnumerationGuardError) a walk whose
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import countOf, itemgetter
-from typing import Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 from .fibcalc import fib, fib_factorial, falling_f_factorial, fibonomial
 from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
@@ -135,14 +135,15 @@ def _admit(P: CobwebPoset, start: Vertex, stop_level: int, limit: int) -> None:
         raise EnumerationGuardError(predicted, limit)
 
 
-def _dfs_count(P: CobwebPoset, start: Vertex, stop_level: int) -> int:
-    # Depth-first walk along cover edges, memoized by vertex.  No closed form
-    # anywhere in here: this is the independent oracle.  A vertex counts the
-    # chains from it to stop_level: 1 at stop_level; at stop_level - 1 its
-    # covers at stop_level, counted in one C pass over their levels; below
-    # that the sum over its covers.  The memo holds one count per vertex and
-    # is fresh for each walk, so covers_above is called once per distinct
-    # vertex and every cover edge is read once, never once per chain.
+def _dfs_count(P: CobwebPoset, stop_level: int) -> Callable[[Vertex], int]:
+    # Returns count(v), the number of chains from v up to stop_level, found by
+    # a depth-first walk along cover edges, memoized by vertex.  No closed
+    # form anywhere in here: this is the independent oracle.  A vertex counts
+    # 1 at stop_level; at stop_level - 1 its covers at stop_level, counted in
+    # one C pass over their levels; below that the sum over its covers.  The
+    # memo holds one count per vertex and lives as long as the counter, so
+    # covers_above is called once per distinct vertex and every cover edge
+    # is read once, however many start vertices are counted with it.
     last = stop_level - 1
     covers_above = P.covers_above
     memo: dict[Vertex, int] = {}
@@ -159,7 +160,7 @@ def _dfs_count(P: CobwebPoset, start: Vertex, stop_level: int) -> int:
             memo[v] = total
         return total
 
-    return count(start)
+    return count
 
 
 def enumerate_from_root(P: CobwebPoset, n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
@@ -170,7 +171,7 @@ def enumerate_from_root(P: CobwebPoset, n: int, limit: int = DEFAULT_ENUMERATION
     when the predicted chain count exceeds `limit`.
     """
     _admit(P, P.root, n, limit)
-    return _dfs_count(P, P.root, n)
+    return _dfs_count(P, n)(P.root)
 
 
 def enumerate_layer_chains(P: CobwebPoset, spec: LayerSpec, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
@@ -182,7 +183,7 @@ def enumerate_layer_chains(P: CobwebPoset, spec: LayerSpec, limit: int = DEFAULT
     """
     spec.validate(P)
     _admit(P, spec.from_vertex, spec.to_level, limit)
-    return _dfs_count(P, spec.from_vertex, spec.to_level)
+    return _dfs_count(P, spec.to_level)(spec.from_vertex)
 
 
 def iter_chains(
@@ -349,24 +350,22 @@ def verify_observation(observation: int, max_n: int, limit: int = DEFAULT_ENUMER
     P = build_cobweb(max_n)
     for n in range(2, max_n + 1):
         _admit(P, P.root, n, limit)
+    # One counter per target level serves every start vertex of the sweep.
+    count = {n: _dfs_count(P, n) for n in range(1, max_n + 1)}
     cases: list[VerificationCase] = []
     if observation == 1:
         for n in range(1, max_n + 1):
-            formula = count_from_root_formula(n)
-            oracle = enumerate_from_root(P, n, limit)
-            cases.append(_compare_case(1, n, formula, oracle))
+            cases.append(_compare_case(1, n, count_from_root_formula(n), count[n](P.root)))
     elif observation == 2:
         for k in range(1, max_n):
             for n in range(k + 1, max_n + 1):
                 formula = count_layer_chains_formula(k, n)
                 for start in P.level_vertices(k):
-                    oracle = enumerate_layer_chains(P, LayerSpec(start, n), limit)
-                    cases.append(_compare_case(k, n, formula, oracle, start=start))
+                    cases.append(_compare_case(k, n, formula, count[n](start), start=start))
     else:
         for n in range(2, max_n + 1):
             for k in range(1, n):
-                layer = enumerate_layer_chains(P, LayerSpec(Vertex(k, 0), n), limit)
-                cases.append(_quotient_case(k, n, layer)[0])
+                cases.append(_quotient_case(k, n, count[n](Vertex(k, 0)))[0])
         for n in range(2, 3 * max_n + 1):
             for k in range(1, n):
                 cases.append(_quotient_case(k, n, count_layer_chains_formula(k, n))[0])

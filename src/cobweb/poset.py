@@ -72,8 +72,8 @@ class CobwebPoset:
     def check_vertex(self, v: Vertex) -> None:
         """Reject vertices that do not belong to this poset."""
         # The level test is _check_level's, written out: this runs once per
-        # covers_above call, once per vertex in the counting oracle and once
-        # per path in the chain-by-chain listing.
+        # covers_above call, once per vertex per target level in the counting
+        # oracle and once per path in the chain-by-chain listing.
         level, index = v
         if not 1 <= level <= self.depth:
             raise ValueError(f"level must be in 1..{self.depth}, got {level}")

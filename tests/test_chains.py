@@ -166,7 +166,7 @@ class TestDfsOracle:
     def assert_three_way(P: CobwebPoset, start: Vertex, stop: int) -> None:
         # The memoized counter, the chain-by-chain listing and the recursive
         # leaf count must agree.
-        counted = chains._dfs_count(P, start, stop)
+        counted = chains._dfs_count(P, stop)(start)
         assert counted == sum(1 for _ in iter_chains(P, start, stop)) == naive_count(P, start, stop)
 
     @settings(max_examples=60, deadline=None)
@@ -197,8 +197,8 @@ class TestDfsOracle:
         for start in (P.root, Vertex(3, 1), Vertex(4, 2), Vertex(5, 1), planted):
             for stop in (6, 7):
                 self.assert_three_way(P, start, stop)
-        assert chains._dfs_count(P, planted, 6) == leaves
-        assert chains._dfs_count(P, P.root, 6) == expected
+        assert chains._dfs_count(P, 6)(planted) == leaves
+        assert chains._dfs_count(P, 6)(P.root) == expected
         # Each plant defeats a shortcut that trusts the size of the cover
         # tuple, or the formula, or both.
         assert leaves != len(covers) or expected != count_from_root_formula(6)
@@ -212,15 +212,15 @@ class TestDfsOracle:
         planted = Vertex(5, 3)
         P = PlantedPoset(7, planted, covers)
         leaves = sum(1 for w in covers if w.level == 6)
-        assert chains._dfs_count(P, Vertex(5, 0), 6) == 8
+        assert chains._dfs_count(P, 6)(Vertex(5, 0)) == 8
         for v in P.level_vertices(4):
-            assert chains._dfs_count(P, v, 6) == (fib(5) - 1) * 8 + leaves
+            assert chains._dfs_count(P, 6)(v) == (fib(5) - 1) * 8 + leaves
 
     @pytest.mark.parametrize("k, n", [(1, 2), (1, 7), (2, 7), (3, 6), (4, 7), (6, 7), (7, 7)])
     def test_covers_above_call_count(self, k, n):
         P = CountingPoset(7)
         start = P.level_vertices(k)[-1]
-        counted = chains._dfs_count(P, start, n)
+        counted = chains._dfs_count(P, n)(start)
         # The counter calls covers_above once per distinct vertex below
         # level n: the start, then every vertex of levels k+1..n-1, so
         # 1 + F(k+1) + ... + F(n-1) calls (20 at k=1, n=7).
@@ -519,3 +519,44 @@ class TestVerifyObservation:
     def test_guard_propagates(self):
         with pytest.raises(EnumerationGuardError):
             verify_observation(1, 6, limit=10)
+
+    @pytest.mark.parametrize("observation", [1, 2, 3])
+    def test_sweep_reads_each_vertex_once_per_target(self, monkeypatch, observation):
+        # One counter per target level n serves every start of the sweep, so
+        # covers_above runs once per vertex of levels 1..n-1: F(n+1) - 1 calls.
+        built: list[CountingPoset] = []
+
+        def build(depth: int) -> CountingPoset:
+            built.append(CountingPoset(depth))
+            return built[-1]
+
+        monkeypatch.setattr(chains, "build_cobweb", build)
+        verify_observation(observation, 7)
+        [P] = built
+        assert P.calls == sum(fib(n + 1) - 1 for n in range(2, 8)) == 46
+
+    def test_sweep_counts_every_start_of_a_planted_fault(self, monkeypatch):
+        # Vertex 5:3 drops one of its 8 covers at level 6.  Every start below
+        # it counts fewer chains to levels 6 and 7, and its level-5 siblings
+        # count the full number: a sweep that reused a sibling's count, or
+        # kept one count per level, would report other counterexamples.
+        planted = Vertex(5, 3)
+        monkeypatch.setattr(
+            chains, "build_cobweb",
+            lambda depth: PlantedPoset(depth, planted, TestDfsOracle.PLANTS["dropped"]),
+        )
+        report = verify_observation(2, 7)
+        oracles = {1: (234, 3042), 2: (234, 3042), 3: (117, 1521), 4: (39, 507)}
+        expected = {
+            (Vertex(k, i), n): oracle
+            for k, row in oracles.items()
+            for i in range(fib(k))
+            for n, oracle in zip((6, 7), row)
+        }
+        expected.update({(planted, 6): 7, (planted, 7): 91})
+        assert {(c.start, c.n): c.oracle for c in report.counterexamples} == expected
+        assert len(report.counterexamples) == 16
+        for c in report.counterexamples:
+            assert c.formula == count_layer_chains_formula(c.k, c.n)
+        siblings = [c for c in report.cases if c.start.level == 5 and c.start != planted]
+        assert len(siblings) == 8 and all(c.passed for c in siblings)

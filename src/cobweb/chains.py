@@ -2,12 +2,15 @@
 
 Each closed-form counter has an enumeration twin that walks the poset's
 cover relation and never consults the formula.  The counting walk works
-per vertex and per edge, not chain by chain: one counter per target level,
-memoized by vertex, reads each vertex's covers once and sums its count over
-its cover edges (one level below the target it counts the covers at the
-target in a single C pass), and serves every start vertex of a sweep.
-`iter_chains` is the chain-by-chain walk: it lists every chain, and the
-tests use it as the counter's ground truth.
+per vertex and per cover tuple, not chain by chain: one counter per target
+level, memoized by vertex, reads each vertex's covers once and sums each
+distinct cover tuple once; in the cobweb poset every vertex of a level
+shares one cover tuple, the whole next level, so a level costs one sum.
+It serves every start vertex of a sweep.  `iter_chains` is the
+chain-by-chain listing, and the tests use it as the counter's ground
+truth; `iter_chain_blocks` is the same walk a parent block at a time: the
+chains that end in the covers of one vertex one level below the target
+share everything but their last vertex, and come as one block.
 
 One admission check validates and guards every walk, counted or listed,
 before it starts.  It refuses (EnumerationGuardError) a walk whose
@@ -15,9 +18,10 @@ predicted chain count exceeds a limit, so sweeps stay desk-scale by
 default; the limit can be raised deliberately.  Its predictor is the
 falling F-factorial, not the closed forms under test, so a wrong formula
 cannot change what the guard admits.  For the counter the chain count is a
-conservative price: each edge it reads lies on a counted chain, and past
-the smallest walks the edges are far fewer than the chains (1,155 against
-2,227,680 from the root to level 9).
+conservative price: each vertex it reads and each cover tuple it sums lies
+on a counted chain, and past the smallest walks they are far fewer than the
+chains (54 vertices and 8 cover tuples against 2,227,680 chains from the
+root to level 9).
 """
 
 from __future__ import annotations
@@ -139,24 +143,31 @@ def _dfs_count(P: CobwebPoset, stop_level: int) -> Callable[[Vertex], int]:
     # Returns count(v), the number of chains from v up to stop_level, found by
     # a depth-first walk along cover edges, memoized by vertex.  No closed
     # form anywhere in here: this is the independent oracle.  A vertex counts
-    # 1 at stop_level; at stop_level - 1 its covers at stop_level, counted in
-    # one C pass over their levels; below that the sum over its covers.  The
-    # memo holds one count per vertex and lives as long as the counter, so
-    # covers_above is called once per distinct vertex and every cover edge
-    # is read once, however many start vertices are counted with it.
-    last = stop_level - 1
+    # 1 at stop_level, and otherwise the sum over its covers (0 above
+    # stop_level, where no cover leads back down).  The memo holds one count
+    # per vertex and lives as long as the counter, so covers_above is called
+    # once per distinct vertex, however many start vertices are counted with
+    # it.  The sum is a function of the cover tuple alone, so it is also kept
+    # by the tuple's identity: vertices handed the same tuple object share
+    # one sum, and a vertex handed any other tuple is summed on its own.
+    # Each entry holds its tuple, so no other tuple can take over its id.
     covers_above = P.covers_above
     memo: dict[Vertex, int] = {}
+    by_tuple: dict[int, tuple[tuple[Vertex, ...], int]] = {}
 
     def count(v: Vertex) -> int:
         total = memo.get(v)
         if total is None:
-            if v.level == last:
-                total = countOf(map(_level, covers_above(v)), stop_level)
-            elif v.level == stop_level:
+            if v.level == stop_level:
                 total = 1
             else:
-                total = sum(map(count, covers_above(v)))
+                covers = covers_above(v)
+                held = by_tuple.get(id(covers))
+                if held is None:
+                    total = sum(map(count, covers))
+                    by_tuple[id(covers)] = covers, total
+                else:
+                    total = held[1]
             memo[v] = total
         return total
 
@@ -166,9 +177,9 @@ def _dfs_count(P: CobwebPoset, stop_level: int) -> Callable[[Vertex], int]:
 def enumerate_from_root(P: CobwebPoset, n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """Count maximal chains from the root to any vertex of level n by DFS.
 
-    The walk counts per vertex and per edge, not chain by chain; iter_chains
-    is the walk that visits every chain.  Refuses (EnumerationGuardError)
-    when the predicted chain count exceeds `limit`.
+    The walk counts per vertex and per cover tuple, not chain by chain;
+    iter_chains is the walk that visits every chain.  Refuses
+    (EnumerationGuardError) when the predicted chain count exceeds `limit`.
     """
     _admit(P, P.root, n, limit)
     return _dfs_count(P, n)(P.root)
@@ -177,9 +188,9 @@ def enumerate_from_root(P: CobwebPoset, n: int, limit: int = DEFAULT_ENUMERATION
 def enumerate_layer_chains(P: CobwebPoset, spec: LayerSpec, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
     """Count chains from spec.from_vertex up to spec.to_level by DFS.
 
-    The walk counts per vertex and per edge, not chain by chain.  The count
-    is the same for every start vertex of the same level; sweeps assert
-    that start-invariance explicitly.
+    The walk counts per vertex and per cover tuple, not chain by chain.  The
+    count is the same for every start vertex of the same level; sweeps
+    assert that start-invariance explicitly.
     """
     spec.validate(P)
     _admit(P, spec.from_vertex, spec.to_level, limit)
@@ -195,27 +206,48 @@ def iter_chains(
     chosen by ascending index.  The arguments are validated and the guard
     applied when this is called, before any chain is walked; refuses
     (EnumerationGuardError) when the predicted count exceeds `limit`.
-    Lazy, and the chain-by-chain walk: intended for export, debugging and
-    as the counters' ground truth; use the counters when only the number
-    of chains matters.
+    Lazy, and the chain-by-chain listing: intended for export, debugging
+    and as the counters' ground truth; use the counters when only the
+    number of chains matters.
+    """
+    blocks = iter_chain_blocks(P, start, stop_level, limit)
+    return (prefix + (top,) for prefix, tops in blocks for top in tops)
+
+
+def iter_chain_blocks(
+    P: CobwebPoset, start: Vertex, stop_level: int, limit: int = DEFAULT_ENUMERATION_LIMIT
+) -> Iterator[tuple[tuple[Vertex, ...], tuple[Vertex, ...]]]:
+    """Stream the chains of `iter_chains` as (prefix, tops) blocks, in the same order.
+
+    The block's chains are prefix + (top,) for each top in tops.  A vertex
+    whose covers all sit at `stop_level` gives one block, its path and its
+    whole cover tuple; any other stop-level vertex reached gives a block of
+    one.  Admitted like `iter_chains`, when called.
     """
     _admit(P, start, stop_level, limit)
     return _walk_chains(P, start, stop_level)
 
 
-def _walk_chains(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[tuple[Vertex, ...]]:
-    path: list[Vertex] = []
+def _walk_chains(
+    P: CobwebPoset, start: Vertex, stop_level: int
+) -> Iterator[tuple[tuple[Vertex, ...], tuple[Vertex, ...]]]:
+    covers_above = P.covers_above
 
-    def walk(v: Vertex) -> Iterator[tuple[Vertex, ...]]:
-        path.append(v)
-        if v.level == stop_level:
-            yield tuple(path)
-        else:
-            for w in P.covers_above(v):
-                yield from walk(w)
-        path.pop()
+    def walk(path: tuple[Vertex, ...]) -> Iterator[tuple[tuple[Vertex, ...], tuple[Vertex, ...]]]:
+        covers = covers_above(path[-1])
+        if covers and countOf(map(_level, covers), stop_level) == len(covers):
+            yield path, covers
+            return
+        for w in covers:
+            if w.level == stop_level:
+                yield path, (w,)
+            else:
+                yield from walk(path + (w,))
 
-    yield from walk(start)
+    if start.level == stop_level:
+        yield (), (start,)
+    else:
+        yield from walk((start,))
 
 
 Obs3Mode = Literal["formula", "enumerate"]

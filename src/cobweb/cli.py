@@ -154,9 +154,14 @@ class _NodeIds(dict):
 def _cmd_chains(args: argparse.Namespace) -> int:
     limit = _resolve_limit(args)
     P = build_cobweb(args.n)
-    listing = chains.iter_chains(P, args.from_vertex, args.n, limit)
+    blocks = chains.iter_chain_blocks(P, args.from_vertex, args.n, limit)
     ids = _NodeIds()
-    sys.stdout.writelines(" ".join(map(ids.__getitem__, chain)) + "\n" for chain in listing)
+    write = sys.stdout.write
+    # One write per block: its chains share the prefix, so its text is the
+    # prefix's ids once per top, joined in one pass.
+    for prefix, tops in blocks:
+        head = "".join(ids[v] + " " for v in prefix)
+        write(head + ("\n" + head).join(map(ids.__getitem__, tops)) + "\n")
     return EXIT_OK
 
 

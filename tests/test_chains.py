@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobweb import chains
+from cobweb import chains, cli
 from cobweb.chains import (
     ChainVerificationError,
     EnumerationGuardError,
@@ -67,6 +67,47 @@ class PlantedPoset(CobwebPoset):
             self.check_vertex(x)
             return self.planted_covers
         return super().covers_above(x)
+
+
+class PassCountedTuple(tuple):
+    """A cover tuple that counts the passes made over it."""
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+class PassCountingPoset(CobwebPoset):
+    """A cobweb poset that hands out PassCountedTuple covers.
+
+    Shared: one tuple object per level, as the cobweb poset does.  Fresh: a
+    new copy on every covers_above call.  `handed` keeps every tuple handed
+    out, so no two of them can share an id.
+    """
+
+    __slots__ = ("fresh", "shared", "handed")
+
+    def __init__(self, depth: int, fresh: bool) -> None:
+        super().__init__(depth)
+        self.fresh = fresh
+        self.shared: dict[int, PassCountedTuple] = {}
+        self.handed: list[PassCountedTuple] = []
+
+    def covers_above(self, x: Vertex) -> tuple[Vertex, ...]:
+        covers = None if self.fresh else self.shared.get(x.level)
+        if covers is None:
+            covers = PassCountedTuple(super().covers_above(x))
+            covers.passes = 0
+            self.shared[x.level] = covers
+        self.handed.append(covers)
+        return covers
+
+
+def naive_chains(P: CobwebPoset, v: Vertex, stop_level: int) -> list[tuple[Vertex, ...]]:
+    """Reference listing: every chain from v, recursively, in cover order."""
+    if v.level == stop_level:
+        return [(v,)]
+    return [(v, *rest) for w in P.covers_above(v) for rest in naive_chains(P, w, stop_level)]
 
 
 @st.composite
@@ -233,6 +274,30 @@ class TestDfsOracle:
             math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k + 1, n)
         ))
 
+    def test_fresh_cover_tuples_count_the_same(self):
+        P, fresh = build_cobweb(8), PassCountingPoset(8, fresh=True)
+        for stop in range(1, 9):
+            shared_count, fresh_count = chains._dfs_count(P, stop), chains._dfs_count(fresh, stop)
+            for start in P.vertices():
+                if start.level <= stop:
+                    assert fresh_count(start) == shared_count(start)
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_each_cover_tuple_is_summed_once(self, fresh):
+        for stop in range(1, 9):
+            for k in range(1, stop + 1):
+                P = PassCountingPoset(8, fresh)
+                count = chains._dfs_count(P, stop)
+                for start in P.level_vertices(k):
+                    assert count(start) == (count_layer_chains_formula(k, stop) if k < stop else 1)
+                # One covers_above call per vertex of levels k..stop-1, and
+                # one pass per distinct tuple: per level when the tuples are
+                # shared, per vertex when every call hands out a new one.
+                calls = sum(fib(s) for s in range(k, stop))
+                assert len(P.handed) == calls
+                assert len({id(t) for t in P.handed}) == (calls if fresh else stop - k)
+                assert all(t.passes == 1 for t in P.handed)
+
 
 class TestGuard:
     def test_refuses_just_over_the_limit(self):
@@ -362,6 +427,51 @@ class TestIterChains:
             iter_chains(P, Vertex(5, 0), 5, limit=0)
         assert exc.value.predicted == 1
         assert P.calls == 1 + 2 + 2 * 3
+
+
+class TestChainBlocks:
+    """The chains verb writes a parent block at a time what iter_chains lists."""
+
+    @staticmethod
+    def listing(P: CobwebPoset, start: Vertex, stop: int) -> str:
+        return "".join(" ".join(v.node_id() for v in chain) + "\n" for chain in iter_chains(P, start, stop))
+
+    @staticmethod
+    def chains_verb(capsys, start: Vertex, stop: int) -> str:
+        assert cli.run(["chains", str(stop), "--from", f"{start.level}:{start.index}"]) == cli.EXIT_OK
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out
+
+    def test_every_start_and_stop_to_depth_eight(self, capsys):
+        P = build_cobweb(8)
+        for stop in range(1, 9):
+            for start in P.vertices():
+                if start.level <= stop:
+                    assert self.chains_verb(capsys, start, stop) == self.listing(P, start, stop)
+
+    @pytest.mark.parametrize("plant", sorted(TestDfsOracle.PLANTS))
+    @pytest.mark.parametrize("planted", [Vertex(5, 0), Vertex(5, 3)])
+    def test_irregular_cover_relation(self, capsys, monkeypatch, plant, planted):
+        # These cover tuples mix levels, so the walk goes vertex by vertex
+        # there and must keep the order and drop the off-level covers.
+        P = PlantedPoset(7, planted, TestDfsOracle.PLANTS[plant])
+        monkeypatch.setattr(cli, "build_cobweb", lambda depth: P)
+        for start in (P.root, Vertex(3, 1), Vertex(4, 2), Vertex(5, 1), planted):
+            for stop in (6, 7):
+                assert list(iter_chains(P, start, stop)) == naive_chains(P, start, stop)
+                assert self.chains_verb(capsys, start, stop) == self.listing(P, start, stop)
+
+    def test_blocks_flatten_to_the_listing(self):
+        P = build_cobweb(6)
+        blocks = list(chains.iter_chain_blocks(P, Vertex(3, 1), 6))
+        # One block per path to level 5: the prefix and all of level 6.
+        assert len(blocks) == fib(4) * fib(5)
+        assert all(len(prefix) == 3 and tops == P.level_vertices(6) for prefix, tops in blocks)
+        assert [p + (t,) for p, tops in blocks for t in tops] == list(iter_chains(P, Vertex(3, 1), 6))
+        assert list(chains.iter_chain_blocks(P, Vertex(4, 2), 4)) == [((), (Vertex(4, 2),))]
+        with pytest.raises(EnumerationGuardError):
+            chains.iter_chain_blocks(P, Vertex(3, 1), 6, limit=fib(4) * fib(5) * fib(6) - 1)
 
 
 class TestObs3Quotient:

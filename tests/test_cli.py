@@ -318,6 +318,36 @@ class TestChainsVerb:
         assert "overridden" in err
 
 
+class TestRunsInOneProcess:
+    """No run leaks state into the next run in the same process."""
+
+    def test_override_does_not_stick(self, capsys):
+        assert run(["chains", "4", "--unsafe-enumeration-limit", "1000"]) == EXIT_OK
+        assert "overridden" in out_of(capsys)[1]
+        assert run(["chains", "4"]) == EXIT_OK
+        out, err = out_of(capsys)
+        assert (len(out.splitlines()), err) == (6, "")
+
+    def test_format_does_not_stick(self, capsys):
+        row = fibcalc.fibonomial_row(6)
+        assert run(["row", "6", "--format", "csv"]) == EXIT_OK
+        assert out_of(capsys) == (",".join(map(str, row)) + "\n", "")
+        assert run(["row", "6"]) == EXIT_OK
+        assert out_of(capsys) == (" ".join(map(str, row)) + "\n", "")
+
+    @pytest.mark.parametrize("argv", [["binom", "5"], ["row", "4", "--format", "dot"], ["frobnicate"], []])
+    def test_usage_error_then_valid_verb(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == EXIT_USAGE
+        usage = out_of(capsys)
+        for _ in range(2):
+            assert run(argv) == EXIT_USAGE
+            assert out_of(capsys) == usage
+            assert run(["binom", "5", "2"]) == EXIT_OK
+            assert out_of(capsys) == ("15\n", "")
+
+
 class TestVerifyVerb:
     def test_structured_all(self, capsys):
         assert run(["verify", "--obs", "all", "--max-n", "5", "--format", "structured"]) == EXIT_OK

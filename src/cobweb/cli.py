@@ -91,23 +91,20 @@ def _print_ints(values: Sequence[int], sep: str = " ", prefix: str = "") -> None
     print(prefix + text)
 
 
-def _cmd_fib(args: argparse.Namespace) -> int:
-    _print_ints([fibcalc.fib(args.n)])
-    return EXIT_OK
+# The verbs that print one value: (verb, fibcalc function name, argument
+# names, help).  The function is looked up on fibcalc by name when the verb
+# runs, so a wrapper set on that module attribute is the one called.
+_VALUE_VERBS = (
+    ("fib", "fib", ("n",), "print the n-th Fibonacci number"),
+    ("fibfact", "fib_factorial", ("n",), "print the n-th F-factorial"),
+    ("falling", "falling_f_factorial", ("n", "k"), "print the falling F-factorial with k factors"),
+    ("binom", "fibonomial", ("n", "k"), "print the Fibonomial coefficient"),
+)
 
 
-def _cmd_fibfact(args: argparse.Namespace) -> int:
-    _print_ints([fibcalc.fib_factorial(args.n)])
-    return EXIT_OK
-
-
-def _cmd_falling(args: argparse.Namespace) -> int:
-    _print_ints([fibcalc.falling_f_factorial(args.n, args.k)])
-    return EXIT_OK
-
-
-def _cmd_binom(args: argparse.Namespace) -> int:
-    _print_ints([fibcalc.fibonomial(args.n, args.k)])
+def _cmd_value(args: argparse.Namespace) -> int:
+    function = getattr(fibcalc, args.function)
+    _print_ints([function(*(getattr(args, name) for name in args.arg_names))])
     return EXIT_OK
 
 
@@ -216,23 +213,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="<verb>")
 
-    p = sub.add_parser("fib", help="print the n-th Fibonacci number")
-    p.add_argument("n", type=_nonnegative)
-    p.set_defaults(handler=_cmd_fib)
-
-    p = sub.add_parser("fibfact", help="print the n-th F-factorial")
-    p.add_argument("n", type=_nonnegative)
-    p.set_defaults(handler=_cmd_fibfact)
-
-    p = sub.add_parser("falling", help="print the falling F-factorial with k factors")
-    p.add_argument("n", type=_nonnegative)
-    p.add_argument("k", type=_nonnegative)
-    p.set_defaults(handler=_cmd_falling)
-
-    p = sub.add_parser("binom", help="print the Fibonomial coefficient")
-    p.add_argument("n", type=_nonnegative)
-    p.add_argument("k", type=_nonnegative)
-    p.set_defaults(handler=_cmd_binom)
+    for verb, function, arg_names, summary in _VALUE_VERBS:
+        p = sub.add_parser(verb, help=summary)
+        for name in arg_names:
+            p.add_argument(name, type=_nonnegative)
+        p.set_defaults(handler=_cmd_value, function=function, arg_names=arg_names)
 
     p = sub.add_parser("row", help="print one row of the Fibonomial triangle")
     p.add_argument("n", type=_nonnegative)

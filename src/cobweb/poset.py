@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .fibcalc import fib
+from .fibcalc import _fib_run
 
 __all__ = ["GuardError", "Vertex", "CobwebPoset", "build_cobweb"]
 
@@ -62,7 +62,7 @@ class CobwebPoset:
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
         self.depth = depth
-        self.level_sizes = tuple(fib(s) for s in range(1, depth + 1))
+        self.level_sizes = tuple(_fib_run(1, depth + 1))
         self._levels: dict[int, tuple[Vertex, ...]] = {}
 
     def _check_level(self, level: int) -> None:
@@ -71,12 +71,8 @@ class CobwebPoset:
 
     def check_vertex(self, v: Vertex) -> None:
         """Reject vertices that do not belong to this poset."""
-        # The level test is _check_level's, written out: this runs once per
-        # covers_above call, once per vertex per target level in the counting
-        # oracle and once per path in the chain-by-chain listing.
         level, index = v
-        if not 1 <= level <= self.depth:
-            raise ValueError(f"level must be in 1..{self.depth}, got {level}")
+        self._check_level(level)
         size = self.level_sizes[level - 1]
         if not 0 <= index < size:
             raise ValueError(f"vertex {v!r} invalid: level {level} has {size} vertices")

@@ -61,6 +61,30 @@ class TestScalarVerbs:
         assert run(["row", "4", "--format", "csv"]) == EXIT_OK
         assert capsys.readouterr().out == "1,3,6,3,1\n"
 
+    @pytest.mark.parametrize(
+        "argv, function",
+        [
+            (["fib", "7"], "fib"),
+            (["fibfact", "7"], "fib_factorial"),
+            (["falling", "7", "3"], "falling_f_factorial"),
+            (["binom", "7", "3"], "fibonomial"),
+        ],
+        ids=["fib", "fibfact", "falling", "binom"],
+    )
+    def test_function_looked_up_when_verb_runs(self, capsys, monkeypatch, argv, function):
+        # A wrapper set on fibcalc after import (as the benchmark tracer does)
+        # must be the one the verb calls.
+        received = []
+
+        def spy(*args):
+            received.append(args)
+            return 987654321987654321
+
+        monkeypatch.setattr(fibcalc, function, spy)
+        assert run(argv) == EXIT_OK
+        assert capsys.readouterr().out == "987654321987654321\n"
+        assert received == [tuple(int(a) for a in argv[1:])]
+
 
 def digit_limit() -> int | None:
     get_limit = getattr(sys, "get_int_max_str_digits", None)
@@ -105,6 +129,19 @@ class TestResultsOverDigitLimit:
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
         assert run(["binom", "10", "5"]) == EXIT_OK
         assert capsys.readouterr().out == "136136\n"
+
+
+HELP_VERBS = ["fib", "fibfact", "falling", "binom", "row", "build", "export", "chains", "verify", "bench"]
+
+
+@pytest.mark.parametrize("verb", [None, *HELP_VERBS], ids=lambda verb: verb or "cobweb")
+def test_help_matches_golden(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [verb] if verb else []
+    assert run([*argv, "--help"]) == EXIT_OK
+    out, err = out_of(capsys)
+    assert err == ""
+    assert out.encode() == (GOLDEN / "help" / f"{verb or 'cobweb'}.txt").read_bytes()
 
 
 class TestUsageErrors:
@@ -253,6 +290,7 @@ class TestGuardRefusals:
             ["export", "19", "--format", "csv"],
             ["export", "19", "--format", "dot"],
             ["export", "40", "--format", "dot"],
+            ["export", "30000", "--format", "dot"],
         ],
         ids=" ".join,
     )

@@ -1,0 +1,34 @@
+"""The package namespace: `cobweb` re-exports each layer module's public names."""
+
+from __future__ import annotations
+
+import cobweb
+from cobweb import chains, fibcalc, poset, zeta
+
+MODULES = (fibcalc, poset, zeta, chains)
+
+
+def test_exports_are_the_module_lists_plus_version():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == 29
+    assert cobweb.__all__ == ["__version__", *names]
+    assert len(set(cobweb.__all__)) == len(cobweb.__all__)
+
+
+def test_each_export_is_its_module_attribute():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(cobweb, name) is getattr(module, name), name
+
+
+def test_star_import_binds_exactly_the_exports():
+    namespace: dict = {}
+    exec("from cobweb import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(cobweb.__all__)
+    assert namespace["__version__"] == cobweb.__version__
+
+
+def test_block_listing_stays_internal():
+    assert "iter_chain_blocks" not in cobweb.__all__
+    assert not hasattr(cobweb, "iter_chain_blocks")

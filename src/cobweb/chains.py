@@ -27,9 +27,8 @@ root to level 9).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import countOf, itemgetter
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .fibcalc import fib, fib_factorial, falling_f_factorial, fibonomial
 from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
@@ -86,8 +85,7 @@ class ChainVerificationError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(NamedTuple):
     """A fixed start vertex at level k and a target level n > k."""
 
     from_vertex: Vertex
@@ -300,8 +298,7 @@ def induced_copy_count(k: int, n: int, profile: Sequence[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class VerificationCase:
+class VerificationCase(NamedTuple):
     """One formula-vs-oracle comparison; `start` is set when a start vertex was fixed."""
 
     k: int
@@ -312,8 +309,7 @@ class VerificationCase:
     start: Vertex | None = None
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of one observation sweep; failures are data, never exceptions."""
 
     observation: int

@@ -2,8 +2,11 @@
 
 Exit status contract: 0 success, 1 verification failure (any counterexample
 or benchmark mismatch), 2 usage error, 3 guard refusal (any GuardError, raised
-before work starts).  All numeric data output is exact decimal; timings are
-wall-clock, labeled non-deterministic, and formatted in fixed point.
+before work starts).  A closed output pipe ends the `cobweb` process by
+SIGPIPE where the platform has it, as it ends `seq`, with nothing on stderr;
+`run` itself, called in-process, reports it as an error with status 2.  All
+numeric data output is exact decimal; timings are wall-clock, labeled
+non-deterministic, and formatted in fixed point.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import chains, fibcalc, zeta
 from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
@@ -91,18 +94,9 @@ def _print_ints(values: Sequence[int], sep: str = " ", prefix: str = "") -> None
     print(prefix + text)
 
 
-# The verbs that print one value: (verb, fibcalc function name, argument
-# names, help).  The function is looked up on fibcalc by name when the verb
-# runs, so a wrapper set on that module attribute is the one called.
-_VALUE_VERBS = (
-    ("fib", "fib", ("n",), "print the n-th Fibonacci number"),
-    ("fibfact", "fib_factorial", ("n",), "print the n-th F-factorial"),
-    ("falling", "falling_f_factorial", ("n", "k"), "print the falling F-factorial with k factors"),
-    ("binom", "fibonomial", ("n", "k"), "print the Fibonomial coefficient"),
-)
-
-
 def _cmd_value(args: argparse.Namespace) -> int:
+    # Looked up on fibcalc by name when the verb runs, so a wrapper set on
+    # that module attribute is the one called.
     function = getattr(fibcalc, args.function)
     _print_ints([function(*(getattr(args, name) for name in args.arg_names))])
     return EXIT_OK
@@ -206,59 +200,99 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cobweb",
-        description="Exact Fibonomial tables and cobweb-poset chain counting, formula vs enumeration.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True, metavar="<verb>")
+def _value_args(function: str, *arg_names: str) -> Callable[[argparse.ArgumentParser], None]:
+    """Declare a verb that prints fibcalc.<function> of its nonnegative arguments."""
 
-    for verb, function, arg_names, summary in _VALUE_VERBS:
-        p = sub.add_parser(verb, help=summary)
+    def declare(p: argparse.ArgumentParser) -> None:
         for name in arg_names:
             p.add_argument(name, type=_nonnegative)
         p.set_defaults(handler=_cmd_value, function=function, arg_names=arg_names)
 
-    p = sub.add_parser("row", help="print one row of the Fibonomial triangle")
+    return declare
+
+
+def _row_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=_nonnegative)
     p.add_argument("--format", choices=["plain", "csv"], default="plain")
     p.set_defaults(handler=_cmd_row)
 
-    p = sub.add_parser("build", help="print the shape of the cobweb poset at a depth")
+
+def _build_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("depth", type=_positive)
     p.set_defaults(handler=_cmd_build)
 
-    p = sub.add_parser("export", help="export the incidence matrix (csv) or Hasse diagram (dot)")
+
+def _export_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("depth", type=_positive)
     p.add_argument("--format", choices=["csv", "dot"], required=True)
     p.add_argument("--out", type=Path, default=None, help="write to a file instead of stdout")
     p.set_defaults(handler=_cmd_export)
 
-    p = sub.add_parser("chains", help="list maximal chains up to level n, one per line")
+
+def _chains_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("n", type=_positive, help="target level")
     p.add_argument("--from", dest="from_vertex", type=_vertex, default=Vertex(1, 0),
                    metavar="LEVEL:INDEX", help="fixed start vertex (default 1:0, the root)")
     p.add_argument("--unsafe-enumeration-limit", type=_positive, default=None)
     p.set_defaults(handler=_cmd_chains)
 
-    p = sub.add_parser("verify", help="sweep the counting observations, formula vs oracle")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--obs", choices=["1", "2", "3", "all"], default="all")
     p.add_argument("--max-n", type=_positive, default=7)
     p.add_argument("--format", choices=["plain", "structured"], default="plain")
     p.add_argument("--unsafe-enumeration-limit", type=_positive, default=None)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("bench", help="time formula counting against DFS enumeration")
+
+def _bench_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("max_n", type=_positive)
     p.add_argument("--unsafe-enumeration-limit", type=_positive, default=None)
     p.set_defaults(handler=_cmd_bench)
 
+
+# Every verb, in help order: its summary, and what declares its arguments
+# and handler on its sub-parser.
+_VERBS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None]]] = {
+    "fib": ("print the n-th Fibonacci number", _value_args("fib", "n")),
+    "fibfact": ("print the n-th F-factorial", _value_args("fib_factorial", "n")),
+    "falling": ("print the falling F-factorial with k factors", _value_args("falling_f_factorial", "n", "k")),
+    "binom": ("print the Fibonomial coefficient", _value_args("fibonomial", "n", "k")),
+    "row": ("print one row of the Fibonomial triangle", _row_args),
+    "build": ("print the shape of the cobweb poset at a depth", _build_args),
+    "export": ("export the incidence matrix (csv) or Hasse diagram (dot)", _export_args),
+    "chains": ("list maximal chains up to level n, one per line", _chains_args),
+    "verify": ("sweep the counting observations, formula vs oracle", _verify_args),
+    "bench": ("time formula counting against DFS enumeration", _bench_args),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser; given a verb, it holds that verb's sub-parser alone.
+
+    A one-verb parser parses that verb's argv, and reports its errors, as
+    the full parser does; only the full parser lists the verbs.
+    """
+    parser = argparse.ArgumentParser(
+        prog="cobweb",
+        description="Exact Fibonomial tables and cobweb-poset chain counting, formula vs enumeration.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True, metavar="<verb>")
+    for name in _VERBS if verb is None else [verb]:
+        summary, declare = _VERBS[name]
+        declare(sub.add_parser(name, help=summary))
     return parser
 
 
 def run(argv: Sequence[str] | None = None) -> int:
-    """Parse argv and execute one verb; returns the exit status."""
-    parser = build_parser()
+    """Parse argv and execute one verb; returns the exit status.
+
+    Only the named verb's sub-parser is built; help, an unknown verb and an
+    empty argv get the full parser.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv and argv[0] in _VERBS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its diagnostic
@@ -274,6 +308,14 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    # A closed output pipe (`cobweb chains 9 | head -1`) ends the process by
+    # SIGPIPE, as it ends `seq` or `cat`.  Imported here, so that importing
+    # the module does not pay for `signal`'s enum set-up.
+    import signal
+
+    sigpipe = getattr(signal, "SIGPIPE", None)
+    if sigpipe is not None:
+        signal.signal(sigpipe, signal.SIG_DFL)
     sys.exit(run())
 
 

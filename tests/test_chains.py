@@ -14,6 +14,8 @@ from cobweb.chains import (
     ChainVerificationError,
     EnumerationGuardError,
     LayerSpec,
+    VerificationCase,
+    VerificationReport,
     count_from_root_formula,
     count_layer_chains_formula,
     enumerate_from_root,
@@ -670,3 +672,58 @@ class TestVerifyObservation:
             assert c.formula == count_layer_chains_formula(c.k, c.n)
         siblings = [c for c in report.cases if c.start.level == 5 and c.start != planted]
         assert len(siblings) == 8 and all(c.passed for c in siblings)
+
+
+class TestRecords:
+    """LayerSpec, VerificationCase and VerificationReport: immutable values."""
+
+    # Each record is built by a function, so a test can build two equal ones.
+    @staticmethod
+    def case() -> VerificationCase:
+        return VerificationCase(k=1, n=4, formula=6, oracle=6, passed=True)
+
+    @staticmethod
+    def failed() -> VerificationCase:
+        return VerificationCase(2, 5, 3, 4, False, Vertex(2, 1))
+
+    @classmethod
+    def report(cls) -> VerificationReport:
+        return VerificationReport(observation=3, max_n=4, cases=(cls.case(), cls.failed()))
+
+    @staticmethod
+    def spec() -> LayerSpec:
+        return LayerSpec(Vertex(2, 0), 5)
+
+    REPRS = {
+        "spec": "LayerSpec(from_vertex=Vertex(level=2, index=0), to_level=5)",
+        "case": "VerificationCase(k=1, n=4, formula=6, oracle=6, passed=True, start=None)",
+        "failed": "VerificationCase(k=2, n=5, formula=3, oracle=4, passed=False, "
+                  "start=Vertex(level=2, index=1))",
+        "report": "VerificationReport(observation=3, max_n=4, cases=("
+                  "VerificationCase(k=1, n=4, formula=6, oracle=6, passed=True, start=None), "
+                  "VerificationCase(k=2, n=5, formula=3, oracle=4, passed=False, "
+                  "start=Vertex(level=2, index=1))))",
+    }
+
+    @pytest.mark.parametrize("name", REPRS)
+    def test_repr(self, name):
+        assert repr(getattr(self, name)()) == self.REPRS[name]
+
+    @pytest.mark.parametrize("name", REPRS)
+    def test_equal_and_hashable_by_value(self, name):
+        record, twin = getattr(self, name)(), getattr(self, name)()
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+
+    @pytest.mark.parametrize("name, field", [("spec", "to_level"), ("case", "passed"), ("report", "cases")])
+    def test_immutable(self, name, field):
+        record = getattr(self, name)()
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+
+    def test_defaults_and_derived_values(self):
+        assert self.case().start is None
+        assert LayerSpec(to_level=6, from_vertex=Vertex(2, 0)).m == 4
+        assert self.report().counterexamples == (self.failed(),)
+        assert not self.report().passed

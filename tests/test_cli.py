@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -142,6 +144,84 @@ def test_help_matches_golden(capsys, monkeypatch, verb):
     out, err = out_of(capsys)
     assert err == ""
     assert out.encode() == (GOLDEN / "help" / f"{verb or 'cobweb'}.txt").read_bytes()
+
+
+# Per verb: argvs that parse, and argvs that a verb-specific check rejects
+# (a missing argument, a bad value).  The tests add an unknown option, an
+# extra positional and help to the first valid argv of each.
+PARSE_CORPUS = {
+    "fib": ([["5"], ["0"]], [[], ["-1"], ["x"]]),
+    "fibfact": ([["7"]], [[], ["1.5"]]),
+    "falling": ([["10", "3"]], [["10"], ["10", "-3"]]),
+    "binom": ([["10", "5"], ["5", "9"]], [["5"], ["x", "2"]]),
+    "row": ([["6"], ["6", "--format", "csv"]], [[], ["6", "--format", "dot"], ["6", "--format"]]),
+    "build": ([["4"]], [[], ["0"]]),
+    "export": (
+        [["3", "--format", "csv"], ["3", "--format", "dot", "--out", "m.dot"]],
+        [["3"], ["0", "--format", "csv"], ["3", "--format", "svg"]],
+    ),
+    "chains": (
+        [["4"], ["5", "--from", "2:1", "--unsafe-enumeration-limit", "9"]],
+        [[], ["4", "--from", "nonsense"], ["4", "--unsafe-enumeration-limit", "0"]],
+    ),
+    "verify": ([[], ["--obs", "2", "--max-n", "4", "--format", "structured"]], [["--obs", "9"], ["--max-n"], ["--max-n", "0"]]),
+    "bench": ([["6"], ["6", "--unsafe-enumeration-limit", "10"]], [[], ["x"]]),
+}
+VALID_ARGVS = [[verb, *argv] for verb, (valid, _) in PARSE_CORPUS.items() for argv in valid]
+REJECTED_ARGVS = [
+    [verb, *argv]
+    for verb, (valid, rejected) in PARSE_CORPUS.items()
+    for argv in [*rejected, [*valid[0], "--bogus"], [*valid[0], "9"], ["--help"], [*valid[0], "-h"]]
+]
+
+
+def parse_outcome(parser, argv, capsys):
+    """The namespace a parse gives, or its exit code and what it printed."""
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code, out_of(capsys)
+
+
+class TestOneVerbParser:
+    """`build_parser(verb)` parses and rejects that verb's argvs as the full parser does."""
+
+    def test_corpus_covers_every_verb(self):
+        assert list(PARSE_CORPUS) == HELP_VERBS == list(cli._VERBS)
+
+    @pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+    def test_same_namespace(self, capsys, argv):
+        narrowed = parse_outcome(cli.build_parser(argv[0]), argv, capsys)
+        assert isinstance(narrowed, argparse.Namespace)
+        assert narrowed == parse_outcome(cli.build_parser(), argv, capsys)
+
+    @pytest.mark.parametrize("argv", REJECTED_ARGVS, ids=" ".join)
+    def test_same_exit_and_messages(self, capsys, argv):
+        narrowed = parse_outcome(cli.build_parser(argv[0]), argv, capsys)
+        assert not isinstance(narrowed, argparse.Namespace)
+        assert narrowed == parse_outcome(cli.build_parser(), argv, capsys)
+
+    @pytest.mark.parametrize(
+        "argv, verb",
+        [(["fib", "5"], "fib"), (["verify", "--max-n", "2"], "verify"), (["fib", "-1"], "fib"),
+         ([], None), (["--help"], None), (["frob"], None), (["-h", "fib"], None)],
+    )
+    def test_run_builds_the_named_verb_only(self, capsys, monkeypatch, argv, verb):
+        asked, build_parser = [], cli.build_parser
+
+        def build(name=None):
+            asked.append(name)
+            return build_parser(name)
+
+        monkeypatch.setattr(cli, "build_parser", build)
+        run(argv)
+        capsys.readouterr()
+        assert asked == [verb]
+
+    def test_run_without_argv_reads_sys_argv(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["cobweb", "binom", "10", "5"])
+        assert run() == EXIT_OK
+        assert out_of(capsys) == ("136136\n", "")
 
 
 class TestUsageErrors:
@@ -457,3 +537,30 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "136136\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_pipe_ends_the_process_by_sigpipe():
+    # `cobweb chains 9 | head -1`: the reader leaves after one line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cobweb.cli", "chains", "9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first == b"v1_0 v2_0 v3_0 v4_0 v5_0 v6_0 v7_0 v8_0 v9_0\n"
+    assert proc.returncode == -signal.SIGPIPE
+    assert err == b""
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # Under -S, so that .pth files in site-packages add no imports of their own.
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import cobweb.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -123,7 +123,11 @@ def _cmd_export(args: argparse.Namespace) -> int:
     if P.vertex_count > zeta.DEFAULT_DIM_CAP:
         raise zeta.MatrixSizeError(P.vertex_count, zeta.DEFAULT_DIM_CAP)
     if args.format == "csv":
-        chunks: Iterable[str] = [zeta.zeta_matrix(P).to_csv()]
+        # Whole rows, about 1 MiB of text a chunk, so that the body is never
+        # held whole next to the matrix.
+        M = zeta.zeta_matrix(P)
+        step = max(1, (1 << 20) // (2 * M.dim))
+        chunks: Iterable[str] = (M._csv_rows(i, min(i + step, M.dim)) for i in range(0, M.dim, step))
     else:
         chunks = _hasse_dot(P)
     if args.out is None:

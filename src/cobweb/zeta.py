@@ -4,11 +4,19 @@ The matrix is indexed by the poset's canonical vertex order (level-major,
 index-minor).  Under that order the matrix is upper triangular with unit
 diagonal and shows the staircase of zero blocks: one identity block per
 level on the diagonal, all-ones blocks above, zeros below.
+
+A matrix is held as one row-major bytes buffer of dim * dim cells.  Building
+the zeta cells, the staircase check, CSV in both directions and the
+reconstruction are whole-buffer operations done in C, with at most one
+Python step per level; a per-row scan runs only to name the first bad cell
+of an input already found wrong.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+import io
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from .poset import CobwebPoset, GuardError
 
@@ -27,6 +35,9 @@ DEFAULT_DIM_CAP = 10_000
 _ENTRY_TO_CELL = bytes.maketrans(b"\x00\x01", b"01")
 _CELL_TO_ENTRY = bytes.maketrans(b"01", b"\x00\x01")
 
+# The zeta cells are written in blocks of whole rows of about this many bytes.
+_BLOCK_BYTES = 1 << 20
+
 
 class MatrixSizeError(GuardError):
     """Dense materialization refused: the matrix would exceed the row cap."""
@@ -40,9 +51,14 @@ class MatrixSizeError(GuardError):
 
 
 class IncidenceMatrix:
-    """Immutable square 0/1 matrix, one compact bytes row per vertex."""
+    """Immutable square 0/1 matrix, held as one row-major bytes buffer.
 
-    __slots__ = ("dim", "_rows")
+    Cell (i, j) is byte i * dim + j.  Indices behave as they would on a
+    tuple of rows: negative ones count from the end, and any index outside
+    the matrix raises IndexError.
+    """
+
+    __slots__ = ("dim", "_cells")
 
     def __init__(self, rows: Iterable[bytes | Sequence[int]]) -> None:
         packed = tuple(bytes(r) for r in rows)
@@ -53,20 +69,38 @@ class IncidenceMatrix:
             if r.translate(None, b"\x00\x01"):
                 raise ValueError("entries must be 0 or 1")
         self.dim = dim
-        self._rows = packed
+        self._cells = b"".join(packed)
+
+    @classmethod
+    def _of_cells(cls, dim: int, cells: bytes) -> "IncidenceMatrix":
+        """Wrap dim * dim cells already known to be 0 or 1, unchecked."""
+        M = object.__new__(cls)
+        M.dim = dim
+        M._cells = cells
+        return M
 
     def entry(self, i: int, j: int) -> int:
-        return self._rows[i][j]
+        dim = self.dim
+        return self._cells[range(dim)[i] * dim + range(dim)[j]]
 
     def row(self, i: int) -> tuple[int, ...]:
-        return tuple(self._rows[i])
+        start = range(self.dim)[i] * self.dim
+        return tuple(self._cells[start:start + self.dim])
 
     def to_csv(self) -> str:
         """One comma-separated 0/1 row per line, newline-terminated, no header."""
-        width = 2 * self.dim
-        body = (bytearray(b",") * (width - 1) + b"\n") * self.dim
-        for i, r in enumerate(self._rows):
-            body[i * width:(i + 1) * width:2] = r.translate(_ENTRY_TO_CELL)
+        return self._csv_rows(0, self.dim)
+
+    def _csv_rows(self, start: int, stop: int) -> str:
+        """The CSV lines of rows start..stop-1, 0 <= start <= stop <= dim.
+
+        A line is 2 * dim characters wide, so the cells of every row sit at
+        the even offsets of the whole text: one strided assignment fills a
+        body of separators.
+        """
+        dim = self.dim
+        body = bytearray((b"," * (2 * dim - 1) + b"\n") * (stop - start))
+        body[::2] = self._cells[start * dim:stop * dim].translate(_ENTRY_TO_CELL)
         return body.decode("ascii")
 
     @classmethod
@@ -74,63 +108,79 @@ class IncidenceMatrix:
         """Strict inverse of to_csv; rejects anything but a square 0/1 body.
 
         Lines end at "\n" only.  A line is valid when its even positions
-        hold 0/1 cells and its odd positions hold commas.
+        hold 0/1 cells and its odd positions hold commas.  The body is taken
+        whole when its length, its separators and its cells all fit the
+        width of its first line; otherwise a scan line by line names the
+        first bad cell, or the constructor the first row of the wrong length.
         """
         if not text or not text.endswith("\n"):
             raise ValueError("CSV body must be nonempty and newline-terminated")
+        # Each non-ASCII character becomes one b"?", which fails the checks.
+        data = text.encode("ascii", "replace")
+        dim = (data.index(b"\n") + 1) // 2
+        if len(data) == 2 * dim * dim and data[1::2] == (b"," * (dim - 1) + b"\n") * dim:
+            cells = data[::2]
+            if not cells.translate(None, b"01"):
+                return cls._of_cells(dim, cells.translate(_CELL_TO_ENTRY))
         rows = []
         for line in text.split("\n")[:-1]:
-            # Each non-ASCII character becomes one b"?", which fails the check.
             data = line.encode("ascii", "replace")
             cells = data[::2]
             if not len(data) % 2 or data[1::2].translate(None, b",") or cells.translate(None, b"01"):
                 bad = next(c for c in line.split(",") if c not in ("0", "1"))
                 raise ValueError(f"bad CSV cell {bad!r}; expected '0' or '1'")
             rows.append(cells.translate(_CELL_TO_ENTRY))
+        # Every line is valid, so the body is not square: the constructor says so.
         return cls(rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IncidenceMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        return self._cells == other._cells
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash(self._cells)
 
     def __repr__(self) -> str:
         return f"IncidenceMatrix(dim={self.dim})"
 
 
-def _row_templates(level_sizes: Sequence[int]) -> Iterator[bytes]:
-    """Every zeta row in canonical order, from the level sizes alone.
+def _zeta_cells(level_sizes: Sequence[int]) -> bytes:
+    """The zeta matrix's row-major cells, from the level sizes alone.
 
-    The row of vertex i in the level ending at column block_end is 1 at i and
-    at every column from block_end on, and 0 everywhere else.
+    The row of a vertex in the level ending at column block_end is 0 up to
+    block_end and 1 from there on, apart from its 1 on the diagonal.  Each
+    level writes its row in blocks of whole rows, then one strided
+    assignment sets the diagonal.  BytesIO hands its buffer over as the
+    returned bytes without a copy, so the cells are held once.
     """
     dim = sum(level_sizes)
+    buf = io.BytesIO()
     block_end = 0
     for size in level_sizes:
         block_end += size
-        ones_tail = b"\x01" * (dim - block_end)
-        for i in range(block_end - size, block_end):
-            row = bytearray(dim)
-            row[i] = 1
-            row[block_end:] = ones_tail
-            yield bytes(row)
+        row = bytes(block_end) + b"\x01" * (dim - block_end)
+        step = min(size, max(1, _BLOCK_BYTES // dim))
+        blocks, rest = divmod(size, step)
+        buf.writelines(repeat(row * step, blocks))
+        buf.write(row * rest)
+    with buf.getbuffer() as cells:
+        cells[::dim + 1] = b"\x01" * dim
+    return buf.getvalue()
 
 
 def zeta_matrix(P: CobwebPoset, dim_cap: int = DEFAULT_DIM_CAP) -> IncidenceMatrix:
     """Incidence matrix over the canonical order: entry(i, j) = 1 iff v_i <= v_j.
 
     Refuses construction when the dimension exceeds `dim_cap` (dense storage
-    is quadratic).  Rows are filled level block by level block, which is the
-    order relation evaluated in bulk: a vertex is below exactly itself and
-    every vertex of the later levels.
+    is quadratic).  The cells are built level block by level block, which is
+    the order relation evaluated in bulk: a vertex is below exactly itself
+    and every vertex of the later levels.
     """
     dim = P.vertex_count
     if dim > dim_cap:
         raise MatrixSizeError(dim, dim_cap)
-    return IncidenceMatrix(_row_templates(P.level_sizes))
+    return IncidenceMatrix._of_cells(dim, _zeta_cells(P.level_sizes))
 
 
 def staircase_check(M: IncidenceMatrix, P: CobwebPoset) -> bool:
@@ -138,17 +188,19 @@ def staircase_check(M: IncidenceMatrix, P: CobwebPoset) -> bool:
 
     For every pair i < j in canonical order the entry must be 1 exactly when
     v_j sits on a strictly higher level, and 0 when the two vertices share a
-    level.  Each row's strict upper part is compared as bytes with the same
-    part of the row template of P's level sizes; the diagonal and the lower
-    triangle are not read.  Raises ValueError on a dimension mismatch
-    between M and P.
+    level.  A matrix equal to the zeta cells of P's level sizes passes with
+    one comparison.  Any other matrix has each row's strict upper part
+    compared as bytes with the same part of those cells; the diagonal and
+    the lower triangle are not read.  Raises ValueError on a dimension
+    mismatch between M and P.
     """
     if M.dim != P.vertex_count:
         raise ValueError(f"dimension mismatch: matrix is {M.dim}, poset has {P.vertex_count} vertices")
-    return all(
-        row[i + 1:] == template[i + 1:]
-        for i, (row, template) in enumerate(zip(M._rows, _row_templates(P.level_sizes)))
-    )
+    cells, expected = M._cells, _zeta_cells(P.level_sizes)
+    if cells == expected:
+        return True
+    dim = M.dim
+    return all(cells[i * dim + i + 1:(i + 1) * dim] == expected[i * dim + i + 1:(i + 1) * dim] for i in range(dim))
 
 
 def cobweb_from_matrix(M: IncidenceMatrix) -> CobwebPoset:
@@ -156,25 +208,29 @@ def cobweb_from_matrix(M: IncidenceMatrix) -> CobwebPoset:
 
     Levels are read off as maximal contiguous runs of vertices incomparable
     with the run's first vertex.  The run sizes must form an initial segment
-    of the Fibonacci numbers.  Every whole row must then equal, as bytes, its
-    row template for those sizes, which is the rebuilt poset's order relation
-    entry for entry.  A row that differs is scanned for its first wrong
-    column, so the error names the first bad entry in row-major order.
+    of the Fibonacci numbers.  The whole matrix must then equal, as bytes,
+    the zeta cells of those sizes, which is the rebuilt poset's order
+    relation entry for entry.  Only a matrix that differs is scanned, row by
+    row and then along the first wrong row, so the error names the first
+    bad entry in row-major order.
     """
-    if M.dim == 0:
+    dim = M.dim
+    if dim == 0:
         raise ValueError("empty matrix encodes no poset")
-    rows = M._rows
+    cells = M._cells
     sizes = []
     start = 0
-    while (nxt := rows[start].find(1, start + 1)) >= 0:
+    while (nxt := cells.find(1, start * dim + start + 1, (start + 1) * dim)) >= 0:
+        nxt -= start * dim
         sizes.append(nxt - start)
         start = nxt
-    sizes.append(M.dim - start)
+    sizes.append(dim - start)
     P = CobwebPoset(len(sizes))
     if tuple(sizes) != P.level_sizes:
         raise ValueError(f"level sizes {sizes} are not an initial Fibonacci segment")
-    for i, (row, template) in enumerate(zip(rows, _row_templates(P.level_sizes))):
-        if row != template:
-            j = next(j for j in range(M.dim) if row[j] != template[j])
-            raise ValueError(f"entry ({i}, {j}) inconsistent with the cobweb order")
+    expected = _zeta_cells(P.level_sizes)
+    if cells != expected:
+        i = next(i for i in range(dim) if cells[i * dim:(i + 1) * dim] != expected[i * dim:(i + 1) * dim])
+        j = next(j for j in range(dim) if cells[i * dim + j] != expected[i * dim + j])
+        raise ValueError(f"entry ({i}, {j}) inconsistent with the cobweb order")
     return P

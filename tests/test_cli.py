@@ -340,6 +340,22 @@ class TestExport:
         assert [c.count("->") for c in chunks[1:-1]] == [1, 2, 6, 15, 40]
         assert "".join(chunks).encode() == (GOLDEN / "hasse_p6.dot").read_bytes()
 
+    def test_csv_streams_about_one_mib_of_whole_rows_a_chunk(self, monkeypatch):
+        class Recorder:
+            def __init__(self):
+                self.chunks = []
+
+            def writelines(self, chunks):
+                self.chunks.extend(chunks)
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert run(["export", "15", "--format", "csv"]) == EXIT_OK
+        line = 2 * 1596  # 1596 vertices at depth 15
+        assert [len(c) // line for c in out.chunks] == [328, 328, 328, 328, 284]
+        assert all(len(c) % line == 0 and len(c) <= 1 << 20 for c in out.chunks)
+        assert "".join(out.chunks) == zeta.zeta_matrix(build_cobweb(15)).to_csv()
+
     def test_round_trip_depth_six(self, tmp_path, capsys):
         target = tmp_path / "p6.csv"
         assert run(["export", "6", "--format", "csv", "--out", str(target)]) == EXIT_OK
@@ -358,7 +374,7 @@ class TestGuardRefusals:
     @pytest.fixture
     def no_work(self, monkeypatch):
         for owner, name in [(chains, "_dfs_count"), (chains, "_walk_chains"),
-                            (zeta, "_row_templates"), (cli, "_hasse_dot")]:
+                            (zeta, "_zeta_cells"), (cli, "_hasse_dot")]:
             monkeypatch.setattr(owner, name, refuse_work)
 
     @pytest.mark.parametrize(

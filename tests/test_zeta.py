@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from cobweb import zeta
 from cobweb.fibcalc import fib
 from cobweb.poset import CobwebPoset, GuardError, build_cobweb
 from cobweb.zeta import (
@@ -69,6 +70,48 @@ def oracle_cobweb_from_matrix(M: IncidenceMatrix) -> CobwebPoset:
     return P
 
 
+def zeta_row_bytes(depth: int) -> list[bytes]:
+    """Independent oracle: each zeta row built on its own, 1 at i and on every later level."""
+    sizes = [fib(s) for s in range(1, depth + 1)]
+    dim = sum(sizes)
+    rows = []
+    end = 0
+    for size in sizes:
+        end += size
+        rows += [bytes(i) + b"\x01" + bytes(end - i - 1) + b"\x01" * (dim - end) for i in range(end - size, end)]
+    return rows
+
+
+def csv_body(rows) -> str:
+    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+
+
+def reference_from_csv(text: str) -> IncidenceMatrix:
+    """Reference parser: split into lines at "\n", then each line at ",".
+
+    The first cell that is not "0" or "1" in the first bad line names the
+    error; a body whose lines are all valid goes to the public constructor.
+    """
+    if not text or not text.endswith("\n"):
+        raise ValueError("CSV body must be nonempty and newline-terminated")
+    rows = []
+    for line in text.split("\n")[:-1]:
+        cells = line.split(",")
+        for c in cells:
+            if c not in ("0", "1"):
+                raise ValueError(f"bad CSV cell {c!r}; expected '0' or '1'")
+        rows.append([int(c) for c in cells])
+    return IncidenceMatrix(rows)
+
+
+def outcome(parse, text: str):
+    try:
+        M = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [M.row(i) for i in range(M.dim)]
+
+
 def flipped(P: CobwebPoset, i: int, j: int) -> IncidenceMatrix:
     """The zeta matrix of P with entry (i, j) flipped."""
     M = zeta_matrix(P)
@@ -117,6 +160,19 @@ class TestZetaMatrix:
         M = zeta_matrix(build_cobweb(depth))
         expected = expected_block_rows(depth)
         assert [list(M.row(i)) for i in range(M.dim)] == expected
+
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64])
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_cells_written_in_blocks(self, monkeypatch, depth, block_bytes):
+        monkeypatch.setattr(zeta, "_BLOCK_BYTES", block_bytes)
+        M = zeta_matrix(build_cobweb(depth))
+        assert [list(M.row(i)) for i in range(M.dim)] == expected_block_rows(depth)
+
+    def test_depth_sixteen_splits_levels_into_blocks(self):
+        M = zeta_matrix(build_cobweb(16))  # a 2583-byte row: 405 rows a block, F(16) = 987
+        rows = zeta_row_bytes(16)
+        assert M.dim == len(rows) == 2583
+        assert all(bytes(M.row(i)) == r for i, r in enumerate(rows))
 
     def test_refuses_over_cap(self):
         with pytest.raises(MatrixSizeError) as exc:
@@ -209,6 +265,44 @@ class TestCsv:
         with pytest.raises(ValueError, match="bad CSV cell"):
             IncidenceMatrix.from_csv(text)
 
+    @pytest.mark.parametrize("depth", range(1, 13))
+    def test_valid_body_equals_the_constructed_matrix(self, depth):
+        rows = zeta_row_bytes(depth)
+        M = IncidenceMatrix.from_csv(csv_body(rows))
+        assert M == IncidenceMatrix(rows)
+        assert [bytes(M.row(i)) for i in range(M.dim)] == rows
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,0,\n0,1\n", "bad CSV cell ''; expected '0' or '1'"),  # odd-width first line
+            ("1,0,1\n", "matrix must be square; got a row of length 3 in a 1-row matrix"),
+            ("\n", "bad CSV cell ''; expected '0' or '1'"),
+        ],
+    )
+    def test_from_csv_names_the_error(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            IncidenceMatrix.from_csv(text)
+        assert str(exc.value) == message
+        assert outcome(reference_from_csv, text) == (ValueError, message)
+
+    @given(
+        st.integers(1, 7),
+        st.sampled_from(["delete", "insert", "replace"]),
+        st.sampled_from("01,\n\r2 \u00e9"),
+        st.data(),
+    )
+    def test_one_edit_parses_as_the_reference(self, depth, edit, char, data):
+        body = zeta_matrix(build_cobweb(depth)).to_csv()
+        k = data.draw(st.integers(0, len(body) - (edit != "insert")))
+        if edit == "delete":
+            text = body[:k] + body[k + 1:]
+        elif edit == "insert":
+            text = body[:k] + char + body[k:]
+        else:
+            text = body[:k] + char + body[k + 1:]
+        assert outcome(IncidenceMatrix.from_csv, text) == outcome(reference_from_csv, text)
+
 
 class TestMatrixType:
     def test_rejects_non_square(self):
@@ -228,6 +322,30 @@ class TestMatrixType:
         rows[i][j] = value
         with pytest.raises(ValueError, match="entries must be 0 or 1"):
             IncidenceMatrix(rows)
+
+    def test_negative_indices_count_from_the_end(self):
+        M = zeta_matrix(build_cobweb(3))
+        assert M.row(-1) == (0, 0, 0, 1)
+        assert M.row(-4) == M.row(0) == (1, 1, 1, 1)
+        assert M.entry(-1, -1) == 1
+        assert M.entry(0, -1) == 1
+        assert M.entry(-2, -1) == 0
+
+    @pytest.mark.parametrize("i, j", [(0, 4), (4, 0), (-5, 0), (0, -5), (1, 9)])
+    def test_entry_outside_the_matrix_raises(self, i, j):
+        with pytest.raises(IndexError):
+            zeta_matrix(build_cobweb(3)).entry(i, j)
+
+    @pytest.mark.parametrize("i", [4, -5])
+    def test_row_outside_the_matrix_raises(self, i):
+        with pytest.raises(IndexError):
+            zeta_matrix(build_cobweb(3)).row(i)
+
+    def test_first_offending_row_names_the_error(self):
+        with pytest.raises(ValueError, match="entries must be 0 or 1"):
+            IncidenceMatrix([[2, 0], [1]])
+        with pytest.raises(ValueError, match="must be square; got a row of length 1 in a 2-row matrix"):
+            IncidenceMatrix([[1, 0], [1]])
 
     def test_rows_are_immutable_copies(self):
         source = [bytearray([1, 0]), bytearray([0, 1])]

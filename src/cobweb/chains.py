@@ -16,8 +16,9 @@ One admission check validates and guards every walk, counted or listed,
 before it starts.  It refuses (EnumerationGuardError) a walk whose
 predicted chain count exceeds a limit, so sweeps stay desk-scale by
 default; the limit can be raised deliberately.  Its predictor is the
-falling F-factorial, not the closed forms under test, so a wrong formula
-cannot change what the guard admits.  For the counter the chain count is a
+product of the sizes of the levels the walk crosses, read from the poset it
+is given; it calls no closed form under test, so a wrong formula cannot
+change what the guard admits.  For the counter the chain count is a
 conservative price: each vertex it reads and each cover tuple it sums lies
 on a counted chain, and past the smallest walks they are far fewer than the
 chains (54 vertices and 8 cover tuples against 2,227,680 chains from the
@@ -30,7 +31,7 @@ import math
 from operator import countOf, itemgetter
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
-from .fibcalc import fib, fib_factorial, falling_f_factorial, fibonomial
+from .fibcalc import _product, fib_factorial, falling_f_factorial, fibonomial
 from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
 
 __all__ = [
@@ -126,13 +127,14 @@ def _check_pair(k: int, n: int) -> None:
 
 
 def _admit(P: CobwebPoset, start: Vertex, stop_level: int, limit: int) -> None:
-    # The one admission check of every walk.  The predictor is the falling
-    # F-factorial itself, never a counter under test: from the root it is
-    # n_F! because F(1) = 1, and a walk of no steps is its empty product 1.
+    # The one admission check of every walk.  The predictor is the product of
+    # the sizes of levels start.level+1..stop_level, read from P, never a
+    # closed form or a counter under test.  A walk of no steps is its empty
+    # product 1.
     P.check_vertex(start)
     if not start.level <= stop_level <= P.depth:
         raise ValueError(f"stop_level must be in {start.level}..{P.depth}, got {stop_level}")
-    predicted = falling_f_factorial(stop_level, stop_level - start.level)
+    predicted = _product(P.level_sizes[start.level:stop_level])
     if predicted > limit:
         raise EnumerationGuardError(predicted, limit)
 
@@ -288,8 +290,7 @@ def induced_copy_count(k: int, n: int, profile: Sequence[int]) -> int:
     if len(profile) != m:
         raise ValueError(f"profile must have {m} entries for levels {k + 1}..{n}, got {len(profile)}")
     total = 1
-    for j, want in enumerate(profile):
-        ambient = fib(k + 1 + j)
+    for j, (want, ambient) in enumerate(zip(profile, build_cobweb(n).level_sizes[k:])):
         if not 0 <= want <= ambient:
             raise ValueError(
                 f"profile[{j}] = {want} out of range: level {k + 1 + j} has {ambient} vertices"

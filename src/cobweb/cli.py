@@ -75,23 +75,12 @@ def _hasse_dot(P: CobwebPoset) -> Iterator[str]:
 
 
 def _print_ints(values: Sequence[int], sep: str = " ", prefix: str = "") -> None:
-    """Print exact decimals on one line after `prefix`, whatever their number of digits.
+    """Print exact decimals on one line after `prefix`.
 
-    CPython 3.10.7 and later refuse int -> str past a digit limit (4300
-    by default).  The limit is lifted for this conversion only and then put
-    back, so the rest of the process keeps its protection.
+    Any number of digits: `run` lifts the int -> str digit limit while a
+    verb runs.
     """
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    if get_limit is None:
-        text = sep.join(map(str, values))
-    else:
-        previous = get_limit()
-        sys.set_int_max_str_digits(0)
-        try:
-            text = sep.join(map(str, values))
-        finally:
-            sys.set_int_max_str_digits(previous)
-    print(prefix + text)
+    print(prefix + sep.join(map(str, values)))
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
@@ -292,7 +281,10 @@ def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv and execute one verb; returns the exit status.
 
     Only the named verb's sub-parser is built; help, an unknown verb and an
-    empty argv get the full parser.
+    empty argv get the full parser.  CPython 3.10.7 and later refuse
+    int -> str past a digit limit (4300 by default).  Argv is parsed under
+    that limit; it is lifted only while the verb's handler runs, so every
+    exact number it prints comes out whole, and then put back.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -301,6 +293,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its diagnostic
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    previous = None if get_limit is None else get_limit()
+    if previous is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except GuardError as exc:
@@ -309,6 +305,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if previous is not None:
+            sys.set_int_max_str_digits(previous)
 
 
 def main() -> None:

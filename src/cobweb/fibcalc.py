@@ -20,15 +20,17 @@ otherwise.  This is the integrality self-check: the quotients are integers
 by theory, so a remainder means a wrong Fibonacci value or a bug.  It sees
 only values that enter a division: a prime p has P_p = F(p), taken as is.
 
-F(0.._FIB_CAP) are cached once computed.  A larger isolated F(n) comes from
-fast doubling, and a run of larger values is iterated locally and dropped
-when the call returns, so the memory kept between calls is bounded.
+Every Fibonacci value comes from one producer, `_fib_run`; `fib` is its
+run of one.  F(0.._FIB_CAP) are cached once computed.  Past the cap a run
+starts by fast doubling and is iterated locally and dropped when the call
+returns, so the memory kept between calls is bounded.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from typing import Sequence
 
 __all__ = [
     "fib",
@@ -64,14 +66,6 @@ def _check_index(value: int, name: str) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {value}")
 
 
-def _grow_cache(n: int) -> None:
-    """Extend the cache to cover index n, for n <= _FIB_CAP."""
-    if n >= len(_FIB):
-        with _FIB_LOCK:
-            while len(_FIB) <= n:
-                _FIB.append(_FIB[-1] + _FIB[-2])
-
-
 def _fib_pair(n: int) -> tuple[int, int]:
     """(F(n), F(n+1)) by fast doubling, from the top bit of n down.
 
@@ -86,15 +80,18 @@ def _fib_pair(n: int) -> tuple[int, int]:
 
 
 def _fib_run(lo: int, hi: int) -> list[int]:
-    """[F(lo), ..., F(hi - 1)]; the values above _FIB_CAP are not cached."""
-    if hi <= len(_FIB):
-        return _FIB[lo:hi]
-    cut = min(hi, _FIB_CAP + 1)
-    run: list[int] = []
-    if lo < cut:
-        _grow_cache(cut - 1)
-        run = _FIB[lo:cut]
-    start = max(lo, cut)
+    """[F(lo), ..., F(hi - 1)]: the one producer of Fibonacci values.
+
+    A run that starts at or below _FIB_CAP grows the cache, under _FIB_LOCK,
+    to cover it up to the cap.  The rest of the run goes on by fast doubling
+    from its first uncached index and is not cached.
+    """
+    if len(_FIB) < hi and lo < hi and lo <= _FIB_CAP:
+        with _FIB_LOCK:
+            while len(_FIB) < hi and len(_FIB) <= _FIB_CAP:
+                _FIB.append(_FIB[-1] + _FIB[-2])
+    run = _FIB[lo:hi]
+    start = lo + len(run)
     if start < hi:
         a, b = _fib_pair(start)
         for _ in range(start, hi):
@@ -103,7 +100,7 @@ def _fib_run(lo: int, hi: int) -> list[int]:
     return run
 
 
-def _product(factors: list[int]) -> int:
+def _product(factors: Sequence[int]) -> int:
     """Product of factors by a balanced tree, so big multiplies meet like sizes."""
     if len(factors) <= _PRODUCT_LEAF:
         return math.prod(factors)
@@ -129,16 +126,12 @@ def _exact_div(numerator: int, denominator: int, what: str, *args: int) -> int:
 def fib(n: int) -> int:
     """Return the n-th Fibonacci number, with F(0)=0 and F(1)=F(2)=1.
 
-    An index up to _FIB_CAP is served from the cache.  A larger one takes
-    O(log n) multiplies by fast doubling and is not cached.
+    The run of one from `_fib_run`: an index up to _FIB_CAP is served from
+    the cache, and a larger one takes O(log n) multiplies by fast doubling
+    and is not cached.
     """
     _check_index(n, "n")
-    if n < len(_FIB):
-        return _FIB[n]
-    if n <= _FIB_CAP:
-        _grow_cache(n)
-        return _FIB[n]
-    return _fib_pair(n)[0]
+    return _fib_run(n, n + 1)[0]
 
 
 def fib_factorial(n: int) -> int:

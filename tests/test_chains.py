@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 import re
 from itertools import combinations
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobweb import chains, cli
+from cobweb import chains, cli, fibcalc
 from cobweb.chains import (
+    DEFAULT_ENUMERATION_LIMIT,
     ChainVerificationError,
     EnumerationGuardError,
     LayerSpec,
@@ -27,6 +29,7 @@ from cobweb.chains import (
 )
 from cobweb.fibcalc import fib, fib_factorial, fibonomial
 from cobweb.poset import CobwebPoset, GuardError, Vertex, build_cobweb
+from cobweb.zeta import IncidenceMatrix, cobweb_from_matrix, staircase_check, zeta_matrix
 
 REPORT_LINE = re.compile(
     r"^observation=[123] k=\d+ n=\d+ formula=\d+ oracle=\d+ status=(pass|fail)$"
@@ -69,6 +72,30 @@ class PlantedPoset(CobwebPoset):
             self.check_vertex(x)
             return self.planted_covers
         return super().covers_above(x)
+
+
+class SizedPoset(CobwebPoset):
+    """A cobweb poset with any positive level sizes: level s holds sizes[s - 1] vertices."""
+
+    __slots__ = ()
+
+    def __init__(self, sizes: Sequence[int]) -> None:
+        super().__init__(len(sizes))
+        self.level_sizes = tuple(sizes)
+
+
+# Sizes 1, 2, ..., 8: chain counts are factorials.  Sizes 2^s - 1: layer
+# counts over the per-copy product are Gaussian binomials at q = 2.
+NATURAL = tuple(range(1, 9))
+MERSENNE = tuple(2**s - 1 for s in range(1, 13))
+
+
+def gaussian_binomial_q2(n: int, k: int) -> int:
+    """[n choose k] at q = 2 by the q-Pascal rule [m, j] = [m-1, j-1] + 2^j [m-1, j]."""
+    row = [1]
+    for m in range(1, n + 1):
+        row = [1] + [row[j - 1] + 2**j * row[j] for j in range(1, m)] + [1]
+    return row[k]
 
 
 class PassCountedTuple(tuple):
@@ -375,6 +402,124 @@ class TestGuard:
             with pytest.raises(EnumerationGuardError) as exc:
                 entry(count - 1)
             assert (exc.value.predicted, exc.value.limit) == (count, count - 1)
+
+
+class TestAnyLevelSizes:
+    """Counters, listings, guard and zeta read the level sizes of the poset they are given."""
+
+    def test_natural_sizes_from_the_root(self):
+        P = SizedPoset(NATURAL)
+        assert [enumerate_from_root(P, n) for n in range(1, 9)] == [math.factorial(n) for n in range(1, 9)]
+
+    def test_natural_sizes_from_every_level(self):
+        P = SizedPoset(NATURAL)
+        for k in range(1, 8):
+            for n in range(k + 1, 9):
+                for start in (Vertex(k, 0), Vertex(k, k - 1)):
+                    layer = enumerate_layer_chains(P, LayerSpec(start, n))
+                    assert layer == math.factorial(n) // math.factorial(k)
+                    assert layer // math.factorial(n - k) == math.comb(n, k)
+
+    def test_natural_sizes_listing(self):
+        P = SizedPoset(NATURAL)
+        listed = list(iter_chains(P, P.root, 7))
+        assert len(listed) == len(set(listed)) == math.factorial(7)
+        assert listed == naive_chains(P, P.root, 7)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_natural_sizes_refusal_predicts_the_count(self, n):
+        with pytest.raises(EnumerationGuardError) as exc:
+            enumerate_from_root(SizedPoset(NATURAL), n, limit=math.factorial(n) - 1)
+        assert (exc.value.predicted, exc.value.limit) == (math.factorial(n), math.factorial(n) - 1)
+
+    def test_mersenne_sizes_give_gaussian_binomials(self):
+        P = SizedPoset(MERSENNE)
+        for k in range(1, 12):
+            for n in range(k + 1, 13):
+                layer = enumerate_layer_chains(P, LayerSpec(Vertex(k, 0), n), limit=10**30)
+                per_copy = math.prod(2**s - 1 for s in range(1, n - k + 1))
+                assert layer % per_copy == 0
+                assert layer // per_copy == gaussian_binomial_q2(n, k)
+
+    @pytest.mark.parametrize("start", [Vertex(1, 0), Vertex(5, 30), Vertex(11, 0)], ids=str)
+    def test_mersenne_sizes_refusal_predicts_the_count(self, start):
+        P = SizedPoset(MERSENNE)
+        count = enumerate_layer_chains(P, LayerSpec(start, 12), limit=10**30)
+        if start == P.root:
+            assert 8.7e22 < count < 8.8e22
+        with pytest.raises(EnumerationGuardError) as exc:
+            enumerate_layer_chains(P, LayerSpec(start, 12), limit=count - 1)
+        assert exc.value.predicted == count
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6), st.data())
+    def test_guard_predicts_the_walked_count(self, sizes, data):
+        P = SizedPoset([1] + sizes)
+        k = data.draw(st.integers(1, P.depth))
+        start = Vertex(k, data.draw(st.integers(0, P.level_sizes[k - 1] - 1)))
+        stop = data.draw(st.integers(k, P.depth))
+        count = naive_count(P, start, stop)
+        assert sum(1 for _ in iter_chains(P, start, stop, count)) == count
+        with pytest.raises(EnumerationGuardError) as exc:
+            iter_chains(P, start, stop, count - 1)
+        assert exc.value.predicted == count
+
+    @pytest.mark.parametrize("sizes", [NATURAL, MERSENNE[:5]], ids=["natural", "mersenne"])
+    def test_zeta(self, sizes):
+        P = SizedPoset(sizes)
+        M = zeta_matrix(P)
+        vertices = P.vertices()
+        assert M.dim == sum(sizes)
+        assert all(M.entry(i, j) == P.leq(x, y) for i, x in enumerate(vertices) for j, y in enumerate(vertices))
+        assert staircase_check(M, P)
+        assert IncidenceMatrix.from_csv(M.to_csv()) == M
+        with pytest.raises(ValueError, match="not an initial Fibonacci segment"):
+            cobweb_from_matrix(M)
+
+
+class TestOracleCallsNoClosedForm:
+    """Counters, listings and the guard run as before with every closed form made to raise."""
+
+    @staticmethod
+    def closed_forms_raise(monkeypatch):
+        held = {name for name, value in vars(chains).items() if getattr(value, "__module__", "") == fibcalc.__name__}
+        assert held - set(fibcalc.__all__) == {"_product"}  # the guard's product tree, no formula
+        for name in fibcalc.__all__:
+            original = getattr(fibcalc, name)
+
+            def closed_form(*args, name=name):
+                raise AssertionError(f"the oracle side called {name}{args}")
+
+            for module in (fibcalc, chains):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, closed_form)
+
+    WALKS = {
+        "enumerate_from_root": lambda P, limit: enumerate_from_root(P, 7, limit),
+        "enumerate_layer_chains": lambda P, limit: enumerate_layer_chains(P, LayerSpec(Vertex(3, 1), 8), limit),
+        "iter_chains": lambda P, limit: list(iter_chains(P, Vertex(2, 0), 7, limit)),
+        "iter_chain_blocks": lambda P, limit: list(chains.iter_chain_blocks(P, Vertex(4, 2), 8, limit)),
+    }
+
+    @pytest.mark.parametrize("walk", WALKS)
+    def test_walks_and_refusals(self, monkeypatch, walk):
+        P, run = build_cobweb(8), self.WALKS[walk]
+        admitted = run(P, DEFAULT_ENUMERATION_LIMIT)
+        with pytest.raises(EnumerationGuardError) as unpatched:
+            run(P, 10)
+        self.closed_forms_raise(monkeypatch)
+        with pytest.raises(AssertionError, match="oracle side"):
+            fibcalc.fib(5)
+        assert run(P, DEFAULT_ENUMERATION_LIMIT) == admitted
+        with pytest.raises(EnumerationGuardError) as patched:
+            run(P, 10)
+        assert (patched.value.predicted, patched.value.limit) == (unpatched.value.predicted, 10)
+
+    def test_sweep_refusal(self, monkeypatch):
+        self.closed_forms_raise(monkeypatch)
+        with pytest.raises(EnumerationGuardError) as exc:
+            verify_observation(1, 10)
+        assert (exc.value.predicted, exc.value.limit) == (122522400, DEFAULT_ENUMERATION_LIMIT)
 
 
 class TestIterChains:

@@ -544,6 +544,22 @@ class TestBenchVerb:
         out, _ = out_of(capsys)
         assert "match=no" in out
 
+    def test_formulas_past_the_digit_limit(self, capsys):
+        # 210_F! has more than 4300 digits; the formula column once stopped
+        # at n = 205 with a usage error.
+        fibs = [0, 1]
+        while len(fibs) <= 210:
+            fibs.append(fibs[-1] + fibs[-2])
+        before = digit_limit()
+        assert run(["bench", "210"]) == EXIT_OK
+        assert digit_limit() == before
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 211
+        assert lines[-1].startswith("n=210 formula=")
+        formula = lines[-1].split()[1].removeprefix("formula=")
+        assert len(formula) > 4300
+        assert formula + "\n" == exact_text([math.prod(fibs[1:])])
+
 
 def test_console_entry_point_runs():
     proc = subprocess.run(

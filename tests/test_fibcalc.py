@@ -129,6 +129,30 @@ class TestFib:
         assert results == [oracle[n] for n in indices]
         assert fibcalc._FIB == naive_fib_sequence(cap)[: len(fibcalc._FIB)]
 
+    @pytest.mark.parametrize("cache", ["cold", "warm"])
+    def test_one_producer_below_at_and_above_the_cap(self, monkeypatch, cache):
+        cap = fibcalc._FIB_CAP
+        oracle = naive_fib_sequence(cap + 10)
+        if cache == "cold":
+            del fibcalc._FIB[2:]
+        else:
+            fib(cap)
+        produce = fibcalc._fib_run
+        seen = []
+
+        def spy(lo, hi):
+            seen.append((lo, hi))
+            return produce(lo, hi)
+
+        monkeypatch.setattr(fibcalc, "_fib_run", spy)
+        before = len(fibcalc._FIB)
+        assert fib(cap + 10) == oracle[cap + 10]
+        assert len(fibcalc._FIB) == before  # above the cap: a cold cache stays cold
+        indices = [cap + 1, 0, 1, 7, cap - 1, cap]
+        assert [fib(n) for n in indices] == [oracle[n] for n in indices]
+        assert seen == [(n, n + 1) for n in [cap + 10, *indices]]
+        assert fibcalc._FIB == oracle[: cap + 1]
+
 
 class TestFibFactorial:
     def test_examples(self):

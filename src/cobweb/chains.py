@@ -32,7 +32,7 @@ from operator import countOf, itemgetter
 from typing import Callable, Iterator, Literal, NamedTuple, Sequence
 
 from .fibcalc import _product, fib_factorial, falling_f_factorial, fibonomial
-from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
+from .poset import CobwebPoset, GuardError, Vertex, _number, build_cobweb
 
 __all__ = [
     "DEFAULT_ENUMERATION_LIMIT",
@@ -68,7 +68,9 @@ class EnumerationGuardError(GuardError):
 class ChainVerificationError(RuntimeError):
     """The chain-quotient identity failed; carries every number involved.
 
-    `quotient` is None when the division itself was not exact.
+    `quotient` is None when the division itself was not exact.  The message
+    writes each count by `_number`, so one too long to print in full
+    is named by its bit length.
     """
 
     def __init__(self, k: int, n: int, layer_chains: int, per_copy_chains: int, expected: int) -> None:
@@ -78,11 +80,12 @@ class ChainVerificationError(RuntimeError):
         self.per_copy_chains = per_copy_chains
         self.expected = expected
         self.quotient = quotient = _exact_quotient(layer_chains, per_copy_chains)
+        layer, per_copy = _number(layer_chains), _number(per_copy_chains)
         super().__init__(
-            f"quotient identity failed at k={k}, n={n}: layer chains {layer_chains}, "
-            f"per-copy chains {per_copy_chains}, quotient "
-            f"{quotient if quotient is not None else f'{layer_chains}/{per_copy_chains} (inexact)'}, "
-            f"expected fibonomial {expected}"
+            f"quotient identity failed at k={k}, n={n}: layer chains {layer}, "
+            f"per-copy chains {per_copy}, quotient "
+            f"{_number(quotient) if quotient is not None else f'{layer}/{per_copy} (inexact)'}, "
+            f"expected fibonomial {_number(expected)}"
         )
 
 

@@ -15,7 +15,7 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import chains, fibcalc, zeta
 from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
@@ -109,16 +109,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
 def _cmd_export(args: argparse.Namespace) -> int:
     # One admission for both formats: a DOT edge list grows like the matrix.
     P = build_cobweb(args.depth)
-    if P.vertex_count > zeta.DEFAULT_DIM_CAP:
-        raise zeta.MatrixSizeError(P.vertex_count, zeta.DEFAULT_DIM_CAP)
-    if args.format == "csv":
-        # Whole rows, about 1 MiB of text a chunk, so that the body is never
-        # held whole next to the matrix.
-        M = zeta.zeta_matrix(P)
-        step = max(1, (1 << 20) // (2 * M.dim))
-        chunks: Iterable[str] = (M._csv_rows(i, min(i + step, M.dim)) for i in range(0, M.dim, step))
-    else:
-        chunks = _hasse_dot(P)
+    zeta._admit(P.vertex_count)
+    chunks = zeta.zeta_matrix(P)._csv_blocks() if args.format == "csv" else _hasse_dot(P)
     if args.out is None:
         sys.stdout.writelines(chunks)
     else:
@@ -153,9 +145,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     limit = _resolve_limit(args)
     observations = [1, 2, 3] if args.obs == "all" else [int(args.obs)]
     reports = [chains.verify_observation(o, args.max_n, limit) for o in observations]
+    passed = all(r.passed for r in reports)
     if args.format == "structured":
-        for report in reports:
-            sys.stdout.write(report.to_text())
+        sys.stdout.writelines(r.to_text() for r in reports)
     else:
         for report in reports:
             status = "PASS" if report.passed else "FAIL"
@@ -163,8 +155,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             for c in report.counterexamples:
                 where = f" start={c.start.node_id()}" if c.start is not None else ""
                 print(f"  counterexample: k={c.k} n={c.n}{where} formula={c.formula} oracle={c.oracle}")
-        print(f"RESULT: {'PASS' if all(r.passed for r in reports) else 'FAIL'}")
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_VERIFICATION
+        print(f"RESULT: {'PASS' if passed else 'FAIL'}")
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -8,14 +8,14 @@ from .fibcalc import _fib_run
 
 __all__ = ["GuardError", "Vertex", "CobwebPoset", "build_cobweb"]
 
-_EXACT_BELOW = 10**4300  # CPython's default int -> str limit is 4300 digits
+_EXACT_BELOW = 10**4300  # numbers of more digits are named by bit length
 
 
 class GuardError(RuntimeError):
     """Work refused before it starts: its predicted cost exceeds a limit.
 
-    Subclasses word it by a `template` with {predicted} and {limit} fields;
-    a number of more than 4300 digits is named there by its bit length.
+    Subclasses word it by a `template` with {predicted} and {limit} fields,
+    each number written by `_number`.
     """
 
     template = "predicted cost {predicted} exceeds the limit of {limit}"
@@ -27,7 +27,18 @@ class GuardError(RuntimeError):
 
 
 def _number(n: int) -> str:
-    return str(n) if abs(n) < _EXACT_BELOW else f"(a {n.bit_length()}-bit number)"
+    """A computed integer as an error message names it.
+
+    In full when it has at most 4300 digits and str() takes it under the
+    interpreter's current int -> str digit limit; otherwise by its bit
+    length, so that wording an error never raises one of its own.
+    """
+    if abs(n) < _EXACT_BELOW:
+        try:
+            return str(n)
+        except ValueError:  # over the digit limit in force
+            pass
+    return f"(a {n.bit_length()}-bit number)"
 
 
 class Vertex(NamedTuple):
@@ -129,9 +140,10 @@ class CobwebPoset:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CobwebPoset):
             return NotImplemented
-        return self.depth == other.depth
+        return self.level_sizes == other.level_sizes
 
     def __hash__(self) -> int:
+        # Equal level sizes have equal depth, so the hash stays with equality.
         return hash(("CobwebPoset", self.depth))
 
     def __repr__(self) -> str:

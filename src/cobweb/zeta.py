@@ -9,14 +9,15 @@ A matrix is held as one row-major bytes buffer of dim * dim cells.  Building
 the zeta cells, the staircase check, CSV in both directions and the
 reconstruction are whole-buffer operations done in C, with at most one
 Python step per level; a per-row scan runs only to name the first bad cell
-of an input already found wrong.
+of an input already found wrong.  `_admit` alone reads DEFAULT_DIM_CAP, and
+a matrix streams its own CSV in blocks of whole rows.
 """
 
 from __future__ import annotations
 
 import io
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .poset import CobwebPoset, GuardError
 
@@ -35,7 +36,7 @@ DEFAULT_DIM_CAP = 10_000
 _ENTRY_TO_CELL = bytes.maketrans(b"\x00\x01", b"01")
 _CELL_TO_ENTRY = bytes.maketrans(b"01", b"\x00\x01")
 
-# The zeta cells are written in blocks of whole rows of about this many bytes.
+# The zeta cells and the streamed CSV go in blocks of whole rows of about this many bytes.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -89,19 +90,22 @@ class IncidenceMatrix:
 
     def to_csv(self) -> str:
         """One comma-separated 0/1 row per line, newline-terminated, no header."""
-        return self._csv_rows(0, self.dim)
+        return "".join(self._csv_blocks())
 
-    def _csv_rows(self, start: int, stop: int) -> str:
-        """The CSV lines of rows start..stop-1, 0 <= start <= stop <= dim.
+    def _csv_blocks(self) -> Iterator[str]:
+        """to_csv's text in blocks of whole rows, about _BLOCK_BYTES each.
 
         A line is 2 * dim characters wide, so the cells of every row sit at
-        the even offsets of the whole text: one strided assignment fills a
-        body of separators.
+        the even offsets of a block: one strided assignment fills a body of
+        separators.
         """
         dim = self.dim
-        body = bytearray((b"," * (2 * dim - 1) + b"\n") * (stop - start))
-        body[::2] = self._cells[start * dim:stop * dim].translate(_ENTRY_TO_CELL)
-        return body.decode("ascii")
+        rows = max(1, _BLOCK_BYTES // max(1, 2 * dim))
+        line = b"," * (2 * dim - 1) + b"\n"
+        for start in range(0, dim, rows):
+            body = bytearray(line * min(rows, dim - start))
+            body[::2] = self._cells[start * dim:(start + rows) * dim].translate(_ENTRY_TO_CELL)
+            yield body.decode("ascii")
 
     @classmethod
     def from_csv(cls, text: str) -> "IncidenceMatrix":
@@ -169,18 +173,22 @@ def _zeta_cells(level_sizes: Sequence[int]) -> bytes:
     return buf.getvalue()
 
 
-def zeta_matrix(P: CobwebPoset, dim_cap: int = DEFAULT_DIM_CAP) -> IncidenceMatrix:
+def _admit(dim: int) -> None:
+    """Refuse a dim x dim matrix, or an output growing like one, past DEFAULT_DIM_CAP rows."""
+    if dim > DEFAULT_DIM_CAP:
+        raise MatrixSizeError(dim, DEFAULT_DIM_CAP)
+
+
+def zeta_matrix(P: CobwebPoset) -> IncidenceMatrix:
     """Incidence matrix over the canonical order: entry(i, j) = 1 iff v_i <= v_j.
 
-    Refuses construction when the dimension exceeds `dim_cap` (dense storage
-    is quadratic).  The cells are built level block by level block, which is
-    the order relation evaluated in bulk: a vertex is below exactly itself
-    and every vertex of the later levels.
+    Refuses construction past DEFAULT_DIM_CAP rows, as read when it is
+    called (dense storage is quadratic).  The cells are built level block
+    by level block, which is the order relation evaluated in bulk: a vertex
+    is below exactly itself and every vertex of the later levels.
     """
-    dim = P.vertex_count
-    if dim > dim_cap:
-        raise MatrixSizeError(dim, dim_cap)
-    return IncidenceMatrix._of_cells(dim, _zeta_cells(P.level_sizes))
+    _admit(P.vertex_count)
+    return IncidenceMatrix._of_cells(P.vertex_count, _zeta_cells(P.level_sizes))
 
 
 def staircase_check(M: IncidenceMatrix, P: CobwebPoset) -> bool:

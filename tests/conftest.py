@@ -1,0 +1,20 @@
+"""Fixtures shared by the test modules."""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+
+@pytest.fixture
+def digit_limit_640():
+    """The int -> str digit limit lowered to 640 digits, put back afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int -> str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)

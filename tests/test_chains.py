@@ -373,6 +373,17 @@ class TestGuard:
             "over the limit of 100000000; use the closed-form counter or raise the limit explicitly"
         )
 
+    def test_refusal_under_a_lowered_digit_limit(self, digit_limit_640):
+        # 100_F! has 1,021 digits: str() of it raises under a 640-digit limit,
+        # so the refusal names it by its bit length.
+        bits = math.prod(fib(s) for s in range(1, 101)).bit_length()
+        with pytest.raises(EnumerationGuardError) as exc:
+            enumerate_from_root(build_cobweb(100), 100)
+        assert str(exc.value) == (
+            f"enumeration would visit (a {bits}-bit number) chains, "
+            "over the limit of 100000000; use the closed-form counter or raise the limit explicitly"
+        )
+
     @pytest.mark.parametrize("observation", [1, 2, 3])
     @pytest.mark.parametrize("max_n, limit, predicted", [(10, 10**8, 122522400), (7, 100, 240), (7, 0, 1)])
     def test_sweep_refuses_before_any_walk(self, monkeypatch, observation, max_n, limit, predicted):
@@ -463,6 +474,12 @@ class TestAnyLevelSizes:
         with pytest.raises(EnumerationGuardError) as exc:
             iter_chains(P, start, stop, count - 1)
         assert exc.value.predicted == count
+
+    def test_equality_reads_the_level_sizes(self):
+        P, Q = SizedPoset(NATURAL), build_cobweb(8)
+        assert P.depth == Q.depth
+        assert P != Q and Q != P
+        assert P == SizedPoset(NATURAL) and hash(P) == hash(SizedPoset(NATURAL))
 
     @pytest.mark.parametrize("sizes", [NATURAL, MERSENNE[:5]], ids=["natural", "mersenne"])
     def test_zeta(self, sizes):
@@ -674,6 +691,20 @@ class TestObs3Quotient:
         with pytest.raises(ChainVerificationError) as exc:
             obs3_quotient(2, 5)
         assert (exc.value.quotient, exc.value.expected) == (fibonomial(5, 2), fibonomial(5, 2) + 1)
+
+    def test_wrong_fibonomial_past_the_digit_limit(self, monkeypatch):
+        # The layer count, the product of F(101..300), has 8,311 digits.
+        monkeypatch.setattr(chains, "fibonomial", lambda n, k: fibonomial(n, k) + 1)
+        with pytest.raises(ChainVerificationError) as exc:
+            obs3_quotient(100, 300)
+        err = exc.value
+        layer = math.prod(fib(s) for s in range(101, 301))
+        assert (err.k, err.n, err.layer_chains) == (100, 300, layer)
+        assert err.per_copy_chains == math.prod(fib(s) for s in range(1, 201))
+        assert (err.quotient, err.expected) == (fibonomial(300, 100), fibonomial(300, 100) + 1)
+        assert str(err).startswith(
+            f"quotient identity failed at k=100, n=300: layer chains (a {layer.bit_length()}-bit number), "
+        )
 
     def test_error_carries_all_numbers(self):
         err = ChainVerificationError(2, 4, layer_chains=7, per_copy_chains=2, expected=6)

@@ -409,6 +409,38 @@ class TestGuardRefusals:
         assert out_of(capsys) == ("", "guard: incidence matrix would be 20x20; cap is 12 rows\n")
 
 
+    @pytest.mark.parametrize("cap", [11, 12, 19, 20])
+    def test_one_cap_for_the_matrix_and_both_formats(self, capsys, monkeypatch, cap):
+        monkeypatch.setattr(zeta, "DEFAULT_DIM_CAP", cap)
+        for depth, dim in [(5, 12), (6, 20)]:
+            status = EXIT_OK if dim <= cap else EXIT_GUARD
+            assert [run(["export", str(depth), "--format", f]) for f in ("csv", "dot")] == [status, status]
+            out, err = out_of(capsys)
+            if dim <= cap:
+                assert zeta.zeta_matrix(build_cobweb(depth)).dim == dim
+                assert err == ""
+            else:
+                with pytest.raises(zeta.MatrixSizeError):
+                    zeta.zeta_matrix(build_cobweb(depth))
+                assert (out, err) == ("", f"guard: incidence matrix would be {dim}x{dim}; cap is {cap} rows\n" * 2)
+
+    def test_raised_cap_admits_the_matrix_and_both_formats(self, monkeypatch):
+        class Admitted(Exception):
+            pass
+
+        def admitted(*args):
+            raise Admitted
+
+        monkeypatch.setattr(zeta, "DEFAULT_DIM_CAP", 20000)
+        monkeypatch.setattr(zeta, "_zeta_cells", admitted)
+        monkeypatch.setattr(cli, "_hasse_dot", admitted)
+        for argv in (["export", "19", "--format", "csv"], ["export", "19", "--format", "dot"]):
+            with pytest.raises(Admitted):
+                run(argv)  # 10945 vertices
+        with pytest.raises(Admitted):
+            zeta.zeta_matrix(build_cobweb(19))
+
+
 class TestChainsVerb:
     def test_from_root(self, capsys):
         assert run(["chains", "3"]) == EXIT_OK

@@ -169,6 +169,10 @@ class TestGuardError:
         assert (err.predicted, err.limit) == (10**4300 - 1, 7)
         assert str(err) == f"predicted cost {'9' * 4300} exceeds the limit of 7"
 
+    def test_numbers_past_a_lowered_digit_limit_are_named_by_bit_length(self, digit_limit_640):
+        err = GuardError(10**640 - 1, 10**640)
+        assert str(err) == f"predicted cost {'9' * 640} exceeds the limit of (a {(10**640).bit_length()}-bit number)"
+
     def test_longer_numbers_are_named_by_bit_length(self):
         assert (10**4300).bit_length() == 14285
         assert str(GuardError(10**4300, 10**9000)) == (

@@ -180,15 +180,18 @@ class TestZetaMatrix:
         assert exc.value.dim == 10945
         assert exc.value.cap == 10000
 
-    def test_custom_cap(self):
+    def test_custom_cap(self, monkeypatch):
         P = build_cobweb(5)
+        monkeypatch.setattr(zeta, "DEFAULT_DIM_CAP", 11)
         with pytest.raises(MatrixSizeError):
-            zeta_matrix(P, dim_cap=11)
-        assert zeta_matrix(P, dim_cap=12).dim == 12
+            zeta_matrix(P)
+        monkeypatch.setattr(zeta, "DEFAULT_DIM_CAP", 12)
+        assert zeta_matrix(P).dim == 12
 
-    def test_is_the_shared_guard_error(self):
+    def test_is_the_shared_guard_error(self, monkeypatch):
+        monkeypatch.setattr(zeta, "DEFAULT_DIM_CAP", 11)
         with pytest.raises(GuardError) as exc:
-            zeta_matrix(build_cobweb(5), dim_cap=11)
+            zeta_matrix(build_cobweb(5))
         assert isinstance(exc.value, MatrixSizeError)
         assert (exc.value.predicted, exc.value.limit) == (exc.value.dim, exc.value.cap) == (12, 11)
 

@@ -14,8 +14,8 @@ share everything but their last vertex, and come as one block.
 
 One admission check validates and guards every walk, counted or listed,
 before it starts.  It refuses (EnumerationGuardError) a walk whose
-predicted chain count exceeds a limit, so sweeps stay desk-scale by
-default; the limit can be raised deliberately.  Its predictor is the
+predicted chain count exceeds a limit: the caller's, or the desk-scale
+DEFAULT_ENUMERATION_LIMIT as it reads at admission.  Its predictor is the
 product of the sizes of the levels the walk crosses, read from the poset it
 is given; it calls no closed form under test, so a wrong formula cannot
 change what the guard admits.  For the counter the chain count is a
@@ -101,11 +101,10 @@ class LayerSpec(NamedTuple):
         return self.to_level - self.from_vertex.level
 
     def validate(self, P: CobwebPoset) -> None:
-        """Reject a spec that climbs no level; the walk admission checks the rest."""
-        if self.m < 1:
-            raise ValueError(
-                f"to_level must be in {self.from_vertex.level + 1}..{P.depth}, got {self.to_level}"
-            )
+        """Reject a start vertex not in P, or a target level not above it and within P."""
+        P.check_vertex(self.from_vertex)
+        if not self.from_vertex.level < self.to_level <= P.depth:
+            raise ValueError(f"to_level must be in {self.from_vertex.level + 1}..{P.depth}, got {self.to_level}")
 
 
 def count_from_root_formula(n: int) -> int:
@@ -129,14 +128,15 @@ def _check_pair(k: int, n: int) -> None:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
 
 
-def _admit(P: CobwebPoset, start: Vertex, stop_level: int, limit: int) -> None:
-    # The one admission check of every walk.  The predictor is the product of
-    # the sizes of levels start.level+1..stop_level, read from P, never a
-    # closed form or a counter under test.  A walk of no steps is its empty
-    # product 1.
+def _admit(P: CobwebPoset, start: Vertex, stop_level: int, limit: int | None) -> None:
+    # The one admission check of every walk, and the one reader of the
+    # default limit.  The predictor is the product of the sizes of levels
+    # start.level+1..stop_level, read from P, never a closed form or a counter
+    # under test.  A walk of no steps is its empty product 1.
     P.check_vertex(start)
     if not start.level <= stop_level <= P.depth:
-        raise ValueError(f"stop_level must be in {start.level}..{P.depth}, got {stop_level}")
+        raise ValueError(f"target level must be in {start.level}..{P.depth}, got {stop_level}")
+    limit = DEFAULT_ENUMERATION_LIMIT if limit is None else limit
     predicted = _product(P.level_sizes[start.level:stop_level])
     if predicted > limit:
         raise EnumerationGuardError(predicted, limit)
@@ -177,23 +177,23 @@ def _dfs_count(P: CobwebPoset, stop_level: int) -> Callable[[Vertex], int]:
     return count
 
 
-def enumerate_from_root(P: CobwebPoset, n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+def enumerate_from_root(P: CobwebPoset, n: int, limit: int | None = None) -> int:
     """Count maximal chains from the root to any vertex of level n by DFS.
 
     The walk counts per vertex and per cover tuple, not chain by chain;
-    iter_chains is the walk that visits every chain.  Refuses
-    (EnumerationGuardError) when the predicted chain count exceeds `limit`.
+    iter_chains lists every chain.  Refuses (EnumerationGuardError) when the
+    predicted chain count exceeds `limit`, the default limit when None.
     """
     _admit(P, P.root, n, limit)
     return _dfs_count(P, n)(P.root)
 
 
-def enumerate_layer_chains(P: CobwebPoset, spec: LayerSpec, limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+def enumerate_layer_chains(P: CobwebPoset, spec: LayerSpec, limit: int | None = None) -> int:
     """Count chains from spec.from_vertex up to spec.to_level by DFS.
 
-    The walk counts per vertex and per cover tuple, not chain by chain.  The
-    count is the same for every start vertex of the same level; sweeps
-    assert that start-invariance explicitly.
+    The walk counts per vertex and per cover tuple, not chain by chain, and
+    is guarded like enumerate_from_root.  The count is the same for every
+    start vertex of the same level; sweeps assert that start-invariance.
     """
     spec.validate(P)
     _admit(P, spec.from_vertex, spec.to_level, limit)
@@ -201,24 +201,24 @@ def enumerate_layer_chains(P: CobwebPoset, spec: LayerSpec, limit: int = DEFAULT
 
 
 def iter_chains(
-    P: CobwebPoset, start: Vertex, stop_level: int, limit: int = DEFAULT_ENUMERATION_LIMIT
+    P: CobwebPoset, start: Vertex, stop_level: int, limit: int | None = None
 ) -> Iterator[tuple[Vertex, ...]]:
     """Stream every maximal chain from `start` up to `stop_level`, in DFS order.
 
     Chains are yielded as vertex tuples, one vertex per level, next vertex
     chosen by ascending index.  The arguments are validated and the guard
     applied when this is called, before any chain is walked; refuses
-    (EnumerationGuardError) when the predicted count exceeds `limit`.
-    Lazy, and the chain-by-chain listing: intended for export, debugging
-    and as the counters' ground truth; use the counters when only the
-    number of chains matters.
+    (EnumerationGuardError) when the predicted count exceeds `limit`, the
+    default limit when None.  Lazy, and the chain-by-chain listing: for
+    export, debugging and as the counters' ground truth; use the counters
+    when only the number of chains matters.
     """
     blocks = iter_chain_blocks(P, start, stop_level, limit)
     return (prefix + (top,) for prefix, tops in blocks for top in tops)
 
 
 def iter_chain_blocks(
-    P: CobwebPoset, start: Vertex, stop_level: int, limit: int = DEFAULT_ENUMERATION_LIMIT
+    P: CobwebPoset, start: Vertex, stop_level: int, limit: int | None = None
 ) -> Iterator[tuple[tuple[Vertex, ...], tuple[Vertex, ...]]]:
     """Stream the chains of `iter_chains` as (prefix, tops) blocks, in the same order.
 
@@ -256,15 +256,15 @@ def _walk_chains(
 Obs3Mode = Literal["formula", "enumerate"]
 
 
-def obs3_quotient(k: int, n: int, mode: Obs3Mode = "formula", limit: int = DEFAULT_ENUMERATION_LIMIT) -> int:
+def obs3_quotient(k: int, n: int, mode: Obs3Mode = "formula", limit: int | None = None) -> int:
     """Layer-chain count divided by the per-copy chain count; equals the Fibonomial.
 
     Counts the chains from one fixed level-k vertex up to level n (closed
-    form or DFS oracle, per `mode`), divides by the (n-k)-level F-factorial
-    (the number of maximal chains each rooted copy carries on its own), and
-    checks the quotient against fibonomial(n, k).  Raises
-    ChainVerificationError, carrying all the numbers, when the division is
-    not exact or the quotient disagrees.
+    form, or DFS oracle guarded like enumerate_from_root, per `mode`),
+    divides by the (n-k)-level F-factorial (the number of maximal chains
+    each rooted copy carries on its own), and checks the quotient against
+    fibonomial(n, k).  Raises ChainVerificationError, carrying all the
+    numbers, when the division is not exact or the quotient disagrees.
     """
     _check_pair(k, n)
     if mode == "formula":
@@ -359,7 +359,7 @@ def _quotient_case(k: int, n: int, layer: int) -> tuple[VerificationCase, int]:
     return VerificationCase(k=k, n=n, formula=expected, oracle=oracle, passed=quotient == expected), per_copy
 
 
-def verify_observation(observation: int, max_n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> VerificationReport:
+def verify_observation(observation: int, max_n: int, limit: int | None = None) -> VerificationReport:
     """Sweep one observation, comparing closed forms against enumeration oracles.
 
     Observation 1: chains from the root to level n, for n = 1..max_n.
@@ -369,8 +369,8 @@ def verify_observation(observation: int, max_n: int, limit: int = DEFAULT_ENUMER
     Observation 3: the chain-quotient identity, oracle-backed for n <= max_n
     and closed-form for n <= 3 * max_n.
 
-    Mismatches become counterexample cases in the report; only guard refusals
-    and invalid arguments raise, and both before any walk starts.
+    Mismatches become counterexample cases; only refusals over `limit` (the
+    default limit when None) and bad arguments raise, before any walk starts.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")

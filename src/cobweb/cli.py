@@ -50,11 +50,10 @@ def _vertex(text: str) -> Vertex:
         raise argparse.ArgumentTypeError(f"expected LEVEL:INDEX, got {text!r}") from None
 
 
-def _resolve_limit(args: argparse.Namespace) -> int:
+def _resolve_limit(args: argparse.Namespace) -> int | None:
     limit = args.unsafe_enumeration_limit
-    if limit is None:
-        return chains.DEFAULT_ENUMERATION_LIMIT
-    print(f"warning: enumeration guard overridden to {limit} predicted chains", file=sys.stderr)
+    if limit is not None:
+        print(f"warning: enumeration guard overridden to {limit} predicted chains", file=sys.stderr)
     return limit
 
 

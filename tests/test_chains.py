@@ -414,6 +414,46 @@ class TestGuard:
                 entry(count - 1)
             assert (exc.value.predicted, exc.value.limit) == (count, count - 1)
 
+    def test_range_errors_name_the_callers_argument(self):
+        P = build_cobweb(10)
+        calls = {
+            "to_level must be in 4..10, got 99": lambda: enumerate_layer_chains(P, LayerSpec(Vertex(3, 0), 99)),
+            "to_level must be in 4..10, got 3": lambda: enumerate_layer_chains(P, LayerSpec(Vertex(3, 0), 3)),
+            "level must be in 1..10, got 12": lambda: enumerate_layer_chains(P, LayerSpec(Vertex(12, 0), 13)),
+            "target level must be in 1..10, got 11": lambda: enumerate_from_root(P, 11),
+            "target level must be in 3..10, got 2": lambda: iter_chains(P, Vertex(3, 0), 2),
+        }
+        for message, call in calls.items():
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
+
+class TestDefaultLimitReadAtAdmission:
+    """A walk given no limit is held to DEFAULT_ENUMERATION_LIMIT as it reads when admitted."""
+
+    # Each walks from the root up to level n, so it predicts n_F! chains.  The
+    # listings are admitted when called, and never consumed here.
+    ENTRIES = {
+        "enumerate_from_root": lambda n: enumerate_from_root(build_cobweb(11), n),
+        "enumerate_layer_chains": lambda n: enumerate_layer_chains(build_cobweb(11), LayerSpec(Vertex(1, 0), n)),
+        "iter_chains": lambda n: iter_chains(build_cobweb(11), Vertex(1, 0), n),
+        "iter_chain_blocks": lambda n: chains.iter_chain_blocks(build_cobweb(11), Vertex(1, 0), n),
+        "obs3_quotient": lambda n: obs3_quotient(1, n, "enumerate"),
+        "verify_observation": lambda n: verify_observation(1, n),
+    }
+
+    @pytest.mark.parametrize("limit, last", [(10**6, 8), (10**9, 10)])
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_patched_default_is_the_boundary(self, monkeypatch, entry, limit, last):
+        monkeypatch.setattr(chains, "DEFAULT_ENUMERATION_LIMIT", limit)
+        walk = self.ENTRIES[entry]
+        assert fib_factorial(last) <= limit < fib_factorial(last + 1)
+        walk(last)
+        with pytest.raises(EnumerationGuardError) as exc:
+            walk(last + 1)
+        assert (exc.value.predicted, exc.value.limit) == (fib_factorial(last + 1), limit)
+
 
 class TestAnyLevelSizes:
     """Counters, listings, guard and zeta read the level sizes of the poset they are given."""

@@ -440,6 +440,32 @@ class TestGuardRefusals:
         with pytest.raises(Admitted):
             zeta.zeta_matrix(build_cobweb(19))
 
+    @pytest.mark.parametrize("limit, last", [(10**6, 8), (10**9, 10)])
+    def test_verbs_share_the_walks_boundary(self, capsys, monkeypatch, limit, last):
+        # Each verb walks from the root, so the walk to level n predicts n_F!
+        # chains.  The chains verb lists nothing here: at 10^9 it would list
+        # 122,522,400 chains.
+        monkeypatch.setattr(chains, "DEFAULT_ENUMERATION_LIMIT", limit)
+        monkeypatch.setattr(chains, "_walk_chains", lambda *args: iter(()))
+        refusal = (
+            f"enumeration would visit {fibcalc.fib_factorial(last + 1)} chains, over the limit of {limit}; "
+            "use the closed-form counter or raise the limit explicitly\n"
+        )
+        assert run(["chains", str(last)]) == EXIT_OK
+        assert out_of(capsys) == ("", "")
+        assert run(["chains", str(last + 1)]) == EXIT_GUARD
+        assert out_of(capsys) == ("", "guard: " + refusal)
+        assert run(["verify", "--obs", "1", "--max-n", str(last)]) == EXIT_OK
+        assert out_of(capsys) == (f"Observation 1: PASS ({last} cases, max_n={last})\nRESULT: PASS\n", "")
+        assert run(["verify", "--max-n", str(last + 1)]) == EXIT_GUARD
+        assert out_of(capsys) == ("", "guard: " + refusal)
+        assert run(["bench", str(last + 1)]) == EXIT_OK
+        out, err = out_of(capsys)
+        rows = out.splitlines()[1:]
+        assert [row.endswith(" match=yes") for row in rows] == [True] * last + [False]
+        assert rows[-1].endswith(" enumeration=skipped enumeration_s=- match=-")
+        assert err == f"guard: n={last + 1} skipped: " + refusal
+
 
 class TestChainsVerb:
     def test_from_root(self, capsys):
@@ -475,13 +501,13 @@ class TestChainsVerb:
         ))
 
     def test_override_is_loud(self, capsys):
-        assert run(["chains", "4", "--unsafe-enumeration-limit", "2"]) == EXIT_GUARD
-        _, err = out_of(capsys)
-        assert "overridden" in err
-        assert run(["chains", "4", "--unsafe-enumeration-limit", "1000"]) == EXIT_OK
-        out, err = out_of(capsys)
-        assert len(out.splitlines()) == 6
-        assert "overridden" in err
+        # The walk to level 4 predicts 6 chains.
+        cases = [("2", EXIT_GUARD, 0), ("5", EXIT_GUARD, 0), ("6", EXIT_OK, 6), ("1000", EXIT_OK, 6)]
+        for limit, status, listed in cases:
+            assert run(["chains", "4", "--unsafe-enumeration-limit", limit]) == status
+            out, err = out_of(capsys)
+            assert len(out.splitlines()) == listed
+            assert err.startswith(f"warning: enumeration guard overridden to {limit} predicted chains\n")
 
 
 class TestRunsInOneProcess:
@@ -549,6 +575,20 @@ class TestVerifyVerb:
         _, err = out_of(capsys)
         assert "guard" in err
 
+    def test_override_admits_the_sweep(self, capsys):
+        assert run(["verify", "--obs", "1", "--max-n", "10", "--unsafe-enumeration-limit", "122522400"]) == EXIT_OK
+        out, err = out_of(capsys)
+        assert out.endswith("\nRESULT: PASS\n")
+        assert err == "warning: enumeration guard overridden to 122522400 predicted chains\n"
+
+    def test_override_one_under_refuses(self, capsys):
+        assert run(["verify", "--obs", "1", "--max-n", "10", "--unsafe-enumeration-limit", "122522399"]) == EXIT_GUARD
+        assert out_of(capsys) == ("", (
+            "warning: enumeration guard overridden to 122522399 predicted chains\n"
+            "guard: enumeration would visit 122522400 chains, over the limit of 122522399; "
+            "use the closed-form counter or raise the limit explicitly\n"
+        ))
+
 
 class TestBenchVerb:
     def test_small_sweep_matches(self, capsys):
@@ -569,6 +609,15 @@ class TestBenchVerb:
         assert "enumeration=skipped" in data[9] and "enumeration=skipped" in data[10]
         assert "match=yes" in data[8]
         assert err.count("skipped") == 2
+
+    def test_override_admits_level_ten(self, capsys):
+        assert run(["bench", "10", "--unsafe-enumeration-limit", "122522400"]) == EXIT_OK
+        out, err = out_of(capsys)
+        rows = out.splitlines()[1:]
+        assert len(rows) == 10
+        assert all(row.endswith(" match=yes") for row in rows)
+        assert "enumeration=skipped" not in out
+        assert err == "warning: enumeration guard overridden to 122522400 predicted chains\n"
 
     def test_mismatch_aborts_with_one(self, capsys, monkeypatch):
         monkeypatch.setattr(chains, "count_from_root_formula", lambda n: 7)

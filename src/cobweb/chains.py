@@ -23,21 +23,25 @@ conservative price: each vertex it reads and each cover tuple it sums lies
 on a counted chain, and past the smallest walks they are far fewer than the
 chains (54 vertices and 8 cover tuples against 2,227,680 chains from the
 root to level 9).
+
+`verify_observation` sweeps each of the paper's observations against these
+oracles, and is the one check of each.  Observation 3, the quotient
+identity, divides a layer's chain count by the (n-k)-level F-factorial and
+compares the quotient with the Fibonomial; a mismatch or an inexact
+division is a failed case in the report, never an exception.
 """
 
 from __future__ import annotations
 
-import math
 from operator import countOf, itemgetter
-from typing import Callable, Iterator, Literal, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from .fibcalc import _product, fib_factorial, falling_f_factorial, fibonomial
-from .poset import CobwebPoset, GuardError, Vertex, _number, build_cobweb
+from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
 
 __all__ = [
     "DEFAULT_ENUMERATION_LIMIT",
     "EnumerationGuardError",
-    "ChainVerificationError",
     "LayerSpec",
     "VerificationCase",
     "VerificationReport",
@@ -46,8 +50,6 @@ __all__ = [
     "count_layer_chains_formula",
     "enumerate_layer_chains",
     "iter_chains",
-    "obs3_quotient",
-    "induced_copy_count",
     "verify_observation",
 ]
 
@@ -65,46 +67,22 @@ class EnumerationGuardError(GuardError):
     )
 
 
-class ChainVerificationError(RuntimeError):
-    """The chain-quotient identity failed; carries every number involved.
-
-    `quotient` is None when the division itself was not exact.  The message
-    writes each count by `_number`, so one too long to print in full
-    is named by its bit length.
-    """
-
-    def __init__(self, k: int, n: int, layer_chains: int, per_copy_chains: int, expected: int) -> None:
-        self.k = k
-        self.n = n
-        self.layer_chains = layer_chains
-        self.per_copy_chains = per_copy_chains
-        self.expected = expected
-        self.quotient = quotient = _exact_quotient(layer_chains, per_copy_chains)
-        layer, per_copy = _number(layer_chains), _number(per_copy_chains)
-        super().__init__(
-            f"quotient identity failed at k={k}, n={n}: layer chains {layer}, "
-            f"per-copy chains {per_copy}, quotient "
-            f"{_number(quotient) if quotient is not None else f'{layer}/{per_copy} (inexact)'}, "
-            f"expected fibonomial {_number(expected)}"
-        )
-
-
 class LayerSpec(NamedTuple):
     """A fixed start vertex at level k and a target level n > k."""
 
     from_vertex: Vertex
     to_level: int
 
-    @property
-    def m(self) -> int:
-        """Number of levels climbed: n = k + m."""
-        return self.to_level - self.from_vertex.level
-
     def validate(self, P: CobwebPoset) -> None:
         """Reject a start vertex not in P, or a target level not above it and within P."""
         P.check_vertex(self.from_vertex)
-        if not self.from_vertex.level < self.to_level <= P.depth:
-            raise ValueError(f"to_level must be in {self.from_vertex.level + 1}..{P.depth}, got {self.to_level}")
+        level = self.from_vertex.level
+        if level == P.depth:
+            raise ValueError(
+                f"from_vertex is on level {level}, the top of a depth-{P.depth} poset; no to_level lies above it"
+            )
+        if not level < self.to_level <= P.depth:
+            raise ValueError(f"to_level must be in {level + 1}..{P.depth}, got {self.to_level}")
 
 
 def count_from_root_formula(n: int) -> int:
@@ -119,13 +97,9 @@ def count_layer_chains_formula(k: int, n: int) -> int:
 
     Equals the falling F-factorial with n - k descending factors.
     """
-    _check_pair(k, n)
-    return falling_f_factorial(n, n - k)
-
-
-def _check_pair(k: int, n: int) -> None:
     if k < 1 or n <= k:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    return falling_f_factorial(n, n - k)
 
 
 def _admit(P: CobwebPoset, start: Vertex, stop_level: int, limit: int | None) -> None:
@@ -253,55 +227,6 @@ def _walk_chains(
         yield from walk((start,))
 
 
-Obs3Mode = Literal["formula", "enumerate"]
-
-
-def obs3_quotient(k: int, n: int, mode: Obs3Mode = "formula", limit: int | None = None) -> int:
-    """Layer-chain count divided by the per-copy chain count; equals the Fibonomial.
-
-    Counts the chains from one fixed level-k vertex up to level n (closed
-    form, or DFS oracle guarded like enumerate_from_root, per `mode`),
-    divides by the (n-k)-level F-factorial (the number of maximal chains
-    each rooted copy carries on its own), and checks the quotient against
-    fibonomial(n, k).  Raises ChainVerificationError, carrying all the
-    numbers, when the division is not exact or the quotient disagrees.
-    """
-    _check_pair(k, n)
-    if mode == "formula":
-        layer = count_layer_chains_formula(k, n)
-    elif mode == "enumerate":
-        P = build_cobweb(n)
-        layer = enumerate_layer_chains(P, LayerSpec(Vertex(k, 0), n), limit)
-    else:
-        raise ValueError(f"mode must be 'formula' or 'enumerate', got {mode!r}")
-    case, per_copy = _quotient_case(k, n, layer)
-    if not case.passed:
-        raise ChainVerificationError(k, n, layer, per_copy, case.formula)
-    return case.oracle
-
-
-def induced_copy_count(k: int, n: int, profile: Sequence[int]) -> int:
-    """Ways to choose one subset per level k+1..n with sizes given by `profile`.
-
-    Diagnostic counter for the literal subposet-copy reading: the product of
-    ordinary binomials C(level size, profile entry), each from math.comb;
-    tests check them against explicit subset enumeration.  Probing different
-    profiles shows which copy shapes do or do not reproduce the Fibonomial.
-    """
-    _check_pair(k, n)
-    m = n - k
-    if len(profile) != m:
-        raise ValueError(f"profile must have {m} entries for levels {k + 1}..{n}, got {len(profile)}")
-    total = 1
-    for j, (want, ambient) in enumerate(zip(profile, build_cobweb(n).level_sizes[k:])):
-        if not 0 <= want <= ambient:
-            raise ValueError(
-                f"profile[{j}] = {want} out of range: level {k + 1 + j} has {ambient} vertices"
-            )
-        total *= math.comb(ambient, want)
-    return total
-
-
 class VerificationCase(NamedTuple):
     """One formula-vs-oracle comparison; `start` is set when a start vertex was fixed."""
 
@@ -344,19 +269,13 @@ def _compare_case(k: int, n: int, formula: int, oracle: int, start: Vertex | Non
     return VerificationCase(k=k, n=n, formula=formula, oracle=oracle, passed=formula == oracle, start=start)
 
 
-def _exact_quotient(dividend: int, divisor: int) -> int | None:
-    quotient, remainder = divmod(dividend, divisor)
-    return None if remainder else quotient
-
-
-def _quotient_case(k: int, n: int, layer: int) -> tuple[VerificationCase, int]:
-    # Checks layer / (n-k)_F! against fibonomial(n, k), and returns the case
-    # and the divisor.  An inexact division reports the raw layer count.
+def _quotient_case(k: int, n: int, layer: int) -> VerificationCase:
+    # Checks layer / (n-k)_F! against fibonomial(n, k).  An inexact division
+    # reports the raw layer count.
     expected = fibonomial(n, k)
-    per_copy = fib_factorial(n - k)
-    quotient = _exact_quotient(layer, per_copy)
-    oracle = layer if quotient is None else quotient
-    return VerificationCase(k=k, n=n, formula=expected, oracle=oracle, passed=quotient == expected), per_copy
+    quotient, remainder = divmod(layer, fib_factorial(n - k))
+    oracle = layer if remainder else quotient
+    return VerificationCase(k=k, n=n, formula=expected, oracle=oracle, passed=not remainder and quotient == expected)
 
 
 def verify_observation(observation: int, max_n: int, limit: int | None = None) -> VerificationReport:
@@ -397,8 +316,8 @@ def verify_observation(observation: int, max_n: int, limit: int | None = None) -
     else:
         for n in range(2, max_n + 1):
             for k in range(1, n):
-                cases.append(_quotient_case(k, n, count[n](Vertex(k, 0)))[0])
+                cases.append(_quotient_case(k, n, count[n](Vertex(k, 0))))
         for n in range(2, 3 * max_n + 1):
             for k in range(1, n):
-                cases.append(_quotient_case(k, n, count_layer_chains_formula(k, n))[0])
+                cases.append(_quotient_case(k, n, count_layer_chains_formula(k, n)))
     return VerificationReport(observation=observation, max_n=max_n, cases=tuple(cases))

@@ -88,11 +88,6 @@ class CobwebPoset:
         if not 0 <= index < size:
             raise ValueError(f"vertex {v!r} invalid: level {level} has {size} vertices")
 
-    def level_size(self, level: int) -> int:
-        """Number of vertices at one level; always fib(level)."""
-        self._check_level(level)
-        return self.level_sizes[level - 1]
-
     @property
     def vertex_count(self) -> int:
         return sum(self.level_sizes)
@@ -121,12 +116,6 @@ class CobwebPoset:
         self.check_vertex(x)
         self.check_vertex(y)
         return x == y or x.level < y.level
-
-    def is_cover(self, x: Vertex, y: Vertex) -> bool:
-        """True iff y covers x, i.e. sits exactly one level higher."""
-        self.check_vertex(x)
-        self.check_vertex(y)
-        return y.level == x.level + 1
 
     def covers_above(self, x: Vertex) -> tuple[Vertex, ...]:
         """Every vertex covering x: the whole next level (empty at the top)."""

@@ -41,14 +41,12 @@ _BLOCK_BYTES = 1 << 20
 
 
 class MatrixSizeError(GuardError):
-    """Dense materialization refused: the matrix would exceed the row cap."""
+    """Dense materialization refused: the matrix would exceed the row cap.
+
+    `predicted` is the matrix's row count and `limit` the cap.
+    """
 
     template = "incidence matrix would be {predicted}x{predicted}; cap is {limit} rows"
-
-    def __init__(self, dim: int, cap: int) -> None:
-        super().__init__(dim, cap)
-        self.dim = dim
-        self.cap = cap
 
 
 class IncidenceMatrix:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import combinations
 from typing import Sequence
 
 import pytest
@@ -13,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from cobweb import chains, cli, fibcalc
 from cobweb.chains import (
     DEFAULT_ENUMERATION_LIMIT,
-    ChainVerificationError,
     EnumerationGuardError,
     LayerSpec,
     VerificationCase,
@@ -22,9 +20,7 @@ from cobweb.chains import (
     count_layer_chains_formula,
     enumerate_from_root,
     enumerate_layer_chains,
-    induced_copy_count,
     iter_chains,
-    obs3_quotient,
     verify_observation,
 )
 from cobweb.fibcalc import fib, fib_factorial, fibonomial
@@ -216,10 +212,6 @@ class TestLayerEnumeration:
                 }
                 assert len(counts) == 1
                 assert counts.pop() == count_layer_chains_formula(k, n)
-
-    def test_layer_spec_m(self):
-        spec = LayerSpec(Vertex(2, 0), 6)
-        assert spec.m == 4
 
     def test_rejects_invalid_spec(self):
         P = build_cobweb(5)
@@ -419,6 +411,9 @@ class TestGuard:
         calls = {
             "to_level must be in 4..10, got 99": lambda: enumerate_layer_chains(P, LayerSpec(Vertex(3, 0), 99)),
             "to_level must be in 4..10, got 3": lambda: enumerate_layer_chains(P, LayerSpec(Vertex(3, 0), 3)),
+            "from_vertex is on level 10, the top of a depth-10 poset; no to_level lies above it": (
+                lambda: enumerate_layer_chains(P, LayerSpec(Vertex(10, 0), 10))
+            ),
             "level must be in 1..10, got 12": lambda: enumerate_layer_chains(P, LayerSpec(Vertex(12, 0), 13)),
             "target level must be in 1..10, got 11": lambda: enumerate_from_root(P, 11),
             "target level must be in 3..10, got 2": lambda: iter_chains(P, Vertex(3, 0), 2),
@@ -439,7 +434,6 @@ class TestDefaultLimitReadAtAdmission:
         "enumerate_layer_chains": lambda n: enumerate_layer_chains(build_cobweb(11), LayerSpec(Vertex(1, 0), n)),
         "iter_chains": lambda n: iter_chains(build_cobweb(11), Vertex(1, 0), n),
         "iter_chain_blocks": lambda n: chains.iter_chain_blocks(build_cobweb(11), Vertex(1, 0), n),
-        "obs3_quotient": lambda n: obs3_quotient(1, n, "enumerate"),
         "verify_observation": lambda n: verify_observation(1, n),
     }
 
@@ -595,7 +589,7 @@ class TestIterChains:
         P = build_cobweb(5)
         for chain in iter_chains(P, Vertex(2, 0), 5):
             assert [v.level for v in chain] == [2, 3, 4, 5]
-            assert all(P.is_cover(a, b) for a, b in zip(chain, chain[1:]))
+            assert all(b in P.covers_above(a) for a, b in zip(chain, chain[1:]))
 
     def test_stream_matches_counter(self):
         P = build_cobweb(6)
@@ -679,24 +673,38 @@ class TestChainBlocks:
 
 
 class TestObs3Quotient:
+    """The quotient identity, checked by the observation-3 sweep.
+
+    A sweep to max_n checks every pair k < n <= max_n twice: first from the
+    counter's layer count, then in the closed-form tail, which runs on to
+    n = 3 * max_n in the same (n, k) order.
+    """
+
     def test_examples(self):
-        assert obs3_quotient(2, 4) == 6
-        assert obs3_quotient(1, 4) == 3
-        for k in range(1, 10):
-            assert obs3_quotient(k, k + 1) == fib(k + 1)
+        cases = verify_observation(3, 5).cases
+        counted = {(c.k, c.n): c.oracle for c in cases[:math.comb(5, 2)]}
+        closed = {(c.k, c.n): c.oracle for c in cases[math.comb(5, 2):]}
+        for quotients in (counted, closed):
+            assert (quotients[2, 4], quotients[1, 4]) == (6, 3)
+            assert all(quotients[k, k + 1] == fib(k + 1) for k in range(1, 5))
+        assert all(closed[k, k + 1] == fib(k + 1) for k in range(1, 15))
 
     def test_modes_agree_small(self):
-        for n in range(2, 7):
-            for k in range(1, n):
-                assert obs3_quotient(k, n, "formula") == obs3_quotient(k, n, "enumerate")
+        cases = verify_observation(3, 6).cases
+        pairs = math.comb(6, 2)
+        assert cases[:pairs] == cases[pairs:2 * pairs]
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            obs3_quotient(3, 3)
-        with pytest.raises(ValueError):
-            obs3_quotient(0, 4)
-        with pytest.raises(ValueError):
-            obs3_quotient(1, 4, mode="guess")
+        # The sweep's own bound, and the pair check of the layer count it divides.
+        calls = {
+            "max_n must be >= 1, got 0": lambda: verify_observation(3, 0),
+            "need 1 <= k < n, got k=3, n=3": lambda: count_layer_chains_formula(3, 3),
+            "need 1 <= k < n, got k=0, n=4": lambda: count_layer_chains_formula(0, 4),
+        }
+        for message, call in calls.items():
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
 
     # Vertex 3:0 keeps two of its three covers.  From 1:0 to level 4 that
     # leaves 2 + 3 = 5 chains, not divisible by 3_F! = 2; from 3:0 it leaves
@@ -712,15 +720,19 @@ class TestObs3Quotient:
         report = verify_observation(3, 4)
         [case] = [c for c in report.cases[:6] if (c.k, c.n) == (k, 4)]
         # An inexact layer count is reported raw, an exact one as its quotient.
+        assert quotient == (None if layer % per_copy else layer // per_copy)
         oracle = layer if quotient is None else quotient
         assert (case.formula, case.oracle, case.passed) == (fibonomial(4, k), oracle, False)
         line = f"observation=3 k={k} n=4 formula={fibonomial(4, k)} oracle={oracle} status=fail"
         assert line in report.to_text().splitlines()
-        with pytest.raises(ChainVerificationError) as exc:
-            obs3_quotient(k, 4, "enumerate")
-        err = exc.value
-        assert (err.k, err.n, err.layer_chains, err.per_copy_chains) == (k, 4, layer, per_copy)
-        assert (err.quotient, err.expected) == (quotient, fibonomial(4, k))
+
+    def test_inexact_quotient_fails_even_when_its_floor_matches(self, monkeypatch):
+        # One chain too many leaves remainder 1 wherever (n-k)_F! > 1, and a
+        # floor equal to the Fibonomial: still a failed case, reported raw.
+        monkeypatch.setattr(chains, "count_layer_chains_formula", lambda k, n: count_layer_chains_formula(k, n) + 1)
+        tail = verify_observation(3, 2).cases[1:]
+        assert len(tail) == math.comb(6, 2)
+        assert all((c.oracle, c.passed) == (count_layer_chains_formula(c.k, c.n) + 1, False) for c in tail)
 
     def test_sweep_reports_wrong_fibonomial(self, monkeypatch):
         monkeypatch.setattr(chains, "fibonomial", lambda n, k: fibonomial(n, k) + 1)
@@ -728,76 +740,6 @@ class TestObs3Quotient:
         assert len(report.counterexamples) == len(report.cases) == 3 + math.comb(9, 2)
         for c in report.cases:
             assert (c.formula, c.oracle) == (fibonomial(c.n, c.k) + 1, fibonomial(c.n, c.k))
-        with pytest.raises(ChainVerificationError) as exc:
-            obs3_quotient(2, 5)
-        assert (exc.value.quotient, exc.value.expected) == (fibonomial(5, 2), fibonomial(5, 2) + 1)
-
-    def test_wrong_fibonomial_past_the_digit_limit(self, monkeypatch):
-        # The layer count, the product of F(101..300), has 8,311 digits.
-        monkeypatch.setattr(chains, "fibonomial", lambda n, k: fibonomial(n, k) + 1)
-        with pytest.raises(ChainVerificationError) as exc:
-            obs3_quotient(100, 300)
-        err = exc.value
-        layer = math.prod(fib(s) for s in range(101, 301))
-        assert (err.k, err.n, err.layer_chains) == (100, 300, layer)
-        assert err.per_copy_chains == math.prod(fib(s) for s in range(1, 201))
-        assert (err.quotient, err.expected) == (fibonomial(300, 100), fibonomial(300, 100) + 1)
-        assert str(err).startswith(
-            f"quotient identity failed at k=100, n=300: layer chains (a {layer.bit_length()}-bit number), "
-        )
-
-    def test_error_carries_all_numbers(self):
-        err = ChainVerificationError(2, 4, layer_chains=7, per_copy_chains=2, expected=6)
-        assert err.quotient is None  # 7/2 is not exact
-        assert err.layer_chains == 7
-        assert err.per_copy_chains == 2
-        assert err.expected == 6
-        assert "k=2" in str(err) and "7" in str(err) and "6" in str(err)
-        exact = ChainVerificationError(2, 4, layer_chains=8, per_copy_chains=2, expected=6)
-        assert exact.quotient == 4
-
-
-class TestInducedCopyCount:
-    def test_examples(self):
-        assert induced_copy_count(2, 4, [1, 1]) == 6
-        assert induced_copy_count(1, 4, [1, 1, 2]) == 6
-        assert induced_copy_count(3, 7, [0, 0, 0, 0]) == 1
-
-    def test_documents_the_overcount(self):
-        # the literal induced-copy reading does not reproduce the coefficient
-        from cobweb.fibcalc import fibonomial
-
-        assert induced_copy_count(1, 4, [1, 1, 2]) == 6
-        assert fibonomial(4, 1) == 3
-
-    def test_matches_binomial_products(self):
-        # far past subset enumeration: level 10 has 55 vertices, C(55, 17) ~ 6.8e13
-        profile = [1, 1, 2, 3, 5, 8, 13, 21, 17]
-        expected = 1
-        for j, want in enumerate(profile):
-            expected *= math.comb(fib(2 + j), want)
-        assert induced_copy_count(1, 10, profile) == expected
-
-    @given(st.integers(1, 5), st.integers(1, 3), st.data())
-    def test_matches_subset_enumeration(self, k, m, data):
-        sizes = [fib(s) for s in range(k + 1, k + m + 1)]
-        profile = [data.draw(st.integers(0, size)) for size in sizes]
-        expected = math.prod(sum(1 for _ in combinations(range(size), want)) for size, want in zip(sizes, profile))
-        assert induced_copy_count(k, k + m, profile) == expected
-
-    def test_full_levels_count_one_way(self):
-        profile = [fib(s) for s in range(2, 7)]
-        assert induced_copy_count(1, 6, profile) == 1
-
-    def test_rejects_bad_profiles(self):
-        with pytest.raises(ValueError):
-            induced_copy_count(1, 4, [1, 1])  # wrong length
-        with pytest.raises(ValueError):
-            induced_copy_count(1, 4, [1, 1, 4])  # level 4 has 3 vertices
-        with pytest.raises(ValueError):
-            induced_copy_count(1, 4, [1, 1, -1])
-        with pytest.raises(ValueError):
-            induced_copy_count(4, 4, [])
 
 
 class TestVerifyObservation:
@@ -836,6 +778,15 @@ class TestVerifyObservation:
             verify_observation(4, 5)
         with pytest.raises(ValueError):
             verify_observation(1, 0)
+
+    def test_smallest_sweep(self):
+        # At max_n = 1: the root alone, no pair k < n <= 1, and the closed-form
+        # tail's three pairs up to n = 3.
+        one, two, three = (verify_observation(obs, 1) for obs in (1, 2, 3))
+        assert one.cases == (VerificationCase(k=1, n=1, formula=1, oracle=1, passed=True),)
+        assert two.cases == ()
+        assert [(c.k, c.n, c.formula, c.oracle) for c in three.cases] == [(1, 2, 1, 1), (1, 3, 2, 2), (2, 3, 2, 2)]
+        assert one.passed and two.passed and three.passed
 
     def test_injected_formula_bug_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setattr(chains, "count_from_root_formula", lambda n: 7)
@@ -940,6 +891,5 @@ class TestRecords:
 
     def test_defaults_and_derived_values(self):
         assert self.case().start is None
-        assert LayerSpec(to_level=6, from_vertex=Vertex(2, 0)).m == 4
         assert self.report().counterexamples == (self.failed(),)
         assert not self.report().passed

@@ -236,6 +236,19 @@ class TestFibonomial:
         for k in (cross - 1, cross, n - cross, n - cross + 1, n // 2):
             assert fibonomial(n, k) == ratio_form_fibonomial(n, k)
 
+    def test_symmetry_reads_the_shorter_side(self, monkeypatch):
+        # C_F(400, 390) = C_F(400, 10): ten falling factors over 10_F!.
+        produce = fibcalc._fib_run
+        seen = []
+
+        def spy(lo, hi):
+            seen.append((lo, hi))
+            return produce(lo, hi)
+
+        monkeypatch.setattr(fibcalc, "_fib_run", spy)
+        assert fibonomial(400, 390) == ratio_form_fibonomial(400, 10)
+        assert seen == [(391, 401), (1, 11)]
+
     def test_primitive_parts_rebuild_fibonacci(self):
         # F(m) is the product of P_d over the divisors d of m.
         seq = naive_fib_sequence(200)

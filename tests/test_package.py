@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+from importlib.metadata import EntryPoint
+from pathlib import Path
+
+import pytest
+
 import cobweb
 from cobweb import chains, fibcalc, poset, zeta
 
@@ -10,7 +15,7 @@ MODULES = (fibcalc, poset, zeta, chains)
 
 def test_exports_are_the_module_lists_plus_version():
     names = [name for module in MODULES for name in module.__all__]
-    assert len(names) == 29
+    assert len(names) == 26
     assert cobweb.__all__ == ["__version__", *names]
     assert len(set(cobweb.__all__)) == len(cobweb.__all__)
 
@@ -32,3 +37,11 @@ def test_star_import_binds_exactly_the_exports():
 def test_block_listing_stays_internal():
     assert "iter_chain_blocks" not in cobweb.__all__
     assert not hasattr(cobweb, "iter_chain_blocks")
+
+
+def test_console_script_target_is_callable():
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    scripts = pyproject["project"]["scripts"]
+    assert scripts == {"cobweb": "cobweb.cli:main"}
+    assert callable(EntryPoint(name="cobweb", value=scripts["cobweb"], group="console_scripts").load())

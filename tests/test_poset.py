@@ -47,7 +47,7 @@ class TestConstruction:
     def test_level_sizes_are_fibonacci(self):
         for depth in range(1, 13):
             P = build_cobweb(depth)
-            assert all(P.level_size(s) == fib(s) for s in range(1, depth + 1))
+            assert P.level_sizes == tuple(fib(s) for s in range(1, depth + 1))
             # closed-form total as a cross-check
             assert P.vertex_count == fib(depth + 2) - 1
 
@@ -84,9 +84,9 @@ class TestRelations:
 
     def test_cover_examples(self):
         P = build_cobweb(5)
-        assert P.is_cover(Vertex(1, 0), Vertex(2, 0))
-        assert not P.is_cover(Vertex(1, 0), Vertex(3, 1))
-        assert P.is_cover(Vertex(4, 2), Vertex(5, 0))
+        assert Vertex(2, 0) in P.covers_above(Vertex(1, 0))
+        assert Vertex(3, 1) not in P.covers_above(Vertex(1, 0))
+        assert Vertex(5, 0) in P.covers_above(Vertex(4, 2))
 
     def test_invalid_vertices_rejected(self):
         P = build_cobweb(5)
@@ -95,7 +95,7 @@ class TestRelations:
         with pytest.raises(ValueError):
             P.leq(Vertex(1, 0), Vertex(6, 0))  # level above depth
         with pytest.raises(ValueError):
-            P.is_cover(Vertex(0, 0), Vertex(1, 0))
+            P.covers_above(Vertex(0, 0))
         with pytest.raises(ValueError):
             P.covers_above(Vertex(2, 1))
         with pytest.raises(ValueError):
@@ -110,7 +110,7 @@ class TestRelations:
         (lambda P: P.covers_above(Vertex(-1, 0)), "level must be in 1..5, got -1"),
         (lambda P: P.leq(Vertex(1, 0), Vertex(5, 5)), "vertex Vertex(level=5, index=5) invalid: level 5 has 5 vertices"),
         (lambda P: P.level_vertices(0), "level must be in 1..5, got 0"),
-        (lambda P: P.level_size(6), "level must be in 1..5, got 6"),
+        (lambda P: P.level_vertices(6), "level must be in 1..5, got 6"),
     ])
     def test_error_messages(self, call, message):
         with pytest.raises(ValueError) as exc:

@@ -6,11 +6,14 @@ per vertex and per cover tuple, not chain by chain: one counter per target
 level, memoized by vertex, reads each vertex's covers once and sums each
 distinct cover tuple once; in the cobweb poset every vertex of a level
 shares one cover tuple, the whole next level, so a level costs one sum.
-It serves every start vertex of a sweep.  `iter_chains` is the
+It serves every start vertex of a sweep, and holds no entry for a vertex on
+the target level, which counts 1 without one.  `iter_chains` is the
 chain-by-chain listing, and the tests use it as the counter's ground
-truth; `iter_chain_blocks` is the same walk a parent block at a time: the
-chains that end in the covers of one vertex one level below the target
-share everything but their last vertex, and come as one block.
+truth.  The `chains` verb lists the same chains as text, built the way
+the counter sums: the text of every chain from the vertices of one cover
+tuple up to the target is a function of the tuple alone, so it is built
+once per distinct tuple while it fits in a block, and a path's ids are put
+before each of its lines by one `str.replace`.
 
 One admission check validates and guards every walk, counted or listed,
 before it starts.  It refuses (EnumerationGuardError) a walk whose
@@ -33,9 +36,9 @@ division is a failed case in the report, never an exception.
 
 from __future__ import annotations
 
-from operator import countOf, itemgetter
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
+from . import zeta
 from .fibcalc import _product, fib_factorial, falling_f_factorial, fibonomial
 from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
 
@@ -54,8 +57,6 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_LIMIT = 10**8
-
-_level = itemgetter(0)  # Vertex.level, read in C
 
 
 class EnumerationGuardError(GuardError):
@@ -120,31 +121,31 @@ def _dfs_count(P: CobwebPoset, stop_level: int) -> Callable[[Vertex], int]:
     # Returns count(v), the number of chains from v up to stop_level, found by
     # a depth-first walk along cover edges, memoized by vertex.  No closed
     # form anywhere in here: this is the independent oracle.  A vertex counts
-    # 1 at stop_level, and otherwise the sum over its covers (0 above
-    # stop_level, where no cover leads back down).  The memo holds one count
-    # per vertex and lives as long as the counter, so covers_above is called
-    # once per distinct vertex, however many start vertices are counted with
-    # it.  The sum is a function of the cover tuple alone, so it is also kept
-    # by the tuple's identity: vertices handed the same tuple object share
-    # one sum, and a vertex handed any other tuple is summed on its own.
-    # Each entry holds its tuple, so no other tuple can take over its id.
+    # 1 at stop_level, before any memo lookup, so the memo holds only the
+    # vertices below it; any other vertex counts the sum over its covers (0
+    # above stop_level, where no cover leads back down).  The memo lives as
+    # long as the counter, so covers_above is called once per distinct
+    # vertex, however many start vertices are counted with it.  The sum is a
+    # function of the cover tuple alone, so it is also kept by the tuple's
+    # identity: vertices handed the same tuple object share one sum, and a
+    # vertex handed any other tuple is summed on its own.  Each entry holds
+    # its tuple, so no other tuple can take over its id.
     covers_above = P.covers_above
     memo: dict[Vertex, int] = {}
     by_tuple: dict[int, tuple[tuple[Vertex, ...], int]] = {}
 
     def count(v: Vertex) -> int:
+        if v.level == stop_level:
+            return 1
         total = memo.get(v)
         if total is None:
-            if v.level == stop_level:
-                total = 1
+            covers = covers_above(v)
+            held = by_tuple.get(id(covers))
+            if held is None:
+                total = sum(map(count, covers))
+                by_tuple[id(covers)] = covers, total
             else:
-                covers = covers_above(v)
-                held = by_tuple.get(id(covers))
-                if held is None:
-                    total = sum(map(count, covers))
-                    by_tuple[id(covers)] = covers, total
-                else:
-                    total = held[1]
+                total = held[1]
             memo[v] = total
         return total
 
@@ -187,44 +188,95 @@ def iter_chains(
     export, debugging and as the counters' ground truth; use the counters
     when only the number of chains matters.
     """
-    blocks = iter_chain_blocks(P, start, stop_level, limit)
-    return (prefix + (top,) for prefix, tops in blocks for top in tops)
-
-
-def iter_chain_blocks(
-    P: CobwebPoset, start: Vertex, stop_level: int, limit: int | None = None
-) -> Iterator[tuple[tuple[Vertex, ...], tuple[Vertex, ...]]]:
-    """Stream the chains of `iter_chains` as (prefix, tops) blocks, in the same order.
-
-    The block's chains are prefix + (top,) for each top in tops.  A vertex
-    whose covers all sit at `stop_level` gives one block, its path and its
-    whole cover tuple; any other stop-level vertex reached gives a block of
-    one.  Admitted like `iter_chains`, when called.
-    """
     _admit(P, start, stop_level, limit)
     return _walk_chains(P, start, stop_level)
 
 
-def _walk_chains(
-    P: CobwebPoset, start: Vertex, stop_level: int
-) -> Iterator[tuple[tuple[Vertex, ...], tuple[Vertex, ...]]]:
+def _walk_chains(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[tuple[Vertex, ...]]:
     covers_above = P.covers_above
 
-    def walk(path: tuple[Vertex, ...]) -> Iterator[tuple[tuple[Vertex, ...], tuple[Vertex, ...]]]:
-        covers = covers_above(path[-1])
-        if covers and countOf(map(_level, covers), stop_level) == len(covers):
-            yield path, covers
-            return
-        for w in covers:
+    def walk(path: tuple[Vertex, ...]) -> Iterator[tuple[Vertex, ...]]:
+        for w in covers_above(path[-1]):
             if w.level == stop_level:
-                yield path, (w,)
+                yield path + (w,)
             else:
                 yield from walk(path + (w,))
 
     if start.level == stop_level:
-        yield (), (start,)
+        yield (start,)
     else:
         yield from walk((start,))
+
+
+def _chain_text(P: CobwebPoset, start: Vertex, stop_level: int, limit: int | None = None) -> Iterator[str]:
+    """The chains of `iter_chains` as text: each chain's node ids joined by spaces, one line each.
+
+    Admitted like `iter_chains`, when called.  Yields chunks of whole lines.
+    """
+    _admit(P, start, stop_level, limit)
+    return _walk_text(P, start, stop_level)
+
+
+def _prefixed(head: str, text: str) -> str:
+    """`head` put before every line of `text`, newline-terminated lines, in one C-level pass."""
+    return head + text[:-1].replace("\n", "\n" + head) + "\n" if text else text
+
+
+def _within(block: int, parts: Iterable[str | None]) -> str | None:
+    """The parts joined, or None once a part is None or the text passes `block` characters."""
+    kept: list[str] = []
+    size = 0
+    for part in parts:
+        if part is None:
+            return None
+        size += len(part)
+        if size > block:
+            return None
+        kept.append(part)
+    return "".join(kept)
+
+
+def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
+    # The text of every chain from a vertex of one cover tuple up to
+    # stop_level depends on the tuple alone.  So it is built once per distinct
+    # tuple, memoized by the tuple's identity as _dfs_count keeps its sums, as
+    # long as it fits in a block: the one block size of every streamed output,
+    # as it reads when the walk starts.  A tuple whose text is larger is
+    # memoized as None, and the walk goes through it vertex by vertex, then
+    # writes one chunk per memoized text it reaches, each line led by the
+    # ids of the path to it.  Every cover is read from covers_above, so a
+    # cover relation that differs from vertex to vertex is followed as given.
+    block = zeta._BLOCK_BYTES
+    covers_above = P.covers_above
+    texts: dict[int, tuple[tuple[Vertex, ...], str | None]] = {}
+
+    def text_from(w: Vertex) -> str | None:
+        if w.level == stop_level:
+            return w.node_id() + "\n"
+        tail = text_of(covers_above(w))
+        return None if tail is None else _prefixed(w.node_id() + " ", tail)
+
+    def text_of(covers: tuple[Vertex, ...]) -> str | None:
+        held = texts.get(id(covers))
+        if held is None:
+            held = texts[id(covers)] = covers, _within(block, map(text_from, covers))
+        return held[1]
+
+    def walk(head: str, covers: tuple[Vertex, ...]) -> Iterator[str]:
+        text = text_of(covers)
+        if text is None:
+            for w in covers:
+                if w.level == stop_level:
+                    yield head + w.node_id() + "\n"
+                else:
+                    yield from walk(head + w.node_id() + " ", covers_above(w))
+        elif text:
+            yield _prefixed(head, text)
+
+    if start.level == stop_level:
+        yield start.node_id() + "\n"
+    else:
+        yield from walk(start.node_id() + " ", covers_above(start))
 
 
 class VerificationCase(NamedTuple):

@@ -1,12 +1,13 @@
 """Command-line front end: tables, poset exports, verification sweeps, benchmarks.
 
-Exit status contract: 0 success, 1 verification failure (any counterexample
-or benchmark mismatch), 2 usage error, 3 guard refusal (any GuardError, raised
-before work starts).  A closed output pipe ends the `cobweb` process by
-SIGPIPE where the platform has it, as it ends `seq`, with nothing on stderr;
-`run` itself, called in-process, reports it as an error with status 2.  All
-numeric data output is exact decimal; timings are wall-clock, labeled
-non-deterministic, and formatted in fixed point.
+Exit status contract: 0 success, 1 verification failure (any counterexample,
+benchmark mismatch or failed integrality check), 2 usage error, 3 guard
+refusal (any GuardError, raised before work starts).  A closed output
+pipe ends the `cobweb` process by SIGPIPE where the platform has it, as it
+ends `seq`, with nothing on stderr; `run` itself, called in-process,
+reports it as an error with status 2.  All numeric data output is exact
+decimal; timings are wall-clock, labeled non-deterministic, and formatted
+in fixed point.
 """
 
 from __future__ import annotations
@@ -60,16 +61,21 @@ def _resolve_limit(args: argparse.Namespace) -> int | None:
 def _hasse_dot(P: CobwebPoset) -> Iterator[str]:
     """DOT digraph of the Hasse diagram: nodes v{level}_{index}, edges low -> high.
 
-    Yields the header with the rank groups, then one chunk per pair of
-    consecutive levels, then the closing brace, so the whole diagram is
-    never held as one string.
+    Yields the header with the rank groups, then the edges of each pair of
+    consecutive levels in blocks of whole source vertices, each about
+    zeta's block size or one source vertex, then the closing brace, so the
+    whole diagram is never held as one string.
     """
     ids = [[v.node_id() for v in P.level_vertices(s)] for s in range(1, P.depth + 1)]
     yield "digraph cobweb {\n  rankdir=BT;\n" + "".join(
         f"  {{ rank=same; {'; '.join(level)}; }}\n" for level in ids
     )
     for low, high in zip(ids, ids[1:]):
-        yield "".join(f"  {x} -> " + f";\n  {x} -> ".join(high) + ";\n" for x in low)
+        # "  x -> y;\n" per edge: a source's text is at most this wide.
+        width = sum(map(len, high)) + len(high) * (len(low[-1]) + 8)
+        step = max(1, zeta._BLOCK_BYTES // width)
+        for start in range(0, len(low), step):
+            yield "".join(f"  {x} -> " + f";\n  {x} -> ".join(high) + ";\n" for x in low[start:start + step])
     yield "}\n"
 
 
@@ -118,25 +124,10 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class _NodeIds(dict):
-    """Vertex -> node id, each id worked out on first use and then looked up."""
-
-    def __missing__(self, v: Vertex) -> str:
-        self[v] = name = v.node_id()
-        return name
-
-
 def _cmd_chains(args: argparse.Namespace) -> int:
     limit = _resolve_limit(args)
     P = build_cobweb(args.n)
-    blocks = chains.iter_chain_blocks(P, args.from_vertex, args.n, limit)
-    ids = _NodeIds()
-    write = sys.stdout.write
-    # One write per block: its chains share the prefix, so its text is the
-    # prefix's ids once per top, joined in one pass.
-    for prefix, tops in blocks:
-        head = "".join(ids[v] + " " for v in prefix)
-        write(head + ("\n" + head).join(map(ids.__getitem__, tops)) + "\n")
+    sys.stdout.writelines(chains._chain_text(P, args.from_vertex, args.n, limit))
     return EXIT_OK
 
 
@@ -293,6 +284,9 @@ def run(argv: Sequence[str] | None = None) -> int:
     except GuardError as exc:
         print(f"guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
+    except fibcalc._InexactDivision as exc:
+        print(f"integrality check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

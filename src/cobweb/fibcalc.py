@@ -15,10 +15,12 @@ No routine divides one big number by another big number:
 - A Fibonomial row comes from its step recurrence, one division by F(j)
   per entry.
 
-Every division is checked for a zero remainder and raises AssertionError
-otherwise.  This is the integrality self-check: the quotients are integers
-by theory, so a remainder means a wrong Fibonacci value or a bug.  It sees
-only values that enter a division: a prime p has P_p = F(p), taken as is.
+Every division is checked for a zero remainder and raises
+`_InexactDivision`, an AssertionError, otherwise; the CLI reports it as a
+verification failure.  This is the integrality self-check: the quotients
+are integers by theory, so a remainder means a wrong Fibonacci value or a
+bug.  It sees only values that enter a division: a prime p has
+P_p = F(p), taken as is.
 
 Every Fibonacci value comes from one producer, `_fib_run`; `fib` is its
 run of one.  F(0.._FIB_CAP) are cached once computed.  Past the cap a run
@@ -108,15 +110,19 @@ def _product(factors: Sequence[int]) -> int:
     return _product(factors[:mid]) * _product(factors[mid:])
 
 
+class _InexactDivision(AssertionError):
+    """A division that theory makes exact left a remainder: a wrong Fibonacci value or a bug."""
+
+
 def _exact_div(numerator: int, denominator: int, what: str, *args: int) -> int:
-    """numerator // denominator; a nonzero remainder raises AssertionError.
+    """numerator // denominator; a nonzero remainder raises _InexactDivision.
 
     The message names the division as what.format(*args), built only on
     failure.
     """
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
-        raise AssertionError(
+        raise _InexactDivision(
             f"{what.format(*args)}: non-exact division of a {numerator.bit_length()}-bit "
             f"numerator by a {denominator.bit_length()}-bit denominator"
         )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple
 
 from .fibcalc import _fib_run
@@ -50,6 +52,10 @@ class Vertex(NamedTuple):
     def node_id(self) -> str:
         """Stable textual identifier, shared by the DOT export and chain listings."""
         return f"v{self.level}_{self.index}"
+
+
+# Vertex of a (level, index) pair, built in C: the same object Vertex(level, index) gives.
+_vertex_of = partial(tuple.__new__, Vertex)
 
 
 class CobwebPoset:
@@ -101,7 +107,7 @@ class CobwebPoset:
         self._check_level(level)
         got = self._levels.get(level)
         if got is None:
-            got = tuple(Vertex(level, i) for i in range(self.level_sizes[level - 1]))
+            got = tuple(map(_vertex_of, zip(repeat(level), range(self.level_sizes[level - 1]))))
             self._levels[level] = got
         return got
 

@@ -36,7 +36,9 @@ DEFAULT_DIM_CAP = 10_000
 _ENTRY_TO_CELL = bytes.maketrans(b"\x00\x01", b"01")
 _CELL_TO_ENTRY = bytes.maketrans(b"01", b"\x00\x01")
 
-# The zeta cells and the streamed CSV go in blocks of whole rows of about this many bytes.
+# The one block size of everything built or streamed in pieces: the zeta cells,
+# the CSV and DOT exports, and the chain listing's memoized texts.  Each reads
+# it when it starts, so patching it here moves them all.
 _BLOCK_BYTES = 1 << 20
 
 

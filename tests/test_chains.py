@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cobweb import chains, cli, fibcalc
+from cobweb import chains, cli, fibcalc, zeta
 from cobweb.chains import (
     DEFAULT_ENUMERATION_LIMIT,
     EnumerationGuardError,
@@ -433,7 +434,7 @@ class TestDefaultLimitReadAtAdmission:
         "enumerate_from_root": lambda n: enumerate_from_root(build_cobweb(11), n),
         "enumerate_layer_chains": lambda n: enumerate_layer_chains(build_cobweb(11), LayerSpec(Vertex(1, 0), n)),
         "iter_chains": lambda n: iter_chains(build_cobweb(11), Vertex(1, 0), n),
-        "iter_chain_blocks": lambda n: chains.iter_chain_blocks(build_cobweb(11), Vertex(1, 0), n),
+        "chain_text": lambda n: chains._chain_text(build_cobweb(11), Vertex(1, 0), n),
         "verify_observation": lambda n: verify_observation(1, n),
     }
 
@@ -549,7 +550,7 @@ class TestOracleCallsNoClosedForm:
         "enumerate_from_root": lambda P, limit: enumerate_from_root(P, 7, limit),
         "enumerate_layer_chains": lambda P, limit: enumerate_layer_chains(P, LayerSpec(Vertex(3, 1), 8), limit),
         "iter_chains": lambda P, limit: list(iter_chains(P, Vertex(2, 0), 7, limit)),
-        "iter_chain_blocks": lambda P, limit: list(chains.iter_chain_blocks(P, Vertex(4, 2), 8, limit)),
+        "chain_text": lambda P, limit: "".join(chains._chain_text(P, Vertex(4, 2), 8, limit)),
     }
 
     @pytest.mark.parametrize("walk", WALKS)
@@ -628,7 +629,14 @@ class TestIterChains:
 
 
 class TestChainBlocks:
-    """The chains verb writes a parent block at a time what iter_chains lists."""
+    """The chains verb writes, in chunks of whole lines, the text of what iter_chains lists.
+
+    Every listing is checked at several block sizes: at 1 no suffix text
+    fits and the walk goes vertex by vertex to the target, at the default
+    the whole listing of a small walk is one text.
+    """
+
+    BLOCKS = (1, 7, 64, zeta._BLOCK_BYTES)
 
     @staticmethod
     def listing(P: CobwebPoset, start: Vertex, stop: int) -> str:
@@ -641,35 +649,66 @@ class TestChainBlocks:
         assert err == ""
         return out
 
-    def test_every_start_and_stop_to_depth_eight(self, capsys):
+    def test_every_start_and_stop_to_depth_eight(self, capsys, monkeypatch):
         P = build_cobweb(8)
         for stop in range(1, 9):
             for start in P.vertices():
                 if start.level <= stop:
-                    assert self.chains_verb(capsys, start, stop) == self.listing(P, start, stop)
+                    expected = self.listing(P, start, stop)
+                    for block in self.BLOCKS:
+                        monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
+                        assert self.chains_verb(capsys, start, stop) == expected
 
     @pytest.mark.parametrize("plant", sorted(TestDfsOracle.PLANTS))
     @pytest.mark.parametrize("planted", [Vertex(5, 0), Vertex(5, 3)])
     def test_irregular_cover_relation(self, capsys, monkeypatch, plant, planted):
-        # These cover tuples mix levels, so the walk goes vertex by vertex
-        # there and must keep the order and drop the off-level covers.
+        # These cover tuples mix levels, or differ from their siblings', so
+        # the text must keep the order and drop the off-level covers, and
+        # give the planted vertex's lines to no other vertex.
         P = PlantedPoset(7, planted, TestDfsOracle.PLANTS[plant])
         monkeypatch.setattr(cli, "build_cobweb", lambda depth: P)
         for start in (P.root, Vertex(3, 1), Vertex(4, 2), Vertex(5, 1), planted):
             for stop in (6, 7):
                 assert list(iter_chains(P, start, stop)) == naive_chains(P, start, stop)
-                assert self.chains_verb(capsys, start, stop) == self.listing(P, start, stop)
+                expected = self.listing(P, start, stop)
+                for block in self.BLOCKS:
+                    monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
+                    assert self.chains_verb(capsys, start, stop) == expected
 
-    def test_blocks_flatten_to_the_listing(self):
-        P = build_cobweb(6)
-        blocks = list(chains.iter_chain_blocks(P, Vertex(3, 1), 6))
-        # One block per path to level 5: the prefix and all of level 6.
-        assert len(blocks) == fib(4) * fib(5)
-        assert all(len(prefix) == 3 and tops == P.level_vertices(6) for prefix, tops in blocks)
-        assert [p + (t,) for p, tops in blocks for t in tops] == list(iter_chains(P, Vertex(3, 1), 6))
-        assert list(chains.iter_chain_blocks(P, Vertex(4, 2), 4)) == [((), (Vertex(4, 2),))]
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_chunks_are_whole_lines_of_the_listing(self, monkeypatch, block):
+        monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
+        P = build_cobweb(7)
+        chunks = list(chains._chain_text(P, Vertex(3, 1), 7))
+        text = self.listing(P, Vertex(3, 1), 7)
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        assert "".join(chunks) == text
+        # When no text fits the walk writes one line a chunk, and when the
+        # whole listing fits it is one chunk.
+        if block < len("v7_0\n"):
+            assert len(chunks) == text.count("\n") == 3 * 5 * 8 * 13
+        if block >= len(text):
+            assert chunks == [text]
+        assert list(chains._chain_text(P, Vertex(4, 2), 4)) == ["v4_2\n"]
         with pytest.raises(EnumerationGuardError):
-            chains.iter_chain_blocks(P, Vertex(3, 1), 6, limit=fib(4) * fib(5) * fib(6) - 1)
+            chains._chain_text(P, Vertex(3, 1), 7, limit=3 * 5 * 8 * 13 - 1)
+
+    def test_chains_nine_in_chunks_of_at_most_two_blocks(self, monkeypatch):
+        class Recorder:
+            def __init__(self):
+                self.chunks = []
+
+            def writelines(self, chunks):
+                self.chunks.extend(chunks)
+
+        out = Recorder()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cli.run(["chains", "9"]) == cli.EXIT_OK
+        assert sum(chunk.count("\n") for chunk in out.chunks) == count_from_root_formula(9) == 2_227_680
+        assert all(chunk.endswith("\n") and len(chunk) <= 2 * zeta._BLOCK_BYTES for chunk in out.chunks)
+        first = out.chunks[0].split("\n", 1)[0]
+        assert first == "v1_0 v2_0 v3_0 v4_0 v5_0 v6_0 v7_0 v8_0 v9_0"
+        assert out.chunks[-1].endswith("v1_0 v2_0 v3_1 v4_2 v5_4 v6_7 v7_12 v8_20 v9_33\n")
 
 
 class TestObs3Quotient:

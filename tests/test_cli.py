@@ -340,6 +340,24 @@ class TestExport:
         assert [c.count("->") for c in chunks[1:-1]] == [1, 2, 6, 15, 40]
         assert "".join(chunks).encode() == (GOLDEN / "hasse_p6.dot").read_bytes()
 
+    @pytest.mark.parametrize("depth", [6, 11, 15])
+    def test_dot_streams_about_one_mib_of_whole_source_vertices_a_chunk(self, depth):
+        P = build_cobweb(depth)
+        ids = [[v.node_id() for v in P.level_vertices(s)] for s in range(1, depth + 1)]
+        # Every edge on its own line, level pair by level pair: what the edge chunks must join to.
+        per_level_pair = "".join(f"  {x} -> {y};\n" for low, high in zip(ids, ids[1:]) for x in low for y in high)
+        chunks = list(cli._hasse_dot(P))
+        assert "".join(chunks[1:-1]) == per_level_pair
+        assert chunks[0].startswith("digraph cobweb {\n") and chunks[-1] == "}\n"
+        assert all(len(c) <= 1 << 20 and c.endswith(";\n") for c in chunks[1:-1])
+        # Each chunk holds the whole edge list of its source vertices.
+        sources = [[line.split(" -> ")[0] for line in c.splitlines()] for c in chunks[1:-1]]
+        assert all(a[-1] != b[0] for a, b in zip(sources, sources[1:]))
+        if depth < 15:
+            assert len(chunks) == depth + 1  # the header, one chunk per level pair, the brace
+        else:
+            assert len(chunks) > depth + 1  # the edges from level 14 to 15 alone take 4.8 MB
+
     def test_csv_streams_about_one_mib_of_whole_rows_a_chunk(self, monkeypatch):
         class Recorder:
             def __init__(self):
@@ -373,7 +391,7 @@ class TestGuardRefusals:
 
     @pytest.fixture
     def no_work(self, monkeypatch):
-        for owner, name in [(chains, "_dfs_count"), (chains, "_walk_chains"),
+        for owner, name in [(chains, "_dfs_count"), (chains, "_walk_text"),
                             (zeta, "_zeta_cells"), (cli, "_hasse_dot")]:
             monkeypatch.setattr(owner, name, refuse_work)
 
@@ -446,7 +464,7 @@ class TestGuardRefusals:
         # chains.  The chains verb lists nothing here: at 10^9 it would list
         # 122,522,400 chains.
         monkeypatch.setattr(chains, "DEFAULT_ENUMERATION_LIMIT", limit)
-        monkeypatch.setattr(chains, "_walk_chains", lambda *args: iter(()))
+        monkeypatch.setattr(chains, "_walk_text", lambda *args: iter(()))
         refusal = (
             f"enumeration would visit {fibcalc.fib_factorial(last + 1)} chains, over the limit of {limit}; "
             "use the closed-form counter or raise the limit explicitly\n"
@@ -538,6 +556,37 @@ class TestRunsInOneProcess:
             assert out_of(capsys) == usage
             assert run(["binom", "5", "2"]) == EXIT_OK
             assert out_of(capsys) == ("15\n", "")
+
+
+@pytest.fixture
+def wrong_f7():
+    """The cached F(7) = 13 set to 14, and the whole cache put back afterwards."""
+    fibcalc.fib(400)
+    saved = list(fibcalc._FIB)
+    fibcalc._FIB[7] = 14
+    try:
+        yield
+    finally:
+        fibcalc._FIB[:] = saved
+
+
+class TestInexactDivision:
+    """A failed integrality check exits 1, the verification-failure status, with one stderr line."""
+
+    MESSAGE = (
+        "integrality check failed: fibonomial(15, 7): "
+        "non-exact division of a 51-bit numerator by a 12-bit denominator\n"
+    )
+
+    @pytest.mark.parametrize("argv", [["verify", "--max-n", "9"], ["binom", "15", "7"]], ids=" ".join)
+    def test_exits_one_without_a_traceback(self, capsys, wrong_f7, argv):
+        assert run(argv) == EXIT_VERIFICATION
+        assert out_of(capsys) == ("", self.MESSAGE)
+
+    def test_other_assertion_errors_are_not_caught(self, monkeypatch):
+        monkeypatch.setattr(fibcalc, "fibonomial", refuse_work)
+        with pytest.raises(AssertionError, match="work started"):
+            run(["binom", "15", "7"])
 
 
 class TestVerifyVerb:

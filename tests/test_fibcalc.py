@@ -275,6 +275,13 @@ class TestFibonomial:
             fibcalc._FIB[7] -= 1
         assert fibonomial(400, 200) == ratio_form_fibonomial(400, 200)
 
+    def test_inexact_division_is_its_own_assertion_error(self):
+        with pytest.raises(fibcalc._InexactDivision) as exc:
+            fibcalc._exact_div(7, 2, "seven halves at {}", 1)
+        assert isinstance(exc.value, AssertionError)
+        assert str(exc.value) == "seven halves at 1: non-exact division of a 3-bit numerator by a 2-bit denominator"
+        assert fibcalc._exact_div(8, 2, "eight halves") == 4
+
     @given(st.integers(0, 150), st.integers(0, 150))
     def test_multiplicative_identity(self, n, k):
         # Cross-multiplied factorial-ratio form: holds exactly or the value is 0.

@@ -74,6 +74,17 @@ class TestCanonicalOrder:
         P = build_cobweb(5)
         assert P.level_vertices(4) == (Vertex(4, 0), Vertex(4, 1), Vertex(4, 2))
 
+    def test_level_vertices_are_vertex_records(self):
+        P = build_cobweb(12)
+        for level in range(1, 13):
+            got = P.level_vertices(level)
+            assert type(got) is tuple and len(got) == fib(level)
+            for i, v in enumerate(got):
+                assert type(v) is Vertex
+                assert v == Vertex(level, i) and (v.level, v.index) == (level, i)
+                assert repr(v) == f"Vertex(level={level}, index={i})" and v.node_id() == f"v{level}_{i}"
+            assert P.level_vertices(level) is got
+
 
 class TestRelations:
     def test_leq_examples(self):

@@ -4,9 +4,9 @@ Four layers: `fibcalc` (Fibonacci numbers, F-factorials, Fibonomial
 coefficients, all exact), `poset` (the cobweb poset and its order/cover
 relations), `zeta` (the dense 0/1 incidence matrix and its staircase
 structure), and `chains` (closed-form chain counts paired with DFS oracles
-that count per vertex and per cover tuple of the cover relation, the
-chain-by-chain listing `iter_chains`, and observation sweeps).  The
-`cobweb` console script fronts all of it.
+that count per cover tuple of the cover relation, the chain-by-chain
+listing `iter_chains`, and observation sweeps).  The `cobweb` console
+script fronts all of it.
 """
 
 from . import chains, fibcalc, poset, zeta

@@ -2,12 +2,11 @@
 
 Each closed-form counter has an enumeration twin that walks the poset's
 cover relation and never consults the formula.  The counting walk works
-per vertex and per cover tuple, not chain by chain: one counter per target
-level, memoized by vertex, reads each vertex's covers once and sums each
-distinct cover tuple once; in the cobweb poset every vertex of a level
-shares one cover tuple, the whole next level, so a level costs one sum.
-It serves every start vertex of a sweep, and holds no entry for a vertex on
-the target level, which counts 1 without one.  `iter_chains` is the
+per cover tuple, not chain by chain: one counter per target level keeps
+one memo, one sum per distinct cover tuple, and no vertex entries; in the
+cobweb poset every vertex of a level shares one cover tuple, the whole
+next level, so a level costs one sum and the memo holds at most one entry
+per level.  It serves every start vertex of a sweep.  `iter_chains` is the
 chain-by-chain listing, and the tests use it as the counter's ground
 truth.  The `chains` verb lists the same chains as text, built the way
 the counter sums: the text of every chain from the vertices of one cover
@@ -119,35 +118,26 @@ def _admit(P: CobwebPoset, start: Vertex, stop_level: int, limit: int | None) ->
 
 def _dfs_count(P: CobwebPoset, stop_level: int) -> Callable[[Vertex], int]:
     # Returns count(v), the number of chains from v up to stop_level, found by
-    # a depth-first walk along cover edges, memoized by vertex.  No closed
-    # form anywhere in here: this is the independent oracle.  A vertex counts
-    # 1 at stop_level, before any memo lookup, so the memo holds only the
-    # vertices below it; any other vertex counts the sum over its covers (0
-    # above stop_level, where no cover leads back down).  The memo lives as
-    # long as the counter, so covers_above is called once per distinct
-    # vertex, however many start vertices are counted with it.  The sum is a
-    # function of the cover tuple alone, so it is also kept by the tuple's
-    # identity: vertices handed the same tuple object share one sum, and a
-    # vertex handed any other tuple is summed on its own.  Each entry holds
-    # its tuple, so no other tuple can take over its id.
+    # a depth-first walk along cover edges.  No closed form anywhere in here:
+    # this is the independent oracle.  A vertex counts 1 at stop_level; any
+    # other vertex counts the sum over its covers (0 above stop_level, where
+    # no cover leads back down).  The sum is a function of the cover tuple
+    # alone, so it is memoized by the tuple's identity, the one memo, as
+    # _walk_text keeps its texts: vertices handed the same tuple object share
+    # one sum, and a vertex handed any other tuple is summed on its own.  Each
+    # entry holds its tuple, so no other tuple can take over its id.  No
+    # vertex takes an entry, so covers_above runs once per vertex visit.
     covers_above = P.covers_above
-    memo: dict[Vertex, int] = {}
-    by_tuple: dict[int, tuple[tuple[Vertex, ...], int]] = {}
+    sums: dict[int, tuple[tuple[Vertex, ...], int]] = {}
 
     def count(v: Vertex) -> int:
         if v.level == stop_level:
             return 1
-        total = memo.get(v)
-        if total is None:
-            covers = covers_above(v)
-            held = by_tuple.get(id(covers))
-            if held is None:
-                total = sum(map(count, covers))
-                by_tuple[id(covers)] = covers, total
-            else:
-                total = held[1]
-            memo[v] = total
-        return total
+        covers = covers_above(v)
+        held = sums.get(id(covers))
+        if held is None:
+            held = sums[id(covers)] = covers, sum(map(count, covers))
+        return held[1]
 
     return count
 
@@ -155,9 +145,9 @@ def _dfs_count(P: CobwebPoset, stop_level: int) -> Callable[[Vertex], int]:
 def enumerate_from_root(P: CobwebPoset, n: int, limit: int | None = None) -> int:
     """Count maximal chains from the root to any vertex of level n by DFS.
 
-    The walk counts per vertex and per cover tuple, not chain by chain;
-    iter_chains lists every chain.  Refuses (EnumerationGuardError) when the
-    predicted chain count exceeds `limit`, the default limit when None.
+    The walk counts per cover tuple, not chain by chain; iter_chains lists
+    every chain.  Refuses (EnumerationGuardError) when the predicted chain
+    count exceeds `limit`, the default limit when None.
     """
     _admit(P, P.root, n, limit)
     return _dfs_count(P, n)(P.root)
@@ -166,9 +156,9 @@ def enumerate_from_root(P: CobwebPoset, n: int, limit: int | None = None) -> int
 def enumerate_layer_chains(P: CobwebPoset, spec: LayerSpec, limit: int | None = None) -> int:
     """Count chains from spec.from_vertex up to spec.to_level by DFS.
 
-    The walk counts per vertex and per cover tuple, not chain by chain, and
-    is guarded like enumerate_from_root.  The count is the same for every
-    start vertex of the same level; sweeps assert that start-invariance.
+    The walk counts per cover tuple, not chain by chain, and is guarded
+    like enumerate_from_root.  The count is the same for every start vertex
+    of the same level; sweeps assert that start-invariance.
     """
     spec.validate(P)
     _admit(P, spec.from_vertex, spec.to_level, limit)

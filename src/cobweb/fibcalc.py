@@ -160,19 +160,6 @@ def falling_f_factorial(n: int, k: int) -> int:
     return _product(_fib_run(n - k + 1, n + 1))
 
 
-def _carry_indices(n: int, k: int) -> list[int]:
-    """The d with n mod d < k mod d, for 1 <= k <= n - k.
-
-    Such a d has a multiple in (n - k, n].  Every d <= k does; a larger d
-    has at most one, q * d with q <= n // (k + 1), so only the d in
-    ((n - k) / q, n / q] are tried for each such q.
-    """
-    candidates = list(range(1, k + 1))
-    for q in range(1, n // (k + 1) + 1):
-        candidates += range(max(k, (n - k) // q) + 1, n // q + 1)
-    return [d for d in candidates if n % d < k % d]
-
-
 def _smallest_prime_factors(n: int) -> list[int]:
     """spf[m] = the smallest prime factor of m for 2 <= m <= n; spf[1] = 1."""
     spf = list(range(n + 1))
@@ -231,7 +218,7 @@ def fibonomial(n: int, k: int) -> int:
         return _exact_div(falling, _product(_fib_run(1, j + 1)), "fibonomial({}, {})", n, k)
     fibs = _fib_run(0, n + 1)
     spf = _smallest_prime_factors(n)
-    return _product([_primitive_part(d, spf, fibs) for d in _carry_indices(n, j)])
+    return _product([_primitive_part(d, spf, fibs) for d in range(1, n + 1) if n % d < j % d])
 
 
 def fibonomial_row(n: int) -> list[int]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+import tracemalloc
 from typing import Sequence
 
 import pytest
@@ -267,10 +268,11 @@ class TestDfsOracle:
         assert leaves != len(covers) or expected != count_from_root_formula(6)
 
     @pytest.mark.parametrize("plant", sorted(PLANTS))
-    def test_memo_is_per_vertex(self, plant):
+    def test_memo_is_per_cover_tuple(self, plant):
         # A memo keyed by level would hand the planted vertex's count to its
         # siblings, or theirs to it, whenever the plant has other than 8
-        # covers at level 6.
+        # covers at level 6.  Keyed by cover tuple, the planted vertex's own
+        # tuple is summed on its own.
         covers = self.PLANTS[plant]
         planted = Vertex(5, 3)
         P = PlantedPoset(7, planted, covers)
@@ -312,13 +314,39 @@ class TestDfsOracle:
                 count = chains._dfs_count(P, stop)
                 for start in P.level_vertices(k):
                     assert count(start) == (count_layer_chains_formula(k, stop) if k < stop else 1)
-                # One covers_above call per vertex of levels k..stop-1, and
-                # one pass per distinct tuple: per level when the tuples are
-                # shared, per vertex when every call hands out a new one.
-                calls = sum(fib(s) for s in range(k, stop))
+                # One covers_above call per vertex visit below stop, and one
+                # pass per distinct tuple.  Shared tuples: the first start
+                # visits every vertex of levels k+1..stop-1 once and the
+                # other starts hit the memo, so one call per vertex of
+                # levels k..stop-1 and one tuple per level.  Fresh tuples:
+                # no two calls share a tuple, so every start is walked path
+                # by path, one call per path from it to levels k..stop-1.
+                if fresh:
+                    calls = fib(k) * sum(
+                        math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k, stop)
+                    )
+                else:
+                    calls = sum(fib(s) for s in range(k, stop))
                 assert len(P.handed) == calls
                 assert len({id(t) for t in P.handed}) == (calls if fresh else stop - k)
                 assert all(t.passes == 1 for t in P.handed)
+
+    def test_memo_holds_one_entry_per_level(self):
+        # Counting the root to level 22 (F(23) - 1 = 28,656 vertices below
+        # it) keeps one sum per level, not one entry per vertex: a vertex
+        # memo held about 1.3 MiB here.  The level caches are built first,
+        # so only what the counter keeps is traced.
+        P = build_cobweb(22)
+        P.vertices()
+        tracemalloc.start()
+        try:
+            count = chains._dfs_count(P, 22)
+            counted = count(P.root)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counted == fib_factorial(22)
+        assert held < 64 * 1024
 
 
 class TestGuard:
@@ -840,8 +868,12 @@ class TestVerifyObservation:
 
     @pytest.mark.parametrize("observation", [1, 2, 3])
     def test_sweep_reads_each_vertex_once_per_target(self, monkeypatch, observation):
-        # One counter per target level n serves every start of the sweep, so
-        # covers_above runs once per vertex of levels 1..n-1: F(n+1) - 1 calls.
+        # One counter per target level n serves every start of the sweep.
+        # The first start, the root, visits every vertex of levels 1..n-1
+        # once, F(n+1) - 1 covers_above calls; each later start reads its
+        # own covers once more and finds their sum in the memo.  Observation
+        # 2 starts at every vertex of levels 2..n-1 too, F(n+1) - 2 more
+        # calls; observation 3 at one vertex of each, n - 2.
         built: list[CountingPoset] = []
 
         def build(depth: int) -> CountingPoset:
@@ -851,7 +883,9 @@ class TestVerifyObservation:
         monkeypatch.setattr(chains, "build_cobweb", build)
         verify_observation(observation, 7)
         [P] = built
-        assert P.calls == sum(fib(n + 1) - 1 for n in range(2, 8)) == 46
+        later = {1: lambda n: 0, 2: lambda n: fib(n + 1) - 2, 3: lambda n: n - 2}[observation]
+        calls = sum(fib(n + 1) - 1 + later(n) for n in range(2, 8))
+        assert P.calls == calls == {1: 46, 2: 86, 3: 61}[observation]
 
     def test_sweep_counts_every_start_of_a_planted_fault(self, monkeypatch):
         # Vertex 5:3 drops one of its 8 covers at level 6.  Every start below

@@ -234,8 +234,10 @@ def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
     # as it reads when the walk starts.  A tuple whose text is larger is
     # memoized as None, and the walk goes through it vertex by vertex, then
     # writes one chunk per memoized text it reaches, each line led by the
-    # ids of the path to it.  Every cover is read from covers_above, so a
-    # cover relation that differs from vertex to vertex is followed as given.
+    # ids of the path to it.  The lines of a run of target-level covers are
+    # joined into chunks of about a block.  Every cover is read from
+    # covers_above, so a cover relation that differs from vertex to vertex
+    # is followed as given.
     block = zeta._BLOCK_BYTES
     covers_above = P.covers_above
     texts: dict[int, tuple[tuple[Vertex, ...], str | None]] = {}
@@ -255,11 +257,22 @@ def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
     def walk(head: str, covers: tuple[Vertex, ...]) -> Iterator[str]:
         text = text_of(covers)
         if text is None:
+            lines: list[str] = []  # target-level lines not yet written
+            size = 0
             for w in covers:
                 if w.level == stop_level:
-                    yield head + w.node_id() + "\n"
+                    lines.append(head + w.node_id() + "\n")
+                    size += len(lines[-1])
+                    if size >= block:
+                        yield "".join(lines)
+                        lines, size = [], 0
                 else:
+                    if lines:
+                        yield "".join(lines)
+                        lines, size = [], 0
                     yield from walk(head + w.node_id() + " ", covers_above(w))
+            if lines:
+                yield "".join(lines)
         elif text:
             yield _prefixed(head, text)
 

@@ -97,7 +97,11 @@ def _cmd_value(args: argparse.Namespace) -> int:
 
 
 def _cmd_row(args: argparse.Namespace) -> int:
-    _print_ints(fibcalc.fibonomial_row(args.n), "," if args.format == "csv" else " ")
+    # The row is palindromic: its first half goes to text, and the text is
+    # mirrored, so no entry is converted twice.
+    n = args.n
+    half = list(map(str, fibcalc.fibonomial_row(n)[: n // 2 + 1]))
+    print(("," if args.format == "csv" else " ").join(half + half[: (n + 1) // 2][::-1]))
     return EXIT_OK
 
 

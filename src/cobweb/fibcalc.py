@@ -9,9 +9,10 @@ No routine divides one big number by another big number:
 - F-factorials and falling F-factorials are balanced product trees, so the
   large multiplies meet operands of like size (Karatsuba, not schoolbook).
 - A Fibonomial C_F(n, k) with j = min(k, n - k) of at least
-  _PRIMITIVE_MIN_K is a product of Fibonacci primitive parts, one small
-  exact division per part.  Below that, the falling F-factorial of length
-  j divided by j_F! is cheaper, as the divisor is small.
+  _PRIMITIVE_MIN_K is a product of Fibonacci primitive parts P_d.  Each
+  composite d costs one small exact division when its part is produced.
+  Below that, the falling F-factorial of length j divided by j_F! is
+  cheaper, as the divisor is small.
 - A Fibonomial row comes from its step recurrence, one division by F(j)
   per entry.
 
@@ -22,10 +23,21 @@ are integers by theory, so a remainder means a wrong Fibonacci value or a
 bug.  It sees only values that enter a division: a prime p has
 P_p = F(p), taken as is.
 
-Every Fibonacci value comes from one producer, `_fib_run`; `fib` is its
-run of one.  F(0.._FIB_CAP) are cached once computed.  Past the cap a run
-starts by fast doubling and is iterated locally and dropped when the call
-returns, so the memory kept between calls is bounded.
+Two bounded, append-only caches keep what depends on the index alone:
+
+- Every Fibonacci value comes from one producer, `_fib_run`; `fib` is its
+  run of one.  F(0.._FIB_CAP) are cached once computed, about 0.35 * CAP^2
+  bits, under 1 MB.
+- Every primitive part comes from one producer, `_parts`, which builds
+  only the parts a call asks for.  The P_d with d <= _FIB_CAP are cached
+  once computed, at most about 0.21 * CAP^2 bits, about 440 KB; every
+  part up to n = 1600 takes about 70 KB.  So the self-check sees each
+  composite part's division once per process, when the part is produced,
+  and a warm primitive-part route reads no F value.
+
+Past the cap a Fibonacci run goes on by fast doubling, and parts are
+built per call; both are dropped when the call returns, so the memory kept
+between calls is bounded.
 """
 
 from __future__ import annotations
@@ -42,8 +54,10 @@ __all__ = [
     "fibonomial_row",
 ]
 
-# Largest cached index.  The cache holds about 0.35 * CAP^2 bits, under 1 MB
-# at 4096; an uncapped cache grown to F(40000) held 76 MB.
+# Largest cached index of both caches.  At 4096 the Fibonacci cache holds
+# about 0.35 * CAP^2 bits, under 1 MB, and the primitive parts about
+# 0.21 * CAP^2 bits, about 440 KB; an uncapped cache grown to F(40000) held
+# 76 MB.
 _FIB_CAP = 4096
 
 # Smallest min(k, n - k) that takes the primitive-part route.  Measured for
@@ -61,6 +75,12 @@ _PRODUCT_LEAF = 16
 # entries never change.
 _FIB = [0, 1]
 _FIB_LOCK = threading.Lock()
+
+# Append-only cache of the primitive parts, P_d keyed by d for d up to
+# _FIB_CAP.  Entries never change, and each growth step is one update of a
+# dict with int keys, which CPython runs whole, so neither readers nor the
+# writer take a lock.
+_PART: dict[int, int] = {}
 
 
 def _check_index(value: int, name: str) -> None:
@@ -192,6 +212,24 @@ def _primitive_part(d: int, spf: list[int], fibs: list[int]) -> int:
     return _exact_div(numerator, denominator, "primitive part P_{}", d)
 
 
+def _parts(ds: list[int]) -> list[int]:
+    """[P_d for d in ds], ds ascending: the one producer of primitive parts.
+
+    Parts not yet cached are built from one Fibonacci run up to the largest
+    of them and published, those up to the cap, by one update, only once
+    every division among them came out exact.  Parts past the cap are built
+    per call and not cached.
+    """
+    missing = [d for d in ds if d not in _PART]
+    if not missing:
+        return [_PART[d] for d in ds]
+    spf = _smallest_prime_factors(missing[-1])
+    fibs = _fib_run(0, missing[-1] + 1)
+    new = {d: _primitive_part(d, spf, fibs) for d in missing}
+    _PART.update({d: part for d, part in new.items() if d <= _FIB_CAP})
+    return [new[d] if d in new else _PART[d] for d in ds]
+
+
 def fibonomial(n: int, k: int) -> int:
     """Fibonomial coefficient C_F(n, k) = n_F! / (k_F! * (n-k)_F!).
 
@@ -203,10 +241,11 @@ def fibonomial(n: int, k: int) -> int:
     P_d over the d dividing m (Carmichael 1913), so C_F(n, k) is the
     product of P_d^(floor(n/d) - floor(k/d) - floor((n-k)/d)).  Each
     exponent is 0 or 1, and it is 1 exactly when n mod d < k mod d (Knuth
-    & Wilf 1989).  That route costs a product tree over the result's bits
-    plus one small exact division per P_d, instead of a schoolbook division
-    of the whole result.  A nonzero remainder in any division raises
-    AssertionError.
+    & Wilf 1989).  That route costs a product tree over the result's bits,
+    instead of a schoolbook division of the whole result; the parts come
+    from `_parts`, whose cache pays one small exact division per composite
+    P_d once per process.  A nonzero remainder in any division
+    raises AssertionError.
     """
     _check_index(n, "n")
     _check_index(k, "k")
@@ -216,9 +255,7 @@ def fibonomial(n: int, k: int) -> int:
     if j < _PRIMITIVE_MIN_K:
         falling = _product(_fib_run(n - j + 1, n + 1))
         return _exact_div(falling, _product(_fib_run(1, j + 1)), "fibonomial({}, {})", n, k)
-    fibs = _fib_run(0, n + 1)
-    spf = _smallest_prime_factors(n)
-    return _product([_primitive_part(d, spf, fibs) for d in range(1, n + 1) if n % d < j % d])
+    return _product(_parts([d for d in range(1, n + 1) if n % d < j % d]))
 
 
 def fibonomial_row(n: int) -> list[int]:

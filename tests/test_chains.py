@@ -721,6 +721,19 @@ class TestChainBlocks:
         with pytest.raises(EnumerationGuardError):
             chains._chain_text(P, Vertex(3, 1), 7, limit=3 * 5 * 8 * 13 - 1)
 
+    @pytest.mark.parametrize("block", [64, 1024])
+    def test_target_lines_past_a_block_are_joined(self, monkeypatch, block):
+        # The text from 12:0 passes every block here, so the walk writes its
+        # 233 target-level lines itself, in chunks of about a block each.
+        monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
+        P = build_cobweb(13)
+        chunks = list(chains._chain_text(P, Vertex(12, 0), 13))
+        text = self.listing(P, Vertex(12, 0), 13)
+        assert "".join(chunks) == text and text.count("\n") == 233
+        assert all(chunk.endswith("\n") and len(chunk) < block + len("v12_0 v13_232\n") for chunk in chunks)
+        assert all(len(chunk) >= block for chunk in chunks[:-1])
+        assert len(chunks) <= -(-len(text) // block) < 233
+
     def test_chains_nine_in_chunks_of_at_most_two_blocks(self, monkeypatch):
         class Recorder:
             def __init__(self):

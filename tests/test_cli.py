@@ -63,6 +63,13 @@ class TestScalarVerbs:
         assert run(["row", "4", "--format", "csv"]) == EXIT_OK
         assert capsys.readouterr().out == "1,3,6,3,1\n"
 
+    @pytest.mark.parametrize("fmt, sep", [("plain", " "), ("csv", ",")])
+    def test_row_text_is_every_entry_converted(self, capsys, fmt, sep):
+        # The verb converts the first half of the row and mirrors its text.
+        for n in [*range(42), 218]:
+            assert run(["row", str(n), "--format", fmt]) == EXIT_OK
+            assert capsys.readouterr().out == sep.join(map(str, fibcalc.fibonomial_row(n))) + "\n"
+
     @pytest.mark.parametrize(
         "argv, function",
         [
@@ -560,14 +567,17 @@ class TestRunsInOneProcess:
 
 @pytest.fixture
 def wrong_f7():
-    """The cached F(7) = 13 set to 14, and the whole cache put back afterwards."""
+    """The cached F(7) = 13 set to 14, the primitive parts emptied, and both caches put back afterwards."""
     fibcalc.fib(400)
-    saved = list(fibcalc._FIB)
+    saved = list(fibcalc._FIB), dict(fibcalc._PART)
     fibcalc._FIB[7] = 14
+    fibcalc._PART.clear()
     try:
         yield
     finally:
-        fibcalc._FIB[:] = saved
+        fibcalc._FIB[:] = saved[0]
+        fibcalc._PART.clear()
+        fibcalc._PART.update(saved[1])
 
 
 class TestInexactDivision:

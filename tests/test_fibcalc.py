@@ -263,16 +263,20 @@ class TestFibonomial:
 
     def test_corrupted_fibonacci_value_fails_integrality_check(self):
         fib(400)
+        saved = dict(fibcalc._PART)
+        fibcalc._PART.clear()  # a cold parts cache, so the plant enters its divisions
         fibcalc._FIB[7] += 1  # F(7) = 13 becomes 14
         try:
             with pytest.raises(AssertionError, match="non-exact"):
                 fibonomial(20, 10)  # direct quotient
             with pytest.raises(AssertionError, match="non-exact"):
-                fibonomial(400, 200)  # primitive parts: P_203 divides by F(7)
+                fibonomial(400, 200)  # primitive parts: P_21 is the first to divide by F(7)
             with pytest.raises(AssertionError, match="non-exact"):
                 fibonomial_row(20)
         finally:
             fibcalc._FIB[7] -= 1
+            fibcalc._PART.clear()
+            fibcalc._PART.update(saved)
         assert fibonomial(400, 200) == ratio_form_fibonomial(400, 200)
 
     def test_inexact_division_is_its_own_assertion_error(self):
@@ -289,6 +293,103 @@ class TestFibonomial:
             assert fibonomial(n, k) * fib_factorial(k) * fib_factorial(n - k) == fib_factorial(n)
         else:
             assert fibonomial(n, k) == 0
+
+
+def oracle_parts(n: int) -> dict[int, int]:
+    """{d: P_d} for d in 1..n, from the plain recurrence's Fibonacci values."""
+    seq = naive_fib_sequence(n)
+    spf = fibcalc._smallest_prime_factors(n)
+    return {d: fibcalc._primitive_part(d, spf, seq) for d in range(1, n + 1)}
+
+
+@pytest.fixture
+def cold_parts():
+    """An empty primitive-part cache, and the cache put back afterwards."""
+    saved = dict(fibcalc._PART)
+    fibcalc._PART.clear()
+    try:
+        yield
+    finally:
+        fibcalc._PART.clear()
+        fibcalc._PART.update(saved)
+
+
+@pytest.fixture
+def divisions(monkeypatch):
+    """The d of every primitive part divided from here on, in order."""
+    divide = fibcalc._exact_div
+    seen: list[int] = []
+
+    def spy(numerator, denominator, what, *args):
+        if what.startswith("primitive part"):
+            seen.append(args[0])
+        return divide(numerator, denominator, what, *args)
+
+    monkeypatch.setattr(fibcalc, "_exact_div", spy)
+    return seen
+
+
+class TestPrimitivePartCache:
+    def test_warm_call_divides_nothing(self, cold_parts, divisions):
+        cold = fibonomial(1000, 500)
+        selected = [d for d in range(1, 1001) if 1000 % d < 500 % d]
+        oracle = oracle_parts(1000)
+        assert fibcalc._PART == {d: oracle[d] for d in selected}
+        del divisions[:]
+        assert fibonomial(1000, 500) == cold
+        assert divisions == []
+
+    def test_only_the_selected_parts_are_built(self, monkeypatch, cold_parts, divisions):
+        # The same divisions as a call that keeps no parts: one per selected
+        # composite d, and past the cap once more on every call.
+        cap = fibcalc._FIB_CAP
+        n = cap + 60
+        seq = naive_fib_sequence(n)
+        spf = fibcalc._smallest_prime_factors(n)
+        selected = [d for d in range(1, n + 1) if n % d < 3 % d]
+        composite = [d for d in selected if spf[d] != d]
+        expected = seq[n] * seq[n - 1] * seq[n - 2] // 2
+        monkeypatch.setattr(fibcalc, "_PRIMITIVE_MIN_K", 0)
+        assert fibonomial(n, 3) == expected
+        assert divisions == composite
+        del divisions[:]
+        assert fibonomial(n, 3) == expected
+        assert divisions == [d for d in composite if d > cap] != []
+        assert sorted(fibcalc._PART) == [d for d in selected if d <= cap]
+
+    def test_concurrent_growth(self, cold_parts):
+        cap = fibcalc._FIB_CAP
+        his = list(range(1, 700)) + [cap - 1, cap + 1, cap + 20]
+        random.Random(0).shuffle(his)
+        oracle = oracle_parts(cap + 20)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda hi: fibcalc._parts(list(range(1, hi))), his, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[oracle[d] for d in range(1, hi)] for hi in his]
+        assert fibcalc._PART == {d: oracle[d] for d in range(1, cap + 1)}
+
+    def test_past_the_cap_parts_are_dropped(self, monkeypatch):
+        cap = fibcalc._FIB_CAP
+        seq = naive_fib_sequence(cap + 60)
+        monkeypatch.setattr(fibcalc, "_PRIMITIVE_MIN_K", 0)
+        assert fibonomial(cap + 60, 3) == seq[cap + 60] * seq[cap + 59] * seq[cap + 58] // 2
+        assert len(fibcalc._PART) <= cap and max(fibcalc._PART) <= cap
+
+    def test_a_growth_step_that_raises_publishes_nothing(self, cold_parts):
+        fib(400)
+        fibcalc._FIB[7] += 1  # F(7) = 13 becomes 14, and P_7 = F(7)
+        try:
+            with pytest.raises(AssertionError, match="non-exact"):
+                fibonomial(400, 200)
+        finally:
+            fibcalc._FIB[7] -= 1
+        assert fibcalc._PART == {}
+        assert fibonomial(400, 200) == ratio_form_fibonomial(400, 200)
+        assert fibcalc._PART[7] == 13
 
 
 class TestFibonomialRow:

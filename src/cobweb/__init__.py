@@ -4,7 +4,7 @@ Four layers: `fibcalc` (Fibonacci numbers, F-factorials, Fibonomial
 coefficients, all exact), `poset` (the cobweb poset and its order/cover
 relations), `zeta` (the dense 0/1 incidence matrix and its staircase
 structure), and `chains` (closed-form chain counts paired with DFS oracles
-that count per cover tuple of the cover relation, the chain-by-chain
+that count per cover object of the cover relation, the chain-by-chain
 listing `iter_chains`, and observation sweeps).  The `cobweb` console
 script fronts all of it.
 """

@@ -2,17 +2,17 @@
 
 Each closed-form counter has an enumeration twin that walks the poset's
 cover relation and never consults the formula.  The counting walk works
-per cover tuple, not chain by chain: one counter per target level keeps
-one memo, one sum per distinct cover tuple, and no vertex entries; in the
-cobweb poset every vertex of a level shares one cover tuple, the whole
-next level, so a level costs one sum and the memo holds at most one entry
-per level.  It serves every start vertex of a sweep.  `iter_chains` is the
-chain-by-chain listing, and the tests use it as the counter's ground
-truth.  The `chains` verb lists the same chains as text, built the way
-the counter sums: the text of every chain from the vertices of one cover
-tuple up to the target is a function of the tuple alone, so it is built
-once per distinct tuple while it fits in a block, and a path's ids are put
-before each of its lines by one `str.replace`.
+per cover object (a level's handle, or any tuple a relation hands out),
+not chain by chain: one counter per target level keeps one memo, one sum
+per distinct cover object, and no vertex entries; every vertex of a
+cobweb level is handed the next level's handle, so a level costs one sum
+and the memo holds at most one entry per level.  It serves every start
+vertex of a sweep.  `iter_chains` is the chain-by-chain listing and the
+counter's ground truth in the tests.  The `chains` verb lists the same
+chains as text, built the way the counter sums: the text of every chain
+from the vertices of one cover object up to the target depends on the
+object alone, so it is built once per distinct object while it fits in a
+block; a path's ids go before each of its lines by one `str.replace`.
 
 One admission check validates and guards every walk, counted or listed,
 before it starts.  It refuses (EnumerationGuardError) a walk whose
@@ -21,10 +21,10 @@ DEFAULT_ENUMERATION_LIMIT as it reads at admission.  Its predictor is the
 product of the sizes of the levels the walk crosses, read from the poset it
 is given; it calls no closed form under test, so a wrong formula cannot
 change what the guard admits.  For the counter the chain count is a
-conservative price: each vertex it reads and each cover tuple it sums lies
-on a counted chain, and past the smallest walks they are far fewer than the
-chains (54 vertices and 8 cover tuples against 2,227,680 chains from the
-root to level 9).
+conservative price: each vertex it reads and each cover object it sums
+lies on a counted chain, and past the smallest walks they are far fewer
+than the chains (54 vertices and 8 cover objects against 2,227,680 chains
+from the root to level 9).
 
 `verify_observation` sweeps each of the paper's observations against these
 oracles, and is the one check of each.  Observation 3, the quotient
@@ -121,14 +121,14 @@ def _dfs_count(P: CobwebPoset, stop_level: int) -> Callable[[Vertex], int]:
     # a depth-first walk along cover edges.  No closed form anywhere in here:
     # this is the independent oracle.  A vertex counts 1 at stop_level; any
     # other vertex counts the sum over its covers (0 above stop_level, where
-    # no cover leads back down).  The sum is a function of the cover tuple
-    # alone, so it is memoized by the tuple's identity, the one memo, as
-    # _walk_text keeps its texts: vertices handed the same tuple object share
-    # one sum, and a vertex handed any other tuple is summed on its own.  Each
-    # entry holds its tuple, so no other tuple can take over its id.  No
-    # vertex takes an entry, so covers_above runs once per vertex visit.
+    # no cover leads back down).  The sum is a function of the cover object
+    # (a level's handle, or any tuple a relation hands out) alone, so it is
+    # memoized by the object's identity, the one memo, as _walk_text keeps its
+    # texts: vertices handed one object share one sum.  Each entry holds its
+    # object, so no other object can take over its id.  No vertex takes an
+    # entry, so covers_above runs once per vertex visit.
     covers_above = P.covers_above
-    sums: dict[int, tuple[tuple[Vertex, ...], int]] = {}
+    sums: dict[int, tuple[Iterable[Vertex], int]] = {}
 
     def count(v: Vertex) -> int:
         if v.level == stop_level:
@@ -145,7 +145,7 @@ def _dfs_count(P: CobwebPoset, stop_level: int) -> Callable[[Vertex], int]:
 def enumerate_from_root(P: CobwebPoset, n: int, limit: int | None = None) -> int:
     """Count maximal chains from the root to any vertex of level n by DFS.
 
-    The walk counts per cover tuple, not chain by chain; iter_chains lists
+    The walk counts per cover object, not chain by chain; iter_chains lists
     every chain.  Refuses (EnumerationGuardError) when the predicted chain
     count exceeds `limit`, the default limit when None.
     """
@@ -156,7 +156,7 @@ def enumerate_from_root(P: CobwebPoset, n: int, limit: int | None = None) -> int
 def enumerate_layer_chains(P: CobwebPoset, spec: LayerSpec, limit: int | None = None) -> int:
     """Count chains from spec.from_vertex up to spec.to_level by DFS.
 
-    The walk counts per cover tuple, not chain by chain, and is guarded
+    The walk counts per cover object, not chain by chain, and is guarded
     like enumerate_from_root.  The count is the same for every start vertex
     of the same level; sweeps assert that start-invariance.
     """
@@ -183,10 +183,16 @@ def iter_chains(
 
 
 def _walk_chains(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[tuple[Vertex, ...]]:
+    # One pass per distinct cover object: a tuple of it, kept by its identity.
     covers_above = P.covers_above
+    held: dict[int, tuple[Iterable[Vertex], tuple[Vertex, ...]]] = {}
 
     def walk(path: tuple[Vertex, ...]) -> Iterator[tuple[Vertex, ...]]:
-        for w in covers_above(path[-1]):
+        covers = covers_above(path[-1])
+        got = held.get(id(covers))
+        if got is None:
+            got = held[id(covers)] = covers, tuple(covers)
+        for w in got[1]:
             if w.level == stop_level:
                 yield path + (w,)
             else:
@@ -227,20 +233,20 @@ def _within(block: int, parts: Iterable[str | None]) -> str | None:
 
 
 def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
-    # The text of every chain from a vertex of one cover tuple up to
-    # stop_level depends on the tuple alone.  So it is built once per distinct
-    # tuple, memoized by the tuple's identity as _dfs_count keeps its sums, as
-    # long as it fits in a block: the one block size of every streamed output,
-    # as it reads when the walk starts.  A tuple whose text is larger is
-    # memoized as None, and the walk goes through it vertex by vertex, then
-    # writes one chunk per memoized text it reaches, each line led by the
-    # ids of the path to it.  The lines of a run of target-level covers are
-    # joined into chunks of about a block.  Every cover is read from
-    # covers_above, so a cover relation that differs from vertex to vertex
-    # is followed as given.
+    # The text of every chain from a vertex of one cover object (a level's
+    # handle, or any tuple a relation hands out) up to stop_level depends on
+    # the object alone.  So it is built once per distinct object, memoized by
+    # its identity as _dfs_count keeps its sums, as long as it fits in a
+    # block: the one block size of every streamed output, as it reads when
+    # the walk starts.  An object whose text is larger is memoized as None,
+    # and the walk goes through it vertex by vertex, then writes one chunk
+    # per memoized text it reaches, each line led by the ids of the path to
+    # it.  The lines of a run of target-level covers are joined into chunks
+    # of about a block.  Every cover is read from covers_above, so a cover
+    # relation that differs from vertex to vertex is followed as given.
     block = zeta._BLOCK_BYTES
     covers_above = P.covers_above
-    texts: dict[int, tuple[tuple[Vertex, ...], str | None]] = {}
+    texts: dict[int, tuple[Iterable[Vertex], str | None]] = {}
 
     def text_from(w: Vertex) -> str | None:
         if w.level == stop_level:
@@ -248,13 +254,13 @@ def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
         tail = text_of(covers_above(w))
         return None if tail is None else _prefixed(w.node_id() + " ", tail)
 
-    def text_of(covers: tuple[Vertex, ...]) -> str | None:
+    def text_of(covers: Iterable[Vertex]) -> str | None:
         held = texts.get(id(covers))
         if held is None:
             held = texts[id(covers)] = covers, _within(block, map(text_from, covers))
         return held[1]
 
-    def walk(head: str, covers: tuple[Vertex, ...]) -> Iterator[str]:
+    def walk(head: str, covers: Iterable[Vertex]) -> Iterator[str]:
         text = text_of(covers)
         if text is None:
             lines: list[str] = []  # target-level lines not yet written
@@ -364,9 +370,10 @@ def verify_observation(observation: int, max_n: int, limit: int | None = None) -
             cases.append(_compare_case(1, n, count_from_root_formula(n), count[n](P.root)))
     elif observation == 2:
         for k in range(1, max_n):
+            starts = P.level_vertices(k)
             for n in range(k + 1, max_n + 1):
                 formula = count_layer_chains_formula(k, n)
-                for start in P.level_vertices(k):
+                for start in starts:
                     cases.append(_compare_case(k, n, formula, count[n](start), start=start))
     else:
         for n in range(2, max_n + 1):

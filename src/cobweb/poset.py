@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from functools import partial
-from itertools import repeat
-from typing import NamedTuple
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NamedTuple
 
 from .fibcalc import _fib_run
 
@@ -58,6 +58,19 @@ class Vertex(NamedTuple):
 _vertex_of = partial(tuple.__new__, Vertex)
 
 
+class _Level:
+    """One level of a poset as (level, size): its vertices are made afresh by each pass."""
+
+    __slots__ = ("level", "size")
+
+    def __init__(self, level: int, size: int) -> None:
+        self.level = level
+        self.size = size
+
+    def __iter__(self) -> Iterator[Vertex]:
+        return map(_vertex_of, zip(repeat(self.level), range(self.size)))
+
+
 class CobwebPoset:
     """Finite truncation of the cobweb poset with levels 1..depth.
 
@@ -66,11 +79,11 @@ class CobwebPoset:
     closure of those links, which collapses to plain level comparison:
     x <= y iff x == y or x.level < y.level.
 
-    Only the level sizes are stored; relations are computed from levels on
-    demand, so construction is cheap even at depths where materializing all
-    vertices would not be.  Operations that do materialize vertices grow as
-    F(depth + 2).  Instances are immutable and safe to share across threads
-    (the per-level vertex cache is filled idempotently).
+    Only the level sizes and one small handle per level are stored, and no
+    vertex; relations are computed from levels on demand, so construction is
+    cheap even at depths where materializing all vertices would not be.
+    Operations that do materialize vertices grow as F(depth + 2).  Instances
+    are immutable and safe to share across threads.
     """
 
     __slots__ = ("depth", "level_sizes", "_levels")
@@ -80,7 +93,7 @@ class CobwebPoset:
             raise ValueError(f"depth must be >= 1, got {depth}")
         self.depth = depth
         self.level_sizes = tuple(_fib_run(1, depth + 1))
-        self._levels: dict[int, tuple[Vertex, ...]] = {}
+        self._levels = tuple(map(_Level, range(1, depth + 1), self.level_sizes))
 
     def _check_level(self, level: int) -> None:
         if not 1 <= level <= self.depth:
@@ -103,19 +116,13 @@ class CobwebPoset:
         return Vertex(1, 0)
 
     def level_vertices(self, level: int) -> tuple[Vertex, ...]:
-        """All vertices of one level in ascending index order (cached)."""
+        """All vertices of one level in ascending index order."""
         self._check_level(level)
-        got = self._levels.get(level)
-        if got is None:
-            got = tuple(map(_vertex_of, zip(repeat(level), range(self.level_sizes[level - 1]))))
-            self._levels[level] = got
-        return got
+        return tuple(self._levels[level - 1])
 
     def vertices(self) -> tuple[Vertex, ...]:
         """Canonical ordering: ascending level, then ascending index."""
-        return tuple(
-            v for s in range(1, self.depth + 1) for v in self.level_vertices(s)
-        )
+        return tuple(chain.from_iterable(self._levels))
 
     def leq(self, x: Vertex, y: Vertex) -> bool:
         """Order relation; same-level vertices are incomparable unless equal."""
@@ -123,14 +130,10 @@ class CobwebPoset:
         self.check_vertex(y)
         return x == y or x.level < y.level
 
-    def covers_above(self, x: Vertex) -> tuple[Vertex, ...]:
-        """Every vertex covering x: the whole next level (empty at the top)."""
+    def covers_above(self, x: Vertex) -> Iterable[Vertex]:
+        """Every vertex covering x: the next level's one shared handle (empty at the top)."""
         self.check_vertex(x)
-        level = x.level + 1
-        if level > self.depth:
-            return ()
-        # Levels are never empty, so a miss is the only falsy result.
-        return self._levels.get(level) or self.level_vertices(level)
+        return self._levels[x.level] if x.level < self.depth else ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CobwebPoset):

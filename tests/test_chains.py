@@ -26,7 +26,7 @@ from cobweb.chains import (
     verify_observation,
 )
 from cobweb.fibcalc import fib, fib_factorial, fibonomial
-from cobweb.poset import CobwebPoset, GuardError, Vertex, build_cobweb
+from cobweb.poset import CobwebPoset, GuardError, Vertex, _Level, build_cobweb
 from cobweb.zeta import IncidenceMatrix, cobweb_from_matrix, staircase_check, zeta_matrix
 
 REPORT_LINE = re.compile(
@@ -80,6 +80,7 @@ class SizedPoset(CobwebPoset):
     def __init__(self, sizes: Sequence[int]) -> None:
         super().__init__(len(sizes))
         self.level_sizes = tuple(sizes)
+        self._levels = tuple(map(_Level, range(1, len(sizes) + 1), sizes))
 
 
 # Sizes 1, 2, ..., 8: chain counts are factorials.  Sizes 2^s - 1: layer
@@ -334,10 +335,9 @@ class TestDfsOracle:
     def test_memo_holds_one_entry_per_level(self):
         # Counting the root to level 22 (F(23) - 1 = 28,656 vertices below
         # it) keeps one sum per level, not one entry per vertex: a vertex
-        # memo held about 1.3 MiB here.  The level caches are built first,
-        # so only what the counter keeps is traced.
+        # memo held about 1.3 MiB here.  The poset is built first, so only
+        # what the counter keeps is traced.
         P = build_cobweb(22)
-        P.vertices()
         tracemalloc.start()
         try:
             count = chains._dfs_count(P, 22)
@@ -346,6 +346,21 @@ class TestDfsOracle:
         finally:
             tracemalloc.stop()
         assert counted == fib_factorial(22)
+        assert held < 64 * 1024
+
+    def test_poset_and_count_hold_no_level(self):
+        # The poset stores one handle per level, and the counter passes over
+        # each once without keeping its vertices: building depth 26 and
+        # counting from the root to its top holds a few KiB, where keeping
+        # the levels' 317,810 vertices held about 33 MB.
+        tracemalloc.start()
+        try:
+            P = build_cobweb(26)
+            counted = chains._dfs_count(P, 26)(P.root)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counted == fib_factorial(26)
         assert held < 64 * 1024
 
 
@@ -655,6 +670,18 @@ class TestIterChains:
         assert exc.value.predicted == 1
         assert P.calls == 1 + 2 + 2 * 3
 
+    @pytest.mark.parametrize("k, n", [(1, 8), (3, 7), (5, 8), (7, 8)])
+    def test_listing_passes_once_over_each_shared_cover(self, k, n):
+        # iter_chains keeps a tuple of each cover object it is handed, so a
+        # level's one shared object is passed over once per walk, not once
+        # per path through it.
+        P = PassCountingPoset(8, fresh=False)
+        start = P.level_vertices(k)[-1]
+        assert list(iter_chains(P, start, n)) == naive_chains(build_cobweb(8), start, n)
+        assert sorted(P.shared) == list(range(k, n))
+        assert all(t.passes == 1 for t in P.shared.values())
+        assert len(P.handed) == 1 + sum(math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k + 1, n))
+
 
 class TestChainBlocks:
     """The chains verb writes, in chunks of whole lines, the text of what iter_chains lists.
@@ -750,6 +777,21 @@ class TestChainBlocks:
         first = out.chunks[0].split("\n", 1)[0]
         assert first == "v1_0 v2_0 v3_0 v4_0 v5_0 v6_0 v7_0 v8_0 v9_0"
         assert out.chunks[-1].endswith("v1_0 v2_0 v3_1 v4_2 v5_4 v6_7 v7_12 v8_20 v9_33\n")
+
+    def test_wide_top_level_is_listed_without_its_vertices_held(self):
+        # From 26:0 the walk writes the 196,418 vertices of level 27 as
+        # lines, 3,227,996 bytes.  The poset is built and the text joined
+        # under the trace, and the peak stays near the text itself: holding
+        # level 27 as vertices and their lines peaked at about 28 MB.
+        tracemalloc.start()
+        try:
+            text = "".join(chains._chain_text(build_cobweb(27), Vertex(26, 0), 27))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(text) == 3_227_996
+        assert peak < 16 * 1024 * 1024
+        assert text == self.listing(build_cobweb(27), Vertex(26, 0), 27)
 
 
 class TestObs3Quotient:

@@ -83,7 +83,10 @@ class TestCanonicalOrder:
                 assert type(v) is Vertex
                 assert v == Vertex(level, i) and (v.level, v.index) == (level, i)
                 assert repr(v) == f"Vertex(level={level}, index={i})" and v.node_id() == f"v{level}_{i}"
-            assert P.level_vertices(level) is got
+            if level > 1:
+                # Every vertex of the level below is handed one shared object.
+                handed = [P.covers_above(v) for v in P.level_vertices(level - 1)]
+                assert all(h is handed[0] for h in handed) and tuple(handed[0]) == got
 
 
 class TestRelations:
@@ -130,7 +133,7 @@ class TestRelations:
 
     def test_covers_are_whole_next_level(self):
         P = build_cobweb(5)
-        assert P.covers_above(Vertex(3, 1)) == P.level_vertices(4)
+        assert tuple(P.covers_above(Vertex(3, 1))) == P.level_vertices(4)
         assert P.covers_above(Vertex(5, 4)) == ()
 
 

@@ -4,9 +4,10 @@ Each closed-form counter has an enumeration twin that walks the poset's
 cover relation and never consults the formula.  The counting walk works
 per cover object (a level's handle, or any tuple a relation hands out),
 not chain by chain: one counter per target level keeps one memo, one sum
-per distinct cover object, and no vertex entries; every vertex of a
-cobweb level is handed the next level's handle, so a level costs one sum
-and the memo holds at most one entry per level.  It serves every start
+per distinct cover object, and no vertex entries.  Every walk's memo is
+keyed by the cover object itself, so a cover object must be hashable and
+equal ones share one entry; a cobweb level's handle hashes by identity,
+so the memo holds at most one entry per level.  It serves every start
 vertex of a sweep.  `iter_chains` is the chain-by-chain listing and the
 counter's ground truth in the tests.  The `chains` verb lists the same
 chains as text, built the way the counter sums: the text of every chain
@@ -120,24 +121,21 @@ def _dfs_count(P: CobwebPoset, stop_level: int) -> Callable[[Vertex], int]:
     # Returns count(v), the number of chains from v up to stop_level, found by
     # a depth-first walk along cover edges.  No closed form anywhere in here:
     # this is the independent oracle.  A vertex counts 1 at stop_level; any
-    # other vertex counts the sum over its covers (0 above stop_level, where
-    # no cover leads back down).  The sum is a function of the cover object
-    # (a level's handle, or any tuple a relation hands out) alone, so it is
-    # memoized by the object's identity, the one memo, as _walk_text keeps its
-    # texts: vertices handed one object share one sum.  Each entry holds its
-    # object, so no other object can take over its id.  No vertex takes an
-    # entry, so covers_above runs once per vertex visit.
+    # other vertex counts the sum over its covers (0 above stop_level).  The
+    # sum depends on the cover object alone, so the one memo keeps it by the
+    # object, as _walk_text keeps its texts.  No vertex takes an entry, so
+    # covers_above runs once per vertex visit.
     covers_above = P.covers_above
-    sums: dict[int, tuple[Iterable[Vertex], int]] = {}
+    sums: dict[Iterable[Vertex], int] = {}
 
     def count(v: Vertex) -> int:
         if v.level == stop_level:
             return 1
         covers = covers_above(v)
-        held = sums.get(id(covers))
-        if held is None:
-            held = sums[id(covers)] = covers, sum(map(count, covers))
-        return held[1]
+        total = sums.get(covers)
+        if total is None:
+            total = sums[covers] = sum(map(count, covers))
+        return total
 
     return count
 
@@ -183,16 +181,16 @@ def iter_chains(
 
 
 def _walk_chains(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[tuple[Vertex, ...]]:
-    # One pass per distinct cover object: a tuple of it, kept by its identity.
+    # One pass per distinct cover object: a tuple of it, keyed by the object.
     covers_above = P.covers_above
-    held: dict[int, tuple[Iterable[Vertex], tuple[Vertex, ...]]] = {}
+    held: dict[Iterable[Vertex], tuple[Vertex, ...]] = {}
 
     def walk(path: tuple[Vertex, ...]) -> Iterator[tuple[Vertex, ...]]:
         covers = covers_above(path[-1])
-        got = held.get(id(covers))
+        got = held.get(covers)
         if got is None:
-            got = held[id(covers)] = covers, tuple(covers)
-        for w in got[1]:
+            got = held[covers] = tuple(covers)
+        for w in got:
             if w.level == stop_level:
                 yield path + (w,)
             else:
@@ -233,20 +231,19 @@ def _within(block: int, parts: Iterable[str | None]) -> str | None:
 
 
 def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
-    # The text of every chain from a vertex of one cover object (a level's
-    # handle, or any tuple a relation hands out) up to stop_level depends on
-    # the object alone.  So it is built once per distinct object, memoized by
-    # its identity as _dfs_count keeps its sums, as long as it fits in a
-    # block: the one block size of every streamed output, as it reads when
-    # the walk starts.  An object whose text is larger is memoized as None,
-    # and the walk goes through it vertex by vertex, then writes one chunk
-    # per memoized text it reaches, each line led by the ids of the path to
-    # it.  The lines of a run of target-level covers are joined into chunks
-    # of about a block.  Every cover is read from covers_above, so a cover
+    # The text of every chain from a vertex of one cover object up to
+    # stop_level depends on the object alone.  So it is built once per
+    # distinct object and memoized by the object, as _dfs_count keeps its
+    # sums, while it fits in a block: the one block size of every streamed
+    # output, as it reads when the walk starts.  A larger text is memoized as
+    # None, and the walk goes through its object vertex by vertex, then writes
+    # one chunk per memoized text it reaches, each line led by the ids of the
+    # path to it.  The lines of a run of target-level covers are joined into
+    # chunks of about a block.  Every cover is read from covers_above, so a
     # relation that differs from vertex to vertex is followed as given.
     block = zeta._BLOCK_BYTES
     covers_above = P.covers_above
-    texts: dict[int, tuple[Iterable[Vertex], str | None]] = {}
+    texts: dict[Iterable[Vertex], str | None] = {}
 
     def text_from(w: Vertex) -> str | None:
         if w.level == stop_level:
@@ -255,10 +252,9 @@ def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
         return None if tail is None else _prefixed(w.node_id() + " ", tail)
 
     def text_of(covers: Iterable[Vertex]) -> str | None:
-        held = texts.get(id(covers))
-        if held is None:
-            held = texts[id(covers)] = covers, _within(block, map(text_from, covers))
-        return held[1]
+        if covers not in texts:
+            texts[covers] = _within(block, map(text_from, covers))
+        return texts[covers]
 
     def walk(head: str, covers: Iterable[Vertex]) -> Iterator[str]:
         text = text_of(covers)

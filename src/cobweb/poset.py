@@ -131,7 +131,11 @@ class CobwebPoset:
         return x == y or x.level < y.level
 
     def covers_above(self, x: Vertex) -> Iterable[Vertex]:
-        """Every vertex covering x: the next level's one shared handle (empty at the top)."""
+        """Every vertex covering x: the next level's one shared handle (empty at the top).
+
+        Walks key their memos by the cover object: it must be hashable, and
+        equal cover objects share one memo entry.
+        """
         self.check_vertex(x)
         return self._levels[x.level] if x.level < self.depth else ()
 

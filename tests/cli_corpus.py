@@ -1,0 +1,144 @@
+"""The CLI byte-identity corpus: argv, exit code, stdout digest and stderr, one record per case.
+
+Each record of `golden/cli_corpus.json` holds an argv, the exit code, the
+byte count and SHA-256 of stdout, and stderr in full.  `bench` timings are
+masked as `_s=<t>` before stdout is measured.  A usage error that argparse
+reports has `stderr` null: its wording and wrapping vary between the
+Python versions CI runs, so only its exit code and stdout are compared.
+
+    PYTHONPATH=src python tests/cli_corpus.py             # check in-process
+    PYTHONPATH=src python tests/cli_corpus.py --processes # check as `python -m cobweb.cli`
+    PYTHONPATH=src python tests/cli_corpus.py --write     # regenerate the file
+
+Every mode runs with COLUMNS=80.  A check prints each differing record and
+exits 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+CORPUS = Path(__file__).parent / "golden" / "cli_corpus.json"
+
+# Cases whose stderr is argparse's own usage message.
+USAGE_ERRORS = [
+    [],
+    ["frob"],
+    ["fib", "-1"],
+    ["fib", "x"],
+    ["binom", "5"],
+    ["build", "0"],
+    ["export", "3"],
+    ["chains", "9", "--from", "6"],
+    ["verify", "--obs", "4"],
+]
+
+CASES = [
+    ["fib", "0"],
+    ["fib", "1"],
+    ["fib", "30000"],
+    ["fibfact", "0"],
+    ["fibfact", "300"],
+    ["falling", "3", "5"],
+    ["falling", "10", "4"],
+    ["binom", "15", "7"],
+    ["binom", "7", "15"],
+    ["binom", "1600", "800"],
+    ["row", "0"],
+    ["row", "1"],
+    ["row", "218"],
+    ["row", "300", "--format", "csv"],
+    ["build", "1"],
+    ["build", "30"],
+    ["export", "1", "--format", "csv"],
+    ["export", "1", "--format", "dot"],
+    ["export", "12", "--format", "csv"],
+    ["export", "12", "--format", "dot"],
+    ["export", "19", "--format", "csv"],
+    ["export", "19", "--format", "dot"],
+    ["chains", "1"],
+    ["chains", "8"],
+    ["chains", "9", "--from", "6:2"],
+    ["chains", "9", "--from", "9:0"],
+    ["chains", "9", "--from", "10:0"],
+    ["chains", "12", "--from", "3:0"],
+    ["chains", "500"],
+    ["verify"],
+    ["verify", "--obs", "all", "--max-n", "9"],
+    ["verify", "--obs", "all", "--max-n", "9", "--format", "structured"],
+    ["verify", "--obs", "2", "--max-n", "1"],
+    ["verify", "--obs", "3", "--max-n", "4", "--format", "structured"],
+    ["verify", "--max-n", "10"],
+    ["verify", "--obs", "1", "--max-n", "10", "--unsafe-enumeration-limit", "122522400"],
+    ["verify", "--obs", "1", "--max-n", "10", "--unsafe-enumeration-limit", "122522399"],
+    ["bench", "9"],
+    ["bench", "10"],
+    *USAGE_ERRORS,
+]
+
+_TIMING = re.compile(rb"_s=[0-9]+\.[0-9]+")
+
+
+def record(argv: list[str], code: int, out: bytes, err: str) -> dict:
+    """The corpus record of one run; `out` is stdout as bytes."""
+    if argv[:1] == ["bench"]:
+        out = _TIMING.sub(b"_s=<t>", out)
+    return {
+        "argv": argv,
+        "exit": code,
+        "stdout_bytes": len(out),
+        "stdout_sha256": hashlib.sha256(out).hexdigest(),
+        "stderr": None if argv in USAGE_ERRORS else err,
+    }
+
+
+def in_process(argv: list[str]) -> dict:
+    """Run one case through `cli.run` in this process (COLUMNS must be 80)."""
+    from cobweb import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    return record(argv, code, out.getvalue().encode(), err.getvalue())
+
+
+def as_process(argv: list[str]) -> dict:
+    """Run one case as `python -m cobweb.cli` with COLUMNS=80."""
+    done = subprocess.run(
+        [sys.executable, "-m", "cobweb.cli", *argv],
+        capture_output=True,
+        env={**os.environ, "COLUMNS": "80"},
+    )
+    return record(argv, done.returncode, done.stdout, done.stderr.decode())
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--processes", action="store_true", help="run each case as a process")
+    parser.add_argument("--write", action="store_true", help="regenerate the corpus file")
+    args = parser.parse_args()
+    os.environ["COLUMNS"] = "80"
+    run = as_process if args.processes else in_process
+    if args.write:
+        CORPUS.write_text(json.dumps([run(argv) for argv in CASES], indent=1) + "\n")
+        print(f"wrote {len(CASES)} records to {CORPUS}")
+        return 0
+    expected = json.loads(CORPUS.read_text())
+    failed = [(want, got) for want in expected if (got := run(want["argv"])) != want]
+    for want, got in failed:
+        print(f"differs: {' '.join(want['argv'])}\n  expected {want}\n  got      {got}")
+    print(f"{len(failed)} of {len(expected)} records differ")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -131,6 +131,32 @@ class PassCountingPoset(CobwebPoset):
         return covers
 
 
+class CappedFreshPoset(PassCountingPoset):
+    """A PassCountingPoset that hands out a fresh tuple on every call, and fails past `cap` calls.
+
+    A walk that reads its covers path by path instead of once per vertex
+    hits the cap at once instead of running for hours.
+    """
+
+    __slots__ = ("cap",)
+
+    def __init__(self, depth: int, cap: int) -> None:
+        super().__init__(depth, fresh=True)
+        self.cap = cap
+
+    def covers_above(self, x: Vertex) -> tuple[Vertex, ...]:
+        if len(self.handed) >= self.cap:
+            raise AssertionError(f"more than {self.cap} covers_above calls")
+        return super().covers_above(x)
+
+    def passes_per_value(self) -> dict[tuple[Vertex, ...], int]:
+        """The passes made over each distinct cover value handed out."""
+        passes: dict[tuple[Vertex, ...], int] = {}
+        for t in {id(t): t for t in self.handed}.values():
+            passes[t] = passes.get(t, 0) + t.passes
+        return passes
+
+
 def naive_chains(P: CobwebPoset, v: Vertex, stop_level: int) -> list[tuple[Vertex, ...]]:
     """Reference listing: every chain from v, recursively, in cover order."""
     if v.level == stop_level:
@@ -316,21 +342,25 @@ class TestDfsOracle:
                 for start in P.level_vertices(k):
                     assert count(start) == (count_layer_chains_formula(k, stop) if k < stop else 1)
                 # One covers_above call per vertex visit below stop, and one
-                # pass per distinct tuple.  Shared tuples: the first start
-                # visits every vertex of levels k+1..stop-1 once and the
-                # other starts hit the memo, so one call per vertex of
-                # levels k..stop-1 and one tuple per level.  Fresh tuples:
-                # no two calls share a tuple, so every start is walked path
-                # by path, one call per path from it to levels k..stop-1.
-                if fresh:
-                    calls = fib(k) * sum(
-                        math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k, stop)
-                    )
-                else:
-                    calls = sum(fib(s) for s in range(k, stop))
+                # pass per distinct cover value, shared tuples or fresh: the
+                # first start visits every vertex of levels k+1..stop-1 once
+                # and the other starts hit the memo, so one call per vertex
+                # of levels k..stop-1 and one pass per level.
+                calls = sum(fib(s) for s in range(k, stop))
                 assert len(P.handed) == calls
                 assert len({id(t) for t in P.handed}) == (calls if fresh else stop - k)
-                assert all(t.passes == 1 for t in P.handed)
+                passed = [t for t in {id(t): t for t in P.handed}.values() if t.passes]
+                assert all(t.passes == 1 for t in passed)
+                assert len(passed) == len(set(passed)) == len(set(P.handed)) == stop - k
+
+    def test_fresh_tuples_cost_what_shared_ones_cost(self):
+        # Equal cover tuples share one sum, so counting the root to level 12
+        # calls covers_above once per vertex of levels 1..11, F(13) - 1 =
+        # 232 times, however the relation hands its tuples out.
+        P = CappedFreshPoset(12, cap=10 * (fib(13) - 1))
+        assert chains._dfs_count(P, 12)(P.root) == fib_factorial(12)
+        assert len(P.handed) == fib(13) - 1 == 232
+        assert set(P.passes_per_value().values()) == {1}
 
     def test_memo_holds_one_entry_per_level(self):
         # Counting the root to level 22 (F(23) - 1 = 28,656 vertices below
@@ -682,6 +712,19 @@ class TestIterChains:
         assert all(t.passes == 1 for t in P.shared.values())
         assert len(P.handed) == 1 + sum(math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k + 1, n))
 
+    @pytest.mark.parametrize("k, n", [(1, 8), (3, 8), (6, 9)])
+    def test_listing_passes_once_over_each_fresh_cover_value(self, k, n):
+        # Fresh equal tuples share one tuple of the walk, so each cover
+        # value is passed over once; covers_above is still read once per
+        # path below n.
+        calls = 1 + sum(math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k + 1, n))
+        P = CappedFreshPoset(n, cap=10 * calls)
+        start = P.level_vertices(k)[-1]
+        assert list(iter_chains(P, start, n)) == naive_chains(build_cobweb(n), start, n)
+        assert len(P.handed) == calls
+        passes = P.passes_per_value()
+        assert len(passes) == n - k and set(passes.values()) == {1}
+
 
 class TestChainBlocks:
     """The chains verb writes, in chunks of whole lines, the text of what iter_chains lists.
@@ -777,6 +820,21 @@ class TestChainBlocks:
         first = out.chunks[0].split("\n", 1)[0]
         assert first == "v1_0 v2_0 v3_0 v4_0 v5_0 v6_0 v7_0 v8_0 v9_0"
         assert out.chunks[-1].endswith("v1_0 v2_0 v3_1 v4_2 v5_4 v6_7 v7_12 v8_20 v9_33\n")
+
+    @pytest.mark.parametrize("k, n", [(1, 7), (4, 8), (6, 9)])
+    def test_text_is_built_once_per_fresh_cover_value(self, k, n):
+        # Fresh equal tuples share one text, so when the whole listing fits
+        # in a block covers_above is read once per vertex of levels k..n-1
+        # and each cover value is passed over once; read per path, the walk
+        # from the root would hit the cap.
+        calls = 1 + sum(fib(j) for j in range(k + 1, n))
+        P = CappedFreshPoset(n, cap=10 * calls)
+        start = P.level_vertices(k)[-1]
+        text = "".join(chains._chain_text(P, start, n))
+        assert len(P.handed) == calls
+        passes = P.passes_per_value()
+        assert len(passes) == n - k and set(passes.values()) == {1}
+        assert text == self.listing(build_cobweb(n), start, n)
 
     def test_wide_top_level_is_listed_without_its_vertices_held(self):
         # From 26:0 the walk writes the 196,418 vertices of level 27 as

@@ -35,8 +35,11 @@ def test_star_import_binds_exactly_the_exports():
 
 
 def test_block_listing_stays_internal():
-    assert "iter_chain_blocks" not in cobweb.__all__
-    assert not hasattr(cobweb, "iter_chain_blocks")
+    # The `chains` verb's text listing exists in `chains` and is exported by neither namespace.
+    for name in ("_chain_text", "_walk_text"):
+        assert callable(getattr(chains, name))
+        assert name not in chains.__all__ and name not in cobweb.__all__
+        assert not hasattr(cobweb, name)
 
 
 def test_console_script_target_is_callable():

@@ -31,15 +31,21 @@ from the root to level 9).
 oracles, and is the one check of each.  Observation 3, the quotient
 identity, divides a layer's chain count by the (n-k)-level F-factorial and
 compares the quotient with the Fibonomial; a mismatch or an inexact
-division is a failed case in the report, never an exception.
+division is a failed case in the report, never an exception.  It works one
+target level n at a time: the Fibonomials are the row `fibonomial_row(n)`,
+the F-factorials one running product, and the closed-form tail's layer
+counts a running product over k descending, so each case costs one
+multiply and one division.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import zeta
-from .fibcalc import _product, fib_factorial, falling_f_factorial, fibonomial
+from .fibcalc import _product, fib, fib_factorial, falling_f_factorial, fibonomial_row
 from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
 
 __all__ = [
@@ -326,13 +332,11 @@ def _compare_case(k: int, n: int, formula: int, oracle: int, start: Vertex | Non
     return VerificationCase(k=k, n=n, formula=formula, oracle=oracle, passed=formula == oracle, start=start)
 
 
-def _quotient_case(k: int, n: int, layer: int) -> VerificationCase:
-    # Checks layer / (n-k)_F! against fibonomial(n, k).  An inexact division
-    # reports the raw layer count.
-    expected = fibonomial(n, k)
-    quotient, remainder = divmod(layer, fib_factorial(n - k))
-    oracle = layer if remainder else quotient
-    return VerificationCase(k=k, n=n, formula=expected, oracle=oracle, passed=not remainder and quotient == expected)
+def _layer_counts(fibs: list[int], n: int) -> list[int]:
+    # [F(k+1) * ... * F(n) for k = 1..n-1], with fibs[i] = F(i): the chains
+    # from one level-k vertex up to level n, as a running product over k
+    # descending, one multiply per entry.
+    return list(itertools.accumulate(reversed(fibs[2:n + 1]), operator.mul))[::-1]
 
 
 def verify_observation(observation: int, max_n: int, limit: int | None = None) -> VerificationReport:
@@ -343,7 +347,12 @@ def verify_observation(observation: int, max_n: int, limit: int | None = None) -
     for all 1 <= k < n <= max_n (one case per start vertex, so start-invariance
     is visible in the report).
     Observation 3: the chain-quotient identity, oracle-backed for n <= max_n
-    and closed-form for n <= 3 * max_n.
+    and closed-form for n <= 3 * max_n.  Each case divides the layer count by
+    (n-k)_F!, read from one running product of F(1..3 * max_n), and compares
+    the quotient with entry k of `fibonomial_row(n)`, one row per target
+    level.  The closed-form tail's layer count is F(k+1) * ... * F(n), built
+    per n as a running product over k descending.  An inexact division
+    reports the raw layer count.
 
     Mismatches become counterexample cases; only refusals over `limit` (the
     default limit when None) and bad arguments raise, before any walk starts.
@@ -372,10 +381,15 @@ def verify_observation(observation: int, max_n: int, limit: int | None = None) -
                 for start in starts:
                     cases.append(_compare_case(k, n, formula, count[n](start), start=start))
     else:
-        for n in range(2, max_n + 1):
-            for k in range(1, n):
-                cases.append(_quotient_case(k, n, count[n](Vertex(k, 0))))
-        for n in range(2, 3 * max_n + 1):
-            for k in range(1, n):
-                cases.append(_quotient_case(k, n, count_layer_chains_formula(k, n)))
+        top = 3 * max_n
+        fibs = [fib(i) for i in range(top + 1)]
+        factorials = list(itertools.accumulate(fibs[1:], operator.mul, initial=1))
+        rows = {n: fibonomial_row(n) for n in range(2, top + 1)}
+        counted = ((k, n, count[n](Vertex(k, 0))) for n in range(2, max_n + 1) for k in range(1, n))
+        closed = ((k, n, layer) for n in range(2, top + 1) for k, layer in enumerate(_layer_counts(fibs, n), 1))
+        for k, n, layer in itertools.chain(counted, closed):
+            formula = rows[n][k]
+            quotient, remainder = divmod(layer, factorials[n - k])
+            passed = not remainder and quotient == formula
+            cases.append(VerificationCase(k=k, n=n, formula=formula, oracle=layer if remainder else quotient, passed=passed))
     return VerificationReport(observation=observation, max_n=max_n, cases=tuple(cases))

@@ -25,7 +25,7 @@ from cobweb.chains import (
     iter_chains,
     verify_observation,
 )
-from cobweb.fibcalc import fib, fib_factorial, fibonomial
+from cobweb.fibcalc import falling_f_factorial, fib, fib_factorial, fibonomial
 from cobweb.poset import CobwebPoset, GuardError, Vertex, _Level, build_cobweb
 from cobweb.zeta import IncidenceMatrix, cobweb_from_matrix, staircase_check, zeta_matrix
 
@@ -857,8 +857,15 @@ class TestObs3Quotient:
 
     A sweep to max_n checks every pair k < n <= max_n twice: first from the
     counter's layer count, then in the closed-form tail, which runs on to
-    n = 3 * max_n in the same (n, k) order.
+    n = 3 * max_n in the same (n, k) order.  Both read the Fibonomials from
+    one `fibonomial_row(n)` per target level, and the tail's layer counts
+    from `_layer_counts`.
     """
+
+    @staticmethod
+    def pairs(max_n: int) -> list[tuple[int, int]]:
+        counted = [(k, n) for n in range(2, max_n + 1) for k in range(1, n)]
+        return counted + [(k, n) for n in range(2, 3 * max_n + 1) for k in range(1, n)]
 
     def test_examples(self):
         cases = verify_observation(3, 5).cases
@@ -909,17 +916,49 @@ class TestObs3Quotient:
     def test_inexact_quotient_fails_even_when_its_floor_matches(self, monkeypatch):
         # One chain too many leaves remainder 1 wherever (n-k)_F! > 1, and a
         # floor equal to the Fibonomial: still a failed case, reported raw.
-        monkeypatch.setattr(chains, "count_layer_chains_formula", lambda k, n: count_layer_chains_formula(k, n) + 1)
+        layer_counts = chains._layer_counts
+        monkeypatch.setattr(chains, "_layer_counts", lambda fibs, n: [layer + 1 for layer in layer_counts(fibs, n)])
         tail = verify_observation(3, 2).cases[1:]
         assert len(tail) == math.comb(6, 2)
         assert all((c.oracle, c.passed) == (count_layer_chains_formula(c.k, c.n) + 1, False) for c in tail)
 
     def test_sweep_reports_wrong_fibonomial(self, monkeypatch):
-        monkeypatch.setattr(chains, "fibonomial", lambda n, k: fibonomial(n, k) + 1)
+        monkeypatch.setattr(chains, "fibonomial_row", lambda n: [entry + 1 for entry in fibcalc.fibonomial_row(n)])
         report = verify_observation(3, 3)
         assert len(report.counterexamples) == len(report.cases) == 3 + math.comb(9, 2)
         for c in report.cases:
             assert (c.formula, c.oracle) == (fibonomial(c.n, c.k) + 1, fibonomial(c.n, c.k))
+
+    @pytest.mark.parametrize("max_n", [1, 4, 9])
+    def test_one_row_per_target_level_and_no_closed_form_per_case(self, monkeypatch, max_n):
+        rows: list[int] = []
+
+        def row(n: int) -> list[int]:
+            rows.append(n)
+            return fibcalc.fibonomial_row(n)
+
+        def closed_form(*args):
+            raise AssertionError(f"a per-case closed form was called with {args}")
+
+        monkeypatch.setattr(chains, "fibonomial_row", row)
+        for name in ("fibonomial", "fib_factorial", "falling_f_factorial", "count_layer_chains_formula"):
+            for module in (fibcalc, chains):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, closed_form)
+        report = verify_observation(3, max_n)
+        assert report.passed and len(report.cases) == len(self.pairs(max_n))
+        assert rows == list(range(2, 3 * max_n + 1))
+
+    @pytest.mark.parametrize("max_n", range(1, 13))
+    def test_matches_the_public_closed_forms(self, max_n):
+        expected = []
+        for k, n in self.pairs(max_n):
+            layer = falling_f_factorial(n, n - k)
+            quotient, remainder = divmod(layer, fib_factorial(n - k))
+            formula = fibonomial(n, k)
+            expected.append((k, n, formula, layer if remainder else quotient, not remainder and quotient == formula))
+        report = verify_observation(3, max_n, limit=10**30)
+        assert [(c.k, c.n, c.formula, c.oracle, c.passed) for c in report.cases] == expected
 
 
 class TestVerifyObservation:

@@ -583,15 +583,23 @@ def wrong_f7():
 class TestInexactDivision:
     """A failed integrality check exits 1, the verification-failure status, with one stderr line."""
 
-    MESSAGE = (
-        "integrality check failed: fibonomial(15, 7): "
-        "non-exact division of a 51-bit numerator by a 12-bit denominator\n"
-    )
+    # The sweep meets its first inexact division in the row recurrence, the
+    # one Fibonomial route of observation 3; binom in the direct quotient.
+    MESSAGES = {
+        "verify --max-n 9": (
+            "integrality check failed: fibonomial_row(15) at k=7: "
+            "non-exact division of a 43-bit numerator by a 4-bit denominator\n"
+        ),
+        "binom 15 7": (
+            "integrality check failed: fibonomial(15, 7): "
+            "non-exact division of a 51-bit numerator by a 12-bit denominator\n"
+        ),
+    }
 
-    @pytest.mark.parametrize("argv", [["verify", "--max-n", "9"], ["binom", "15", "7"]], ids=" ".join)
+    @pytest.mark.parametrize("argv", MESSAGES)
     def test_exits_one_without_a_traceback(self, capsys, wrong_f7, argv):
-        assert run(argv) == EXIT_VERIFICATION
-        assert out_of(capsys) == ("", self.MESSAGE)
+        assert run(argv.split()) == EXIT_VERIFICATION
+        assert out_of(capsys) == ("", self.MESSAGES[argv])
 
     def test_other_assertion_errors_are_not_caught(self, monkeypatch):
         monkeypatch.setattr(fibcalc, "fibonomial", refuse_work)

@@ -8,11 +8,17 @@ ends `seq`, with nothing on stderr; `run` itself, called in-process,
 reports it as an error with status 2.  All numeric data output is exact
 decimal; timings are wall-clock, labeled non-deterministic, and formatted
 in fixed point.
+
+`run` builds each parser it needs (one verb's, or the full one) once per
+process and reuses it: parsing leaves a parser unchanged, every default is
+immutable, and argparse reads the terminal width and the output streams
+when it prints, not when it builds.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -27,18 +33,23 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 
 
+def _integer(text: str, least: int, kind: str) -> int:
+    """`int(text)` if it is at least `least`; otherwise a usage error naming the `kind` expected."""
+    try:
+        value = int(text)
+        if value >= least:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {text}")
+
+
 def _nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text}")
-    return value
+    return _integer(text, 0, "nonnegative")
 
 
 def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+    return _integer(text, 1, "positive")
 
 
 def _vertex(text: str) -> Vertex:
@@ -263,18 +274,26 @@ def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser(verb: str | None) -> argparse.ArgumentParser:
+    """`build_parser(verb)`, built at the first call per verb and then reused."""
+    return build_parser(verb)
+
+
 def run(argv: Sequence[str] | None = None) -> int:
     """Parse argv and execute one verb; returns the exit status.
 
-    Only the named verb's sub-parser is built; help, an unknown verb and an
-    empty argv get the full parser.  CPython 3.10.7 and later refuse
-    int -> str past a digit limit (4300 by default).  Argv is parsed under
-    that limit; it is lifted only while the verb's handler runs, so every
-    exact number it prints comes out whole, and then put back.
+    Only the named verb's parser is used; help, an unknown verb and an
+    empty argv get the full parser.  Each is built once per process and
+    reused by later runs; parsing leaves it unchanged.  CPython 3.10.7 and
+    later refuse int -> str past a digit limit (4300 by default).  Argv is
+    parsed under that limit; it is lifted only while the verb's handler
+    runs, so every exact number it prints comes out whole, and then put
+    back.
     """
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser(argv[0] if argv and argv[0] in _VERBS else None)
+    parser = _parser(argv[0] if argv and argv[0] in _VERBS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its diagnostic

@@ -6,12 +6,14 @@ masked as `_s=<t>` before stdout is measured.  A usage error that argparse
 reports has `stderr` null: its wording and wrapping vary between the
 Python versions CI runs, so only its exit code and stdout are compared.
 
-    PYTHONPATH=src python tests/cli_corpus.py             # check in-process
+    PYTHONPATH=src python tests/cli_corpus.py             # check in-process, twice
     PYTHONPATH=src python tests/cli_corpus.py --processes # check as `python -m cobweb.cli`
     PYTHONPATH=src python tests/cli_corpus.py --write     # regenerate the file
 
-Every mode runs with COLUMNS=80.  A check prints each differing record and
-exits 1.
+Every mode runs with COLUMNS=80.  The in-process check runs every case
+twice in one process, the second pass in reverse order, so each case also
+runs on parsers that other cases used before it.  A check prints each
+differing run and exits 1.
 """
 
 from __future__ import annotations
@@ -103,6 +105,11 @@ def record(argv: list[str], code: int, out: bytes, err: str) -> dict:
     }
 
 
+def two_passes(records: list) -> list:
+    """`records`, then `records` in reverse order: the in-process check's runs."""
+    return [*records, *records[::-1]]
+
+
 def in_process(argv: list[str]) -> dict:
     """Run one case through `cli.run` in this process (COLUMNS must be 80)."""
     from cobweb import cli
@@ -135,10 +142,11 @@ def main() -> int:
         print(f"wrote {len(CASES)} records to {CORPUS}")
         return 0
     expected = json.loads(CORPUS.read_text())
-    failed = [(want, got) for want in expected if (got := run(want["argv"])) != want]
+    runs = expected if args.processes else two_passes(expected)
+    failed = [(want, got) for want in runs if (got := run(want["argv"])) != want]
     for want, got in failed:
         print(f"differs: {' '.join(want['argv'])}\n  expected {want}\n  got      {got}")
-    print(f"{len(failed)} of {len(expected)} records differ")
+    print(f"{len(failed)} of {len(runs)} runs of {len(expected)} records differ")
     return 1 if failed else 0
 
 

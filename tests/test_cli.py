@@ -190,6 +190,20 @@ def parse_outcome(parser, argv, capsys):
         return exc.code, out_of(capsys)
 
 
+@pytest.fixture
+def built_parsers(monkeypatch):
+    """The prog of every `ArgumentParser` constructed from here on, `run`'s parsers emptied first."""
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._parser.cache_clear()
+    return built
+
+
 class TestOneVerbParser:
     """`build_parser(verb)` parses and rejects that verb's argvs as the full parser does."""
 
@@ -213,17 +227,24 @@ class TestOneVerbParser:
         [(["fib", "5"], "fib"), (["verify", "--max-n", "2"], "verify"), (["fib", "-1"], "fib"),
          ([], None), (["--help"], None), (["frob"], None), (["-h", "fib"], None)],
     )
-    def test_run_builds_the_named_verb_only(self, capsys, monkeypatch, argv, verb):
-        asked, build_parser = [], cli.build_parser
-
-        def build(name=None):
-            asked.append(name)
-            return build_parser(name)
-
-        monkeypatch.setattr(cli, "build_parser", build)
+    def test_run_builds_each_parser_once(self, capsys, built_parsers, argv, verb):
+        verbs = [verb] if verb else list(cli._VERBS)
+        run(argv)
+        assert built_parsers == ["cobweb", *(f"cobweb {name}" for name in verbs)]
+        built_parsers.clear()
         run(argv)
         capsys.readouterr()
-        assert asked == [verb]
+        assert built_parsers == []
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert cli.build_parser("fib") is not cli.build_parser("fib")
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_full_parser_is_shared_by_help_unknown_verb_and_empty_argv(self, capsys, built_parsers):
+        for argv in [[], ["--help"], ["frob"], ["-h", "fib"]] * 2:
+            run(argv)
+        capsys.readouterr()
+        assert built_parsers == ["cobweb", *(f"cobweb {name}" for name in cli._VERBS)]
 
     def test_run_without_argv_reads_sys_argv(self, capsys, monkeypatch):
         monkeypatch.setattr(sys, "argv", ["cobweb", "binom", "10", "5"])
@@ -252,6 +273,22 @@ class TestUsageErrors:
     def test_rejected(self, argv, capsys):
         assert run(argv) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["fib", "x"], "cobweb fib: error: argument n: expected a nonnegative integer, got x"),
+            (["binom", "5", "2.0"], "cobweb binom: error: argument k: expected a nonnegative integer, got 2.0"),
+            (["chains", "4", "--unsafe-enumeration-limit", "1e9"],
+             "cobweb chains: error: argument --unsafe-enumeration-limit: expected a positive integer, got 1e9"),
+            (["bench", "x"], "cobweb bench: error: argument max_n: expected a positive integer, got x"),
+        ],
+    )
+    def test_non_integer_names_the_integer_expected(self, capsys, argv, line):
+        assert run(argv) == EXIT_USAGE
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.endswith(f"\n{line}\n")
 
     def test_invalid_start_vertex_is_usage_error(self, capsys):
         assert run(["chains", "4", "--from", "3:9"]) == EXIT_USAGE
@@ -551,6 +588,41 @@ class TestRunsInOneProcess:
         assert out_of(capsys) == (",".join(map(str, row)) + "\n", "")
         assert run(["row", "6"]) == EXIT_OK
         assert out_of(capsys) == (" ".join(map(str, row)) + "\n", "")
+
+    def test_refusal_after_an_override(self, capsys):
+        argv = ["verify", "--obs", "1", "--max-n", "10"]
+        assert run([*argv, "--unsafe-enumeration-limit", "122522400"]) == EXIT_OK
+        assert "overridden" in out_of(capsys)[1]
+        assert run(argv) == EXIT_GUARD
+        out, err = out_of(capsys)
+        assert out == ""
+        assert err.startswith("guard: ") and "warning" not in err
+
+    def test_start_vertex_does_not_stick(self, capsys):
+        assert run(["chains", "9", "--from", "6:2"]) == EXIT_OK
+        assert out_of(capsys)[0].startswith("v6_2 ")
+        assert run(["chains", "4"]) == EXIT_OK
+        out, err = out_of(capsys)
+        assert (out.splitlines()[0], len(out.splitlines()), err) == ("v1_0 v2_0 v3_0 v4_0", 6, "")
+
+    def test_out_file_does_not_stick(self, capsys, tmp_path):
+        argv = ["export", "3", "--format", "dot"]
+        assert run([*argv, "--out", str(tmp_path / "m.dot")]) == EXIT_OK
+        assert out_of(capsys) == ("", "")
+        assert run(argv) == EXIT_OK
+        assert out_of(capsys) == ((tmp_path / "m.dot").read_text(), "")
+
+    @pytest.mark.parametrize("verb", [None, *HELP_VERBS], ids=lambda verb: verb or "cobweb")
+    def test_help_width_is_read_when_help_prints(self, capsys, monkeypatch, verb):
+        argv = [verb, "--help"] if verb else ["--help"]
+        monkeypatch.setenv("COLUMNS", "40")
+        assert run(argv) == EXIT_OK
+        narrow = out_of(capsys)[0]
+        monkeypatch.setenv("COLUMNS", "80")
+        assert run(argv) == EXIT_OK
+        golden = (GOLDEN / "help" / f"{verb or 'cobweb'}.txt").read_text()
+        assert out_of(capsys) == (golden, "")
+        assert narrow != golden
 
     @pytest.mark.parametrize("argv", [["binom", "5"], ["row", "4", "--format", "dot"], ["frobnicate"], []])
     def test_usage_error_then_valid_verb(self, capsys, argv):

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from cli_corpus import CASES, CORPUS, in_process
+from cobweb import cli
+
+from cli_corpus import CASES, CORPUS, in_process, two_passes
 
 RECORDS = json.loads(CORPUS.read_text())
 
@@ -19,3 +21,10 @@ def test_corpus_file_holds_every_case():
 def test_case_is_byte_identical(monkeypatch, want):
     monkeypatch.setenv("COLUMNS", "80")
     assert in_process(want["argv"]) == want
+
+
+def test_every_case_twice_in_one_process(monkeypatch):
+    # From fresh parsers, then in reverse order on the parsers the first pass built.
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    assert [in_process(want["argv"]) for want in two_passes(RECORDS)] == two_passes(RECORDS)

@@ -356,9 +356,13 @@ def verify_observation(observation: int, max_n: int, limit: int | None = None) -
 
     Mismatches become counterexample cases; only refusals over `limit` (the
     default limit when None) and bad arguments raise, before any walk starts.
+    Observation 2 has no case below max_n = 2, so a smaller max_n raises
+    rather than pass a sweep of nothing.
     """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
+    if observation == 2 and max_n < 2:
+        raise ValueError(f"observation 2 needs max_n >= 2, got {max_n}")
     if observation not in (1, 2, 3):
         raise ValueError(f"observation must be 1, 2 or 3, got {observation}")
     # Every walk is admitted before any starts.  The root's walk to level n

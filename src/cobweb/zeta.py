@@ -6,11 +6,12 @@ diagonal and shows the staircase of zero blocks: one identity block per
 level on the diagonal, all-ones blocks above, zeros below.
 
 A matrix is held as one row-major bytes buffer of dim * dim cells.  Building
-the zeta cells, the staircase check, CSV in both directions and the
-reconstruction are whole-buffer operations done in C, with at most one
-Python step per level; a per-row scan runs only to name the first bad cell
-of an input already found wrong.  `_admit` alone reads DEFAULT_DIM_CAP, and
-a matrix streams its own CSV in blocks of whole rows.
+the zeta cells, the staircase check and the reconstruction are whole-buffer
+operations done in C, with at most one Python step per level.  CSV in both
+directions goes in blocks of whole rows, one Python step per block, so a
+matrix streams its own CSV and reads one back without holding a copy of the
+whole text.  A per-row scan runs only to name the first bad cell of an input
+already found wrong.  `_admit` alone reads DEFAULT_DIM_CAP.
 """
 
 from __future__ import annotations
@@ -37,9 +38,12 @@ _ENTRY_TO_CELL = bytes.maketrans(b"\x00\x01", b"01")
 _CELL_TO_ENTRY = bytes.maketrans(b"01", b"\x00\x01")
 
 # The one block size of everything built or streamed in pieces: the zeta cells,
-# the CSV and DOT exports, and the chain listing's memoized texts.  Each reads
-# it when it starts, so patching it here moves them all.
-_BLOCK_BYTES = 1 << 20
+# the CSV and DOT exports, the CSV reader and the chain listing's memoized
+# texts.  Each reads it when it starts, so patching it here moves them all.
+# 64 KiB sits below glibc's default 128 KiB mmap threshold, so malloc serves
+# every block from the heap and reuses it for the next one instead of mapping
+# and faulting in fresh pages, and a few blocks fit in a 2 MiB L2 cache.
+_BLOCK_BYTES = 1 << 16
 
 
 class MatrixSizeError(GuardError):
@@ -96,14 +100,16 @@ class IncidenceMatrix:
         """to_csv's text in blocks of whole rows, about _BLOCK_BYTES each.
 
         A line is 2 * dim characters wide, so the cells of every row sit at
-        the even offsets of a block: one strided assignment fills a body of
-        separators.
+        the even offsets of a block.  One body of separators is built per
+        call; each block overwrites its even offsets with one strided
+        assignment, and the last block trims the body to its rows.
         """
         dim = self.dim
         rows = max(1, _BLOCK_BYTES // max(1, 2 * dim))
-        line = b"," * (2 * dim - 1) + b"\n"
+        body = bytearray(b"," * (2 * dim - 1) + b"\n") * min(rows, dim)
         for start in range(0, dim, rows):
-            body = bytearray(line * min(rows, dim - start))
+            if dim - start < rows:
+                del body[2 * dim * (dim - start):]
             body[::2] = self._cells[start * dim:(start + rows) * dim].translate(_ENTRY_TO_CELL)
             yield body.decode("ascii")
 
@@ -112,20 +118,37 @@ class IncidenceMatrix:
         """Strict inverse of to_csv; rejects anything but a square 0/1 body.
 
         Lines end at "\n" only.  A line is valid when its even positions
-        hold 0/1 cells and its odd positions hold commas.  The body is taken
-        whole when its length, its separators and its cells all fit the
-        width of its first line; otherwise a scan line by line names the
-        first bad cell, or the constructor the first row of the wrong length.
+        hold 0/1 cells and its odd positions hold commas.  The first line's
+        width gives dim, which `_admit` refuses past DEFAULT_DIM_CAP before
+        any text is encoded.  A body as long as dim such lines is read in
+        blocks of whole rows, about _BLOCK_BYTES of text each: a block is
+        encoded, its separators compared with one template and its cells
+        translated into the matrix's buffer, so no copy of the whole text is
+        held.  If a block fails, a scan line by line names the first bad
+        cell, or the constructor the first row of the wrong length.
         """
         if not text or not text.endswith("\n"):
             raise ValueError("CSV body must be nonempty and newline-terminated")
-        # Each non-ASCII character becomes one b"?", which fails the checks.
-        data = text.encode("ascii", "replace")
-        dim = (data.index(b"\n") + 1) // 2
-        if len(data) == 2 * dim * dim and data[1::2] == (b"," * (dim - 1) + b"\n") * dim:
-            cells = data[::2]
-            if not cells.translate(None, b"01"):
-                return cls._of_cells(dim, cells.translate(_CELL_TO_ENTRY))
+        dim = (text.index("\n") + 1) // 2
+        _admit(dim)
+        if len(text) == 2 * dim * dim:
+            step = max(1, _BLOCK_BYTES // (2 * dim))
+            template = (b"," * (dim - 1) + b"\n") * min(step, dim)
+            buf = io.BytesIO()
+            buf.seek(dim * dim - 1)
+            buf.write(b"\0")  # sized once: the buffer never grows and is never copied
+            buf.seek(0)
+            for start in range(0, dim, step):
+                if dim - start < step:
+                    template = template[:(dim - start) * dim]
+                # Each non-ASCII character becomes one b"?", which fails the checks.
+                data = text[2 * dim * start:2 * dim * (start + step)].encode("ascii", "replace")
+                cells = data[::2]
+                if data[1::2] != template or cells.translate(None, b"01"):
+                    break
+                buf.write(cells.translate(_CELL_TO_ENTRY))
+            else:
+                return cls._of_cells(dim, buf.getvalue())
         rows = []
         for line in text.split("\n")[:-1]:
             data = line.encode("ascii", "replace")

@@ -78,6 +78,7 @@ CASES = [
     ["verify", "--obs", "all", "--max-n", "9"],
     ["verify", "--obs", "all", "--max-n", "9", "--format", "structured"],
     ["verify", "--obs", "2", "--max-n", "1"],
+    ["verify", "--max-n", "1"],
     ["verify", "--obs", "3", "--max-n", "4", "--format", "structured"],
     ["verify", "--obs", "3", "--max-n", "12", "--unsafe-enumeration-limit", "1000000000000000000000000000000", "--format", "structured"],
     ["verify", "--obs", "3", "--max-n", "14", "--unsafe-enumeration-limit", "1000000000000000000000000000000", "--format", "structured"],

@@ -773,7 +773,7 @@ class TestChainBlocks:
                     monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
                     assert self.chains_verb(capsys, start, stop) == expected
 
-    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("block", (*BLOCKS, 1 << 20))
     def test_chunks_are_whole_lines_of_the_listing(self, monkeypatch, block):
         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
         P = build_cobweb(7)
@@ -822,19 +822,22 @@ class TestChainBlocks:
         assert out.chunks[-1].endswith("v1_0 v2_0 v3_1 v4_2 v5_4 v6_7 v7_12 v8_20 v9_33\n")
 
     @pytest.mark.parametrize("k, n", [(1, 7), (4, 8), (6, 9)])
-    def test_text_is_built_once_per_fresh_cover_value(self, k, n):
+    def test_text_is_built_once_per_fresh_cover_value(self, monkeypatch, k, n):
         # Fresh equal tuples share one text, so when the whole listing fits
         # in a block covers_above is read once per vertex of levels k..n-1
         # and each cover value is passed over once; read per path, the walk
-        # from the root would hit the cap.
+        # from the root would hit the cap.  The block is set to the length
+        # of the listing (root to 7 is 109,920 bytes, past the default).
         calls = 1 + sum(fib(j) for j in range(k + 1, n))
         P = CappedFreshPoset(n, cap=10 * calls)
         start = P.level_vertices(k)[-1]
+        listing = self.listing(build_cobweb(n), start, n)
+        monkeypatch.setattr(zeta, "_BLOCK_BYTES", len(listing))
         text = "".join(chains._chain_text(P, start, n))
         assert len(P.handed) == calls
         passes = P.passes_per_value()
         assert len(passes) == n - k and set(passes.values()) == {1}
-        assert text == self.listing(build_cobweb(n), start, n)
+        assert text == listing
 
     def test_wide_top_level_is_listed_without_its_vertices_held(self):
         # From 26:0 the walk writes the 196,418 vertices of level 27 as
@@ -999,13 +1002,18 @@ class TestVerifyObservation:
             verify_observation(1, 0)
 
     def test_smallest_sweep(self):
-        # At max_n = 1: the root alone, no pair k < n <= 1, and the closed-form
-        # tail's three pairs up to n = 3.
-        one, two, three = (verify_observation(obs, 1) for obs in (1, 2, 3))
+        # At max_n = 1: the root alone, and the closed-form tail's three pairs
+        # up to n = 3.  Observation 2 has no pair k < n <= 1, so it refuses
+        # max_n = 1 rather than pass a sweep of nothing; at 2 it has one case.
+        one, three = (verify_observation(obs, 1) for obs in (1, 3))
         assert one.cases == (VerificationCase(k=1, n=1, formula=1, oracle=1, passed=True),)
-        assert two.cases == ()
         assert [(c.k, c.n, c.formula, c.oracle) for c in three.cases] == [(1, 2, 1, 1), (1, 3, 2, 2), (2, 3, 2, 2)]
-        assert one.passed and two.passed and three.passed
+        assert one.passed and three.passed
+        with pytest.raises(ValueError, match=r"^observation 2 needs max_n >= 2, got 1$"):
+            verify_observation(2, 1)
+        two = verify_observation(2, 2)
+        assert two.cases == (VerificationCase(k=1, n=2, formula=1, oracle=1, passed=True, start=Vertex(1, 0)),)
+        assert two.passed
 
     def test_injected_formula_bug_is_reported_not_raised(self, monkeypatch):
         monkeypatch.setattr(chains, "count_from_root_formula", lambda n: 7)

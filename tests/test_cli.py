@@ -386,6 +386,7 @@ class TestExport:
 
     @pytest.mark.parametrize("depth", [6, 11, 15])
     def test_dot_streams_about_one_mib_of_whole_source_vertices_a_chunk(self, depth):
+        # Chunks are about one block each, zeta._BLOCK_BYTES (1 MiB when this test was named).
         P = build_cobweb(depth)
         ids = [[v.node_id() for v in P.level_vertices(s)] for s in range(1, depth + 1)]
         # Every edge on its own line, level pair by level pair: what the edge chunks must join to.
@@ -393,16 +394,22 @@ class TestExport:
         chunks = list(cli._hasse_dot(P))
         assert "".join(chunks[1:-1]) == per_level_pair
         assert chunks[0].startswith("digraph cobweb {\n") and chunks[-1] == "}\n"
-        assert all(len(c) <= 1 << 20 and c.endswith(";\n") for c in chunks[1:-1])
-        # Each chunk holds the whole edge list of its source vertices.
-        sources = [[line.split(" -> ")[0] for line in c.splitlines()] for c in chunks[1:-1]]
-        assert all(a[-1] != b[0] for a, b in zip(sources, sources[1:]))
-        if depth < 15:
+        assert all(len(c) <= zeta._BLOCK_BYTES and c.endswith(";\n") for c in chunks[1:-1])
+        # Each chunk holds the edge lists of as many whole source vertices
+        # of one level pair as fit in a block at the widest source's size.
+        expected = []
+        for low, high in zip(ids, ids[1:]):
+            texts = ["".join(f"  {x} -> {y};\n" for y in high) for x in low]
+            step = zeta._BLOCK_BYTES // max(map(len, texts))
+            expected += ["".join(texts[i:i + step]) for i in range(0, len(texts), step)]
+        assert chunks[1:-1] == expected
+        if depth == 6:
             assert len(chunks) == depth + 1  # the header, one chunk per level pair, the brace
         else:
-            assert len(chunks) > depth + 1  # the edges from level 14 to 15 alone take 4.8 MB
+            assert len(chunks) > depth + 1  # the edges from level 10 to 11 alone take 96 kB
 
     def test_csv_streams_about_one_mib_of_whole_rows_a_chunk(self, monkeypatch):
+        # Chunks are about one block each, zeta._BLOCK_BYTES (1 MiB when this test was named).
         class Recorder:
             def __init__(self):
                 self.chunks = []
@@ -414,8 +421,9 @@ class TestExport:
         monkeypatch.setattr(sys, "stdout", out)
         assert run(["export", "15", "--format", "csv"]) == EXIT_OK
         line = 2 * 1596  # 1596 vertices at depth 15
-        assert [len(c) // line for c in out.chunks] == [328, 328, 328, 328, 284]
-        assert all(len(c) % line == 0 and len(c) <= 1 << 20 for c in out.chunks)
+        rows = zeta._BLOCK_BYTES // line  # 20 rows at 64 KiB
+        assert 1596 % rows and [len(c) // line for c in out.chunks] == [rows] * (1596 // rows) + [1596 % rows]
+        assert all(len(c) % line == 0 and len(c) <= zeta._BLOCK_BYTES for c in out.chunks)
         assert "".join(out.chunks) == zeta.zeta_matrix(build_cobweb(15)).to_csv()
 
     def test_round_trip_depth_six(self, tmp_path, capsys):
@@ -708,6 +716,14 @@ class TestVerifyVerb:
         out, _ = out_of(capsys)
         assert "FAIL" in out
         assert "counterexample" in out
+
+    @pytest.mark.parametrize("argv", [["verify", "--obs", "2", "--max-n", "1"], ["verify", "--max-n", "1"]])
+    def test_sweep_of_no_case_is_a_usage_error(self, capsys, argv):
+        # Observation 2 needs 1 <= k < n <= max_n, so max_n = 1 has nothing to pass.
+        assert run(argv) == EXIT_USAGE
+        assert out_of(capsys) == ("", "error: observation 2 needs max_n >= 2, got 1\n")
+        assert run([*argv[:-1], "2"]) == EXIT_OK
+        assert "Observation 2: PASS (1 cases, max_n=2)\n" in out_of(capsys)[0]
 
     def test_guard_refusal(self, capsys):
         assert run(["verify", "--obs", "1", "--max-n", "10"]) == EXIT_GUARD

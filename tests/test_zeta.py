@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,6 +104,16 @@ def reference_from_csv(text: str) -> IncidenceMatrix:
                 raise ValueError(f"bad CSV cell {c!r}; expected '0' or '1'")
         rows.append([int(c) for c in cells])
     return IncidenceMatrix(rows)
+
+
+def one_edit(body: str, edit: str, char: str, data) -> str:
+    """`body` with one character deleted, inserted or replaced at a drawn offset."""
+    k = data.draw(st.integers(0, len(body) - (edit != "insert")))
+    if edit == "delete":
+        return body[:k] + body[k + 1:]
+    if edit == "insert":
+        return body[:k] + char + body[k:]
+    return body[:k] + char + body[k + 1:]
 
 
 def outcome(parse, text: str):
@@ -247,6 +259,12 @@ class TestCsv:
     def test_depth_three_body(self):
         assert zeta_matrix(build_cobweb(3)).to_csv() == "1,1,1,1\n0,1,1,1\n0,0,1,0\n0,0,0,1\n"
 
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64])
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_csv_written_in_blocks(self, monkeypatch, depth, block_bytes):
+        monkeypatch.setattr(zeta, "_BLOCK_BYTES", block_bytes)
+        assert zeta_matrix(build_cobweb(depth)).to_csv() == csv_body(zeta_row_bytes(depth))
+
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_round_trip(self, depth):
         M = zeta_matrix(build_cobweb(depth))
@@ -295,15 +313,59 @@ class TestCsv:
         st.data(),
     )
     def test_one_edit_parses_as_the_reference(self, depth, edit, char, data):
-        body = zeta_matrix(build_cobweb(depth)).to_csv()
-        k = data.draw(st.integers(0, len(body) - (edit != "insert")))
-        if edit == "delete":
-            text = body[:k] + body[k + 1:]
-        elif edit == "insert":
-            text = body[:k] + char + body[k:]
-        else:
-            text = body[:k] + char + body[k + 1:]
+        text = one_edit(zeta_matrix(build_cobweb(depth)).to_csv(), edit, char, data)
         assert outcome(IncidenceMatrix.from_csv, text) == outcome(reference_from_csv, text)
+
+    # At these block sizes the body is read a row or a few rows at a time,
+    # so edits land in later blocks and in a short last block.
+    @pytest.mark.parametrize("block_bytes", [1, 7, 64, 1000])
+    @given(
+        st.integers(1, 7),
+        st.sampled_from(["delete", "insert", "replace"]),
+        st.sampled_from("01,\n\r2 \u00e9"),
+        st.data(),
+    )
+    def test_one_edit_in_small_blocks_parses_as_the_reference(self, block_bytes, depth, edit, char, data):
+        text = one_edit(zeta_matrix(build_cobweb(depth)).to_csv(), edit, char, data)
+        with mock.patch.object(zeta, "_BLOCK_BYTES", block_bytes):
+            assert outcome(IncidenceMatrix.from_csv, text) == outcome(reference_from_csv, text)
+
+    @pytest.mark.parametrize("depth, dim", [(16, 2583), (17, 4180)])
+    def test_body_is_read_in_blocks(self, depth, dim):
+        # Read whole (encoded, split into cells and separators, translated),
+        # the body peaked at about 4 * dim**2 bytes.  Depth 17 also checks
+        # that the matrix's buffer is sized once: grown write by write, it
+        # overshoots dim**2 by up to 12.5%, 1.6 MB there.
+        M = zeta_matrix(build_cobweb(depth))
+        body = M.to_csv()
+        tracemalloc.start()
+        try:
+            read = IncidenceMatrix.from_csv(body)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert read == M and M.dim == dim
+        assert peak < M.dim ** 2 + 8 * zeta._BLOCK_BYTES
+
+    def test_width_is_admitted_before_the_body_is_read(self, monkeypatch):
+        class FirstLineOnly(str):
+            """A body whose text past the first line cannot be sliced, encoded or split."""
+
+            def __getitem__(self, *args):
+                raise AssertionError("the body was read past its first line")
+
+            encode = split = __getitem__
+
+        wide = FirstLineOnly(",".join("1" * 10_001) + "\n" + "0,1\n" * 10_000)
+        with pytest.raises(MatrixSizeError) as exc:
+            IncidenceMatrix.from_csv(wide)
+        assert (exc.value.predicted, exc.value.limit) == (10_001, 10_000)
+        # The cap is read at each call, and a later line's bad cell is never reached.
+        monkeypatch.setattr(zeta, "DEFAULT_DIM_CAP", 2)
+        with pytest.raises(MatrixSizeError) as exc:
+            IncidenceMatrix.from_csv("1,1,1\n0,1,x\n0,0,1\n")
+        assert (exc.value.predicted, exc.value.limit) == (3, 2)
+        assert IncidenceMatrix.from_csv("1,1\n0,1\n") == zeta_matrix(build_cobweb(2))
 
 
 class TestMatrixType:

@@ -10,10 +10,13 @@ equal ones share one entry; a cobweb level's handle hashes by identity,
 so the memo holds at most one entry per level.  It serves every start
 vertex of a sweep.  `iter_chains` is the chain-by-chain listing and the
 counter's ground truth in the tests.  The `chains` verb lists the same
-chains as text, built the way the counter sums: the text of every chain
-from the vertices of one cover object up to the target depends on the
-object alone, so it is built once per distinct object while it fits in a
-block; a path's ids go before each of its lines by one `str.replace`.
+chains as text from the level structure alone: every vertex of a level is
+covered by every vertex of the next, so it reads one cover object per
+level and builds the text of every chain from a level up to the target
+once, from the top level down, while it fits in a block; a path's ids go
+before each of its lines by one `str.replace`.  The counter and
+`iter_chains` still follow covers_above vertex by vertex, so the listing is
+checked against walks that share no code with it.
 
 One admission check validates and guards every walk, counted or listed,
 before it starts.  It refuses (EnumerationGuardError) a walk whose
@@ -129,8 +132,8 @@ def _dfs_count(P: CobwebPoset, stop_level: int) -> Callable[[Vertex], int]:
     # this is the independent oracle.  A vertex counts 1 at stop_level; any
     # other vertex counts the sum over its covers (0 above stop_level).  The
     # sum depends on the cover object alone, so the one memo keeps it by the
-    # object, as _walk_text keeps its texts.  No vertex takes an entry, so
-    # covers_above runs once per vertex visit.
+    # object.  No vertex takes an entry, so covers_above runs once per vertex
+    # visit.
     covers_above = P.covers_above
     sums: dict[Iterable[Vertex], int] = {}
 
@@ -219,16 +222,14 @@ def _chain_text(P: CobwebPoset, start: Vertex, stop_level: int, limit: int | Non
 
 def _prefixed(head: str, text: str) -> str:
     """`head` put before every line of `text`, newline-terminated lines, in one C-level pass."""
-    return head + text[:-1].replace("\n", "\n" + head) + "\n" if text else text
+    return head + text[:-1].replace("\n", "\n" + head) + "\n"
 
 
-def _within(block: int, parts: Iterable[str | None]) -> str | None:
-    """The parts joined, or None once a part is None or the text passes `block` characters."""
+def _within(block: int, parts: Iterable[str]) -> str | None:
+    """The parts joined, or None once the text passes `block` characters."""
     kept: list[str] = []
     size = 0
     for part in parts:
-        if part is None:
-            return None
         size += len(part)
         if size > block:
             return None
@@ -237,57 +238,49 @@ def _within(block: int, parts: Iterable[str | None]) -> str | None:
 
 
 def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
-    # The text of every chain from a vertex of one cover object up to
-    # stop_level depends on the object alone.  So it is built once per
-    # distinct object and memoized by the object, as _dfs_count keeps its
-    # sums, while it fits in a block: the one block size of every streamed
-    # output, as it reads when the walk starts.  A larger text is memoized as
-    # None, and the walk goes through its object vertex by vertex, then writes
-    # one chunk per memoized text it reaches, each line led by the ids of the
-    # path to it.  The lines of a run of target-level covers are joined into
-    # chunks of about a block.  Every cover is read from covers_above, so a
-    # relation that differs from vertex to vertex is followed as given.
-    block = zeta._BLOCK_BYTES
-    covers_above = P.covers_above
-    texts: dict[Iterable[Vertex], str | None] = {}
-
-    def text_from(w: Vertex) -> str | None:
-        if w.level == stop_level:
-            return w.node_id() + "\n"
-        tail = text_of(covers_above(w))
-        return None if tail is None else _prefixed(w.node_id() + " ", tail)
-
-    def text_of(covers: Iterable[Vertex]) -> str | None:
-        if covers not in texts:
-            texts[covers] = _within(block, map(text_from, covers))
-        return texts[covers]
-
-    def walk(head: str, covers: Iterable[Vertex]) -> Iterator[str]:
-        text = text_of(covers)
-        if text is None:
-            lines: list[str] = []  # target-level lines not yet written
-            size = 0
-            for w in covers:
-                if w.level == stop_level:
-                    lines.append(head + w.node_id() + "\n")
-                    size += len(lines[-1])
-                    if size >= block:
-                        yield "".join(lines)
-                        lines, size = [], 0
-                else:
-                    if lines:
-                        yield "".join(lines)
-                        lines, size = [], 0
-                    yield from walk(head + w.node_id() + " ", covers_above(w))
-            if lines:
-                yield "".join(lines)
-        elif text:
-            yield _prefixed(head, text)
-
+    # Every vertex of a level is covered by every vertex of the next, so the
+    # walk reads one cover object per level, from the level's first vertex.
+    # The text of every chain from a vertex of one level up to stop_level is
+    # then the same for every path below it.  It is built from the top level
+    # down while it fits in a block: the one block size of every streamed
+    # output, as it reads when the walk starts.  The levels below the lowest
+    # text that fits are walked vertex by vertex, and each path writes that
+    # text as one chunk, each line led by the path's ids.  When the top
+    # level's own lines pass a block they are joined into chunks of about a
+    # block.  The oracles, _dfs_count and iter_chains, still read
+    # covers_above vertex by vertex.
     if start.level == stop_level:
         yield start.node_id() + "\n"
-    else:
-        yield from walk(start.node_id() + " ", covers_above(start))
+        return
+    block = zeta._BLOCK_BYTES
+    levels = [P.covers_above(Vertex(s, 0)) for s in range(start.level, stop_level)]
+    fit, text = len(levels), None  # text: every chain from a vertex of levels[fit] up
+    for level in reversed(levels):
+        ids = map(Vertex.node_id, level)
+        wider = _within(block, (v + "\n" for v in ids) if text is None else (_prefixed(v + " ", text) for v in ids))
+        if wider is None:
+            break
+        fit, text = fit - 1, wider
+
+    def walk(head: str, i: int) -> Iterator[str]:
+        if i == fit:
+            yield _prefixed(head, text)
+        elif i < len(levels) - 1:
+            for w in levels[i]:
+                yield from walk(head + w.node_id() + " ", i + 1)
+        else:  # the top level's own lines pass a block
+            lines: list[str] = []
+            size = 0
+            for w in levels[i]:
+                lines.append(head + w.node_id() + "\n")
+                size += len(lines[-1])
+                if size >= block:
+                    yield "".join(lines)
+                    lines, size = [], 0
+            if lines:
+                yield "".join(lines)
+
+    yield from walk(start.node_id() + " ", 0)
 
 
 class VerificationCase(NamedTuple):

@@ -545,6 +545,19 @@ class TestAnyLevelSizes:
         assert len(listed) == len(set(listed)) == math.factorial(7)
         assert listed == naive_chains(P, P.root, 7)
 
+    @pytest.mark.parametrize("sizes, top", [(NATURAL, 7), (MERSENNE[:5], 5)], ids=["natural", "mersenne"])
+    def test_chain_text(self, monkeypatch, sizes, top):
+        # The chains verb's text, from every start vertex, joins to the
+        # rendering of what iter_chains lists, at every block.
+        P = SizedPoset(sizes)
+        for stop in range(1, top + 1):
+            for start in P.vertices():
+                if start.level <= stop:
+                    expected = TestChainBlocks.listing(P, start, stop)
+                    for block in TestChainBlocks.BLOCKS:
+                        monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
+                        assert "".join(chains._chain_text(P, start, stop)) == expected
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_natural_sizes_refusal_predicts_the_count(self, n):
         with pytest.raises(EnumerationGuardError) as exc:
@@ -700,6 +713,17 @@ class TestIterChains:
         assert exc.value.predicted == 1
         assert P.calls == 1 + 2 + 2 * 3
 
+    @pytest.mark.parametrize("plant", sorted(TestDfsOracle.PLANTS))
+    @pytest.mark.parametrize("planted", [Vertex(5, 0), Vertex(5, 3)])
+    def test_irregular_cover_relation(self, plant, planted):
+        # These cover tuples mix levels, or differ from their siblings', so
+        # the listing must keep their order, drop the off-level covers, and
+        # give the planted vertex's chains to no other vertex.
+        P = PlantedPoset(7, planted, TestDfsOracle.PLANTS[plant])
+        for start in (P.root, Vertex(3, 1), Vertex(4, 2), Vertex(5, 1), planted):
+            for stop in (6, 7):
+                assert list(iter_chains(P, start, stop)) == naive_chains(P, start, stop)
+
     @pytest.mark.parametrize("k, n", [(1, 8), (3, 7), (5, 8), (7, 8)])
     def test_listing_passes_once_over_each_shared_cover(self, k, n):
         # iter_chains keeps a tuple of each cover object it is handed, so a
@@ -757,22 +781,6 @@ class TestChainBlocks:
                         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
                         assert self.chains_verb(capsys, start, stop) == expected
 
-    @pytest.mark.parametrize("plant", sorted(TestDfsOracle.PLANTS))
-    @pytest.mark.parametrize("planted", [Vertex(5, 0), Vertex(5, 3)])
-    def test_irregular_cover_relation(self, capsys, monkeypatch, plant, planted):
-        # These cover tuples mix levels, or differ from their siblings', so
-        # the text must keep the order and drop the off-level covers, and
-        # give the planted vertex's lines to no other vertex.
-        P = PlantedPoset(7, planted, TestDfsOracle.PLANTS[plant])
-        monkeypatch.setattr(cli, "build_cobweb", lambda depth: P)
-        for start in (P.root, Vertex(3, 1), Vertex(4, 2), Vertex(5, 1), planted):
-            for stop in (6, 7):
-                assert list(iter_chains(P, start, stop)) == naive_chains(P, start, stop)
-                expected = self.listing(P, start, stop)
-                for block in self.BLOCKS:
-                    monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
-                    assert self.chains_verb(capsys, start, stop) == expected
-
     @pytest.mark.parametrize("block", (*BLOCKS, 1 << 20))
     def test_chunks_are_whole_lines_of_the_listing(self, monkeypatch, block):
         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
@@ -821,23 +829,19 @@ class TestChainBlocks:
         assert first == "v1_0 v2_0 v3_0 v4_0 v5_0 v6_0 v7_0 v8_0 v9_0"
         assert out.chunks[-1].endswith("v1_0 v2_0 v3_1 v4_2 v5_4 v6_7 v7_12 v8_20 v9_33\n")
 
-    @pytest.mark.parametrize("k, n", [(1, 7), (4, 8), (6, 9)])
-    def test_text_is_built_once_per_fresh_cover_value(self, monkeypatch, k, n):
-        # Fresh equal tuples share one text, so when the whole listing fits
-        # in a block covers_above is read once per vertex of levels k..n-1
-        # and each cover value is passed over once; read per path, the walk
-        # from the root would hit the cap.  The block is set to the length
-        # of the listing (root to 7 is 109,920 bytes, past the default).
-        calls = 1 + sum(fib(j) for j in range(k + 1, n))
-        P = CappedFreshPoset(n, cap=10 * calls)
-        start = P.level_vertices(k)[-1]
-        listing = self.listing(build_cobweb(n), start, n)
-        monkeypatch.setattr(zeta, "_BLOCK_BYTES", len(listing))
-        text = "".join(chains._chain_text(P, start, n))
-        assert len(P.handed) == calls
-        passes = P.passes_per_value()
-        assert len(passes) == n - k and set(passes.values()) == {1}
-        assert text == listing
+    def test_reads_one_cover_object_per_level(self, monkeypatch):
+        # The listing reads the level structure, not the relation vertex by
+        # vertex: one covers_above call per level below the target, at every
+        # block, however many paths the walk takes through the levels.
+        P = CountingPoset(8)
+        for stop in range(1, 9):
+            for start in P.vertices():
+                if start.level <= stop:
+                    for block in self.BLOCKS:
+                        monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
+                        P.calls = 0
+                        assert "".join(chains._chain_text(P, start, stop))
+                        assert P.calls == stop - start.level
 
     def test_wide_top_level_is_listed_without_its_vertices_held(self):
         # From 26:0 the walk writes the 196,418 vertices of level 27 as

@@ -1,4 +1,7 @@
-"""Every case of the CLI byte-identity corpus, run in-process through `cli.run`."""
+"""Every case of the CLI byte-identity corpus, run in-process through `cli.run`.
+
+The process-only cases are skipped here; `tests/cli_corpus.py --processes` runs them.
+"""
 
 from __future__ import annotations
 
@@ -8,13 +11,14 @@ import pytest
 
 from cobweb import cli
 
-from cli_corpus import CASES, CORPUS, in_process, two_passes
+from cli_corpus import CASES, CORPUS, in_process, in_process_records, two_passes
 
-RECORDS = json.loads(CORPUS.read_text())
+ALL_RECORDS = json.loads(CORPUS.read_text())
+RECORDS = in_process_records(ALL_RECORDS)
 
 
 def test_corpus_file_holds_every_case():
-    assert [r["argv"] for r in RECORDS] == CASES
+    assert [r["argv"] for r in ALL_RECORDS] == CASES
 
 
 @pytest.mark.parametrize("want", RECORDS, ids=lambda r: " ".join(r["argv"]) or "<no argv>")

@@ -843,6 +843,23 @@ class TestChainBlocks:
                         assert "".join(chains._chain_text(P, start, stop))
                         assert P.calls == stop - start.level
 
+    @pytest.mark.parametrize("k, n", [(1, 7), (4, 8), (6, 9)])
+    def test_text_is_built_once_per_fresh_cover_value(self, monkeypatch, k, n):
+        # Even when every covers_above call hands out a fresh tuple, the text
+        # reads one cover value per level k..n-1 and passes over each once
+        # when the whole listing fits in a block; read per path, the walk
+        # from the root would hit the cap.  The block is set to the length
+        # of the listing (root to 7 is 109,920 bytes, past the default).
+        P = CappedFreshPoset(n, cap=10 * (n - k))
+        start = P.level_vertices(k)[-1]
+        listing = self.listing(build_cobweb(n), start, n)
+        monkeypatch.setattr(zeta, "_BLOCK_BYTES", len(listing))
+        text = "".join(chains._chain_text(P, start, n))
+        assert len(P.handed) == n - k
+        passes = P.passes_per_value()
+        assert len(passes) == n - k and set(passes.values()) == {1}
+        assert text == listing
+
     def test_wide_top_level_is_listed_without_its_vertices_held(self):
         # From 26:0 the walk writes the 196,418 vertices of level 27 as
         # lines, 3,227,996 bytes.  The poset is built and the text joined

@@ -72,7 +72,9 @@ CASES = [
     ["build", "30"],
     ["export", "1", "--format", "csv"],
     ["export", "1", "--format", "dot"],
+    ["export", "10", "--format", "csv"],
     ["export", "12", "--format", "csv"],
+    ["export", "8", "--format", "dot"],
     ["export", "12", "--format", "dot"],
     ["export", "19", "--format", "csv"],
     ["export", "19", "--format", "dot"],
@@ -90,11 +92,15 @@ CASES = [
     ["verify", "--obs", "all", "--max-n", "9"],
     ["verify", "--obs", "all", "--max-n", "9", "--format", "structured"],
     ["verify", "--obs", "2", "--max-n", "1"],
+    ["verify", "--obs", "2", "--max-n", "9", "--format", "structured"],
     ["verify", "--max-n", "1"],
     ["verify", "--obs", "3", "--max-n", "4", "--format", "structured"],
+    ["verify", "--obs", "3", "--max-n", "9", "--format", "structured"],
     ["verify", "--obs", "3", "--max-n", "12", "--unsafe-enumeration-limit", "1000000000000000000000000000000", "--format", "structured"],
     ["verify", "--obs", "3", "--max-n", "14", "--unsafe-enumeration-limit", "1000000000000000000000000000000", "--format", "structured"],
+    ["verify", "--obs", "3", "--max-n", "16", "--unsafe-enumeration-limit", "1000000000000000000000000000000", "--format", "structured"],
     ["verify", "--max-n", "10"],
+    ["verify", "--obs", "1", "--max-n", "10"],
     ["verify", "--obs", "1", "--max-n", "10", "--unsafe-enumeration-limit", "122522400"],
     ["verify", "--obs", "1", "--max-n", "10", "--unsafe-enumeration-limit", "122522399"],
     ["bench", "9"],

@@ -38,8 +38,8 @@ _ENTRY_TO_CELL = bytes.maketrans(b"\x00\x01", b"01")
 _CELL_TO_ENTRY = bytes.maketrans(b"01", b"\x00\x01")
 
 # The one block size of everything built or streamed in pieces: the zeta cells,
-# the CSV and DOT exports, the CSV reader and the chain listing's memoized
-# texts.  Each reads it when it starts, so patching it here moves them all.
+# the CSV and DOT exports, the CSV reader and the chain listing's text.  Each
+# reads it when it starts, so patching it here moves them all.
 # 64 KiB sits below glibc's default 128 KiB mmap threshold, so malloc serves
 # every block from the heap and reuses it for the next one instead of mapping
 # and faulting in fresh pages, and a few blocks fit in a 2 MiB L2 cache.

@@ -12,16 +12,26 @@ Python versions CI runs, so only its exit code and stdout are compared.
 
 Every mode runs with COLUMNS=80.  The in-process check runs every case
 twice in one process, the second pass in reverse order, so each case also
-runs on parsers that other cases used before it.  A check prints each
-differing run and exits 1.  The cases of PROCESS_ONLY write megabytes to
-stdout: `--processes` checks them and `--write` runs them as processes,
-while the in-process check and the test suite skip them.
+runs on parsers that other cases used before it; `tests/test_cli_corpus.py`
+runs it in the test suite.  CI runs `--processes`, the one check of CLI
+output as whole processes, under `tests/peak_rss.py`: it hashes each
+child's stdout in 64 KiB blocks as they arrive, so it holds no output whole
+(the 103 MB `chains 9` included).  A check prints each differing run and
+exits 1.  The cases of PROCESS_ONLY write megabytes to stdout: `--processes`
+checks them and `--write` runs them as processes, while the in-process
+check and the test suite skip them.  `tests/test_cli_corpus.py` also checks
+the listings, exports, `bench` tables and structured verify reports against
+renderings that use no code of `cobweb`.
+
+To add a case, add its argv to CASES, run `--write` on the code before the
+change that needs it, and name every changed record in CHANGES.md.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -29,7 +39,9 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from typing import Iterable
 
 CORPUS = Path(__file__).parent / "golden" / "cli_corpus.json"
 
@@ -112,15 +124,24 @@ CASES = [
 _TIMING = re.compile(rb"_s=[0-9]+\.[0-9]+")
 
 
-def record(argv: list[str], code: int, out: bytes, err: str) -> dict:
-    """The corpus record of one run; `out` is stdout as bytes."""
+def digest(argv: list[str], blocks: Iterable[bytes]) -> tuple[int, str]:
+    """The byte count and SHA-256 of stdout, read block by block; `bench` timings masked first."""
     if argv[:1] == ["bench"]:
-        out = _TIMING.sub(b"_s=<t>", out)
+        blocks = [_TIMING.sub(b"_s=<t>", b"".join(blocks))]
+    sha, size = hashlib.sha256(), 0
+    for block in blocks:
+        sha.update(block)
+        size += len(block)
+    return size, sha.hexdigest()
+
+
+def record(argv: list[str], code: int, out: tuple[int, str], err: str) -> dict:
+    """The corpus record of one run; `out` is stdout's `digest`."""
     return {
         "argv": argv,
         "exit": code,
-        "stdout_bytes": len(out),
-        "stdout_sha256": hashlib.sha256(out).hexdigest(),
+        "stdout_bytes": out[0],
+        "stdout_sha256": out[1],
         "stderr": None if argv in USAGE_ERRORS else err,
     }
 
@@ -142,17 +163,26 @@ def in_process(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
-    return record(argv, code, out.getvalue().encode(), err.getvalue())
+    return record(argv, code, digest(argv, [out.getvalue().encode()]), err.getvalue())
 
 
 def as_process(argv: list[str]) -> dict:
-    """Run one case as `python -m cobweb.cli` with COLUMNS=80."""
-    done = subprocess.run(
-        [sys.executable, "-m", "cobweb.cli", *argv],
-        capture_output=True,
-        env={**os.environ, "COLUMNS": "80"},
-    )
-    return record(argv, done.returncode, done.stdout, done.stderr.decode())
+    """Run one case as `python -m cobweb.cli` with COLUMNS=80.
+
+    Stdout is hashed in 64 KiB blocks as it arrives, so no case's output is
+    held whole.  Stderr goes to a temporary file, so the child never blocks
+    on a full stderr pipe while stdout is read.
+    """
+    with tempfile.TemporaryFile() as err:
+        with subprocess.Popen(
+            [sys.executable, "-m", "cobweb.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=err,
+            env={**os.environ, "COLUMNS": "80"},
+        ) as child:
+            out = digest(argv, iter(functools.partial(child.stdout.read, 1 << 16), b""))
+        err.seek(0)
+        return record(argv, child.returncode, out, err.read().decode())
 
 
 def main() -> int:

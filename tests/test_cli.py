@@ -433,6 +433,12 @@ class TestExport:
         rebuilt = cobweb_from_matrix(IncidenceMatrix.from_csv(target.read_text()))
         assert rebuilt == build_cobweb(6)
 
+    def test_stdout_reads_back_at_depth_ten(self, capsys):
+        # The bytes of the corpus record `export 10 --format csv`.
+        assert run(["export", "10", "--format", "csv"]) == EXIT_OK
+        rebuilt = cobweb_from_matrix(IncidenceMatrix.from_csv(capsys.readouterr().out))
+        assert rebuilt.depth == 10 and rebuilt == build_cobweb(10)
+
 
 def refuse_work(*args, **kwargs):
     raise AssertionError("work started before the guard refused")

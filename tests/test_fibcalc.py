@@ -304,14 +304,15 @@ def oracle_parts(n: int) -> dict[int, int]:
 
 @pytest.fixture
 def cold_parts():
-    """An empty primitive-part cache, and the cache put back afterwards."""
-    saved = dict(fibcalc._PART)
+    """An empty primitive-part cache; it and the Fibonacci cache are put back afterwards."""
+    saved, fibs = dict(fibcalc._PART), list(fibcalc._FIB)
     fibcalc._PART.clear()
     try:
         yield
     finally:
         fibcalc._PART.clear()
         fibcalc._PART.update(saved)
+        fibcalc._FIB[:] = fibs
 
 
 @pytest.fixture
@@ -378,6 +379,15 @@ class TestPrimitivePartCache:
         monkeypatch.setattr(fibcalc, "_PRIMITIVE_MIN_K", 0)
         assert fibonomial(cap + 60, 3) == seq[cap + 60] * seq[cap + 59] * seq[cap + 58] // 2
         assert len(fibcalc._PART) <= cap and max(fibcalc._PART) <= cap
+
+    @pytest.mark.parametrize("n", [400, 777, 1000, 1601])
+    def test_cold_and_warm_calls_match_the_row(self, cold_parts, n):
+        row = fibonomial_row(n)  # the row recurrence: no primitive part
+        for k in (185, 200, n // 2):
+            fibcalc._PART.clear()  # a cold primitive-part cache
+            cold = fibonomial(n, k)
+            assert cold == fibonomial(n, k) == row[k], (n, k)
+        assert max(fibcalc._PART) <= fibcalc._FIB_CAP
 
     def test_a_growth_step_that_raises_publishes_nothing(self, cold_parts):
         fib(400)

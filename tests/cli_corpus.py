@@ -58,12 +58,20 @@ USAGE_ERRORS = [
     ["verify", "--obs", "4"],
 ]
 
-# Cases run only as processes: 105 MB, 3.2 MB and 14 MB of stdout.
+# Cases run only as processes: 105 MB, 3.2 MB, 14 MB, 91.5 MB and 150 MB
+# of stdout, and a counted sweep of 1-2 s.
 PROCESS_ONLY = [
     ["chains", "9"],
     ["chains", "27", "--from", "26:0"],
     ["chains", "30", "--from", "29:0"],
+    ["export", "18", "--format", "csv"],
+    ["export", "18", "--format", "dot"],
+    ["verify", "--obs", "1", "--max-n", "28", "--unsafe-enumeration-limit", str(10**200)],
 ]
+
+# The help of the full parser and of each verb, in help order.
+HELP = [["--help"], *([verb, "--help"] for verb in
+                      ["fib", "fibfact", "falling", "binom", "row", "build", "export", "chains", "verify", "bench"])]
 
 CASES = [
     ["fib", "0"],
@@ -90,6 +98,8 @@ CASES = [
     ["export", "12", "--format", "dot"],
     ["export", "19", "--format", "csv"],
     ["export", "19", "--format", "dot"],
+    ["export", "40", "--format", "dot"],
+    ["export", "30000", "--format", "dot"],
     ["chains", "1"],
     ["chains", "8"],
     ["chains", "9", "--from", "6:2"],
@@ -117,6 +127,7 @@ CASES = [
     ["verify", "--obs", "1", "--max-n", "10", "--unsafe-enumeration-limit", "122522399"],
     ["bench", "9"],
     ["bench", "10"],
+    *HELP,
     *USAGE_ERRORS,
     *PROCESS_ONLY,
 ]

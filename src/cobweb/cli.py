@@ -127,9 +127,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    # One admission for both formats: a DOT edge list grows like the matrix.
+    # One admission for both formats, before the poset is built: its
+    # F(1) + ... + F(depth) = F(depth + 2) - 1 vertices meet the matrix cap,
+    # and a DOT edge list grows like the matrix.
+    zeta._admit(fibcalc.fib(args.depth + 2) - 1)
     P = build_cobweb(args.depth)
-    zeta._admit(P.vertex_count)
     chunks = zeta.zeta_matrix(P)._csv_blocks() if args.format == "csv" else _hasse_dot(P)
     if args.out is None:
         sys.stdout.writelines(chunks)

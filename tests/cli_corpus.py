@@ -13,15 +13,25 @@ Python versions CI runs, so only its exit code and stdout are compared.
 Every mode runs with COLUMNS=80.  The in-process check runs every case
 twice in one process, the second pass in reverse order, so each case also
 runs on parsers that other cases used before it; `tests/test_cli_corpus.py`
-runs it in the test suite.  CI runs `--processes`, the one check of CLI
-output as whole processes, under `tests/peak_rss.py`: it hashes each
-child's stdout in 64 KiB blocks as they arrive, so it holds no output whole
-(the 103 MB `chains 9` included).  A check prints each differing run and
-exits 1.  The cases of PROCESS_ONLY write megabytes to stdout: `--processes`
-checks them and `--write` runs them as processes, while the in-process
-check and the test suite skip them.  `tests/test_cli_corpus.py` also checks
-the listings, exports, `bench` tables and structured verify reports against
-renderings that use no code of `cobweb`.
+runs it in the test suite.  The cases of PROCESS_ONLY write megabytes to
+stdout or take a second or more: `--processes` checks them and `--write`
+runs them as processes, while the in-process check and the test suite skip
+them.  `tests/test_cli_corpus.py` also checks the listings, exports, `bench`
+tables, verify reports and refusals against renderings that use no code of
+`cobweb`.
+
+`--processes` is the one process-level check of the CLI, and CI runs it
+with no wrapper.  Each case is started with `posix_spawn` and reaped with
+`wait4` (`tests/peak_rss.py`); its stdout is hashed in 64 KiB blocks as it
+arrives, so no output is held whole (the 150 MB `export 18 --format dot`
+included), and its stderr goes to a temporary file.  A run fails when its
+record differs, when its peak RSS reaches its bound (DEFAULT_MIB, or a
+larger one from LARGER_BOUNDS), or when it is still going at WALL_S
+seconds, when it is killed.  The check also fails when its own peak RSS
+reaches DEFAULT_MIB: on Linux each child's reported peak is at least this
+process's own peak, so a larger harness would push every run to its bound.
+It prints each failing run, the slowest run and its own peak, and exits 1
+on any failure.
 
 To add a case, add its argv to CASES, run `--write` on the code before the
 change that needs it, and name every changed record in CHANGES.md.
@@ -31,19 +41,26 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import hashlib
 import io
 import json
 import os
 import re
-import subprocess
+import resource
+import select
 import sys
 import tempfile
+import time
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
+
+from peak_rss import reap, spawn
 
 CORPUS = Path(__file__).parent / "golden" / "cli_corpus.json"
+
+# Every run as a process is bounded in peak RSS and in wall time.
+DEFAULT_MIB = 32
+WALL_S = 5.0
 
 # Cases whose stderr is argparse's own usage message.
 USAGE_ERRORS = [
@@ -69,9 +86,15 @@ PROCESS_ONLY = [
     ["verify", "--obs", "1", "--max-n", "28", "--unsafe-enumeration-limit", str(10**200)],
 ]
 
+# Cases whose peak RSS may pass DEFAULT_MIB, and their bound in MiB.
+LARGER_BOUNDS = {
+    ("export", "18", "--format", "csv"): 120,
+    ("export", "18", "--format", "dot"): 64,
+}
+
 # The help of the full parser and of each verb, in help order.
-HELP = [["--help"], *([verb, "--help"] for verb in
-                      ["fib", "fibfact", "falling", "binom", "row", "build", "export", "chains", "verify", "bench"])]
+HELP_VERBS = ["fib", "fibfact", "falling", "binom", "row", "build", "export", "chains", "verify", "bench"]
+HELP = [["--help"], *([verb, "--help"] for verb in HELP_VERBS)]
 
 CASES = [
     ["fib", "0"],
@@ -177,40 +200,82 @@ def in_process(argv: list[str]) -> dict:
     return record(argv, code, digest(argv, [out.getvalue().encode()]), err.getvalue())
 
 
-def as_process(argv: list[str]) -> dict:
-    """Run one case as `python -m cobweb.cli` with COLUMNS=80.
+def _blocks(fd: int, deadline: float) -> Iterator[bytes]:
+    """Blocks of up to 64 KiB read from `fd` until it ends or `deadline` (a `time.monotonic()` time) passes."""
+    while (left := deadline - time.monotonic()) > 0 and select.select([fd], [], [], left)[0]:
+        block = os.read(fd, 1 << 16)
+        if not block:
+            return
+        yield block
 
+
+def as_process(argv: list[str]) -> tuple[dict, float, float]:
+    """Run one case as `python -m cobweb.cli` (COLUMNS must be 80).
+
+    Returns its record, its peak RSS in MiB and its wall time in seconds.
     Stdout is hashed in 64 KiB blocks as it arrives, so no case's output is
     held whole.  Stderr goes to a temporary file, so the child never blocks
-    on a full stderr pipe while stdout is read.
+    on a full stderr pipe while stdout is read.  A child still going at
+    WALL_S seconds is killed.
     """
+    start = time.monotonic()
+    deadline = start + WALL_S
+    out_r, out_w = os.pipe()
     with tempfile.TemporaryFile() as err:
-        with subprocess.Popen(
-            [sys.executable, "-m", "cobweb.cli", *argv],
-            stdout=subprocess.PIPE,
-            stderr=err,
-            env={**os.environ, "COLUMNS": "80"},
-        ) as child:
-            out = digest(argv, iter(functools.partial(child.stdout.read, 1 << 16), b""))
+        try:
+            pid = spawn(["-m", "cobweb.cli", *argv], out_w, err.fileno())
+            os.close(out_w)
+            out = digest(argv, _blocks(out_r, deadline))
+        finally:
+            os.close(out_r)
+        code, peak = reap(pid, deadline)
+        seconds = time.monotonic() - start
         err.seek(0)
-        return record(argv, child.returncode, out, err.read().decode())
+        return record(argv, code, out, err.read().decode()), peak, seconds
+
+
+def check_processes(expected: list) -> int:
+    """Run every record as a process under its bounds; print each failure, the slowest run and this check's own peak."""
+    failed, slowest = set(), (0.0, "")
+    for want in expected:
+        name = " ".join(want["argv"]) or "<no argv>"
+        got, peak, seconds = as_process(want["argv"])
+        bound = LARGER_BOUNDS.get(tuple(want["argv"]), DEFAULT_MIB)
+        slowest = max(slowest, (seconds, name))
+        if got != want:
+            print(f"differs: {name}\n  expected {want}\n  got      {got}")
+            failed.add(name)
+        if peak >= bound:
+            print(f"over its memory bound: {name}: peak RSS {peak:.1f} MiB, bound {bound} MiB")
+            failed.add(name)
+        if seconds >= WALL_S:
+            print(f"over the wall bound: {name}: {seconds:.2f} s, bound {WALL_S:g} s")
+            failed.add(name)
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"{len(failed)} of {len(expected)} records fail as processes; slowest run {slowest[1]}: {slowest[0]:.2f} s")
+    print(f"this check's own peak RSS {own:.1f} MiB, bound {DEFAULT_MIB} MiB")
+    return 1 if failed or own >= DEFAULT_MIB else 0
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--processes", action="store_true", help="run each case as a process")
+    parser.add_argument("--processes", action="store_true", help="run each case as a process, under its bounds")
     parser.add_argument("--write", action="store_true", help="regenerate the corpus file")
     args = parser.parse_args()
     os.environ["COLUMNS"] = "80"
-    run = as_process if args.processes else in_process
     if args.write:
-        records = [(as_process if argv in PROCESS_ONLY else run)(argv) for argv in CASES]
+        records = [
+            as_process(argv)[0] if args.processes or argv in PROCESS_ONLY else in_process(argv)
+            for argv in CASES
+        ]
         CORPUS.write_text(json.dumps(records, indent=1) + "\n")
         print(f"wrote {len(CASES)} records to {CORPUS}")
         return 0
     expected = json.loads(CORPUS.read_text())
-    runs = expected if args.processes else two_passes(in_process_records(expected))
-    failed = [(want, got) for want in runs if (got := run(want["argv"])) != want]
+    if args.processes:
+        return check_processes(expected)
+    runs = two_passes(in_process_records(expected))
+    failed = [(want, got) for want in runs if (got := in_process(want["argv"])) != want]
     for want, got in failed:
         print(f"differs: {' '.join(want['argv'])}\n  expected {want}\n  got      {got}")
     print(f"{len(failed)} of {len(runs)} runs of {len(expected)} records differ")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import math
 import re
 import signal
@@ -19,7 +20,10 @@ from cobweb.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, run
 from cobweb.poset import build_cobweb
 from cobweb.zeta import IncidenceMatrix, cobweb_from_matrix
 
+from cli_corpus import CORPUS, HELP_VERBS, digest
+
 GOLDEN = Path(__file__).parent / "golden"
+CLI_CORPUS = json.loads(CORPUS.read_text())
 
 REPORT_LINE = re.compile(
     r"^observation=[123] k=\d+ n=\d+ formula=\d+ oracle=\d+ status=(pass|fail)$"
@@ -138,19 +142,6 @@ class TestResultsOverDigitLimit:
         monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
         assert run(["binom", "10", "5"]) == EXIT_OK
         assert capsys.readouterr().out == "136136\n"
-
-
-HELP_VERBS = ["fib", "fibfact", "falling", "binom", "row", "build", "export", "chains", "verify", "bench"]
-
-
-@pytest.mark.parametrize("verb", [None, *HELP_VERBS], ids=lambda verb: verb or "cobweb")
-def test_help_matches_golden(capsys, monkeypatch, verb):
-    monkeypatch.setenv("COLUMNS", "80")
-    argv = [verb] if verb else []
-    assert run([*argv, "--help"]) == EXIT_OK
-    out, err = out_of(capsys)
-    assert err == ""
-    assert out.encode() == (GOLDEN / "help" / f"{verb or 'cobweb'}.txt").read_bytes()
 
 
 # Per verb: argvs that parse, and argvs that a verb-specific check rejects
@@ -289,6 +280,14 @@ class TestUsageErrors:
         out, err = out_of(capsys)
         assert out == ""
         assert err.endswith(f"\n{line}\n")
+
+    def test_unknown_verb_is_named(self, capsys):
+        # The corpus records this case's exit code and stdout only, since
+        # argparse words it differently across Python versions.
+        assert run(["frob"]) == EXIT_USAGE
+        out, err = out_of(capsys)
+        assert out == ""
+        assert "invalid choice: 'frob'" in err
 
     def test_invalid_start_vertex_is_usage_error(self, capsys):
         assert run(["chains", "4", "--from", "3:9"]) == EXIT_USAGE
@@ -475,6 +474,20 @@ class TestGuardRefusals:
         assert err.startswith("guard:")
         assert elapsed < 0.5
 
+    @pytest.mark.parametrize(
+        "depth, dim",
+        [(19, "10945"), (40, "267914295"), (30000, "(a 20828-bit number)")],
+    )
+    def test_export_refuses_before_it_builds_the_poset(self, capsys, monkeypatch, depth, dim):
+        monkeypatch.setattr(cli, "build_cobweb", refuse_work)
+        for form in ("csv", "dot"):
+            assert run(["export", str(depth), "--format", form]) == EXIT_GUARD
+            assert out_of(capsys) == ("", f"guard: incidence matrix would be {dim}x{dim}; cap is 10000 rows\n")
+
+    def test_export_admits_the_vertex_count(self):
+        # F(1) + ... + F(d) = F(d + 2) - 1, the count export admits before it builds.
+        assert all(fibcalc.fib(d + 2) - 1 == build_cobweb(d).vertex_count for d in range(1, 301))
+
     def test_export_cap_boundary(self, capsys, monkeypatch):
         monkeypatch.setattr(zeta, "DEFAULT_DIM_CAP", 12)
         assert run(["export", "5", "--format", "dot"]) == EXIT_OK  # 12 vertices
@@ -634,9 +647,10 @@ class TestRunsInOneProcess:
         narrow = out_of(capsys)[0]
         monkeypatch.setenv("COLUMNS", "80")
         assert run(argv) == EXIT_OK
-        golden = (GOLDEN / "help" / f"{verb or 'cobweb'}.txt").read_text()
-        assert out_of(capsys) == (golden, "")
-        assert narrow != golden
+        out, err = out_of(capsys)
+        want = next(r for r in CLI_CORPUS if r["argv"] == argv)
+        assert (digest(argv, [out.encode()]), err) == ((want["stdout_bytes"], want["stdout_sha256"]), "")
+        assert digest(argv, [narrow.encode()]) != digest(argv, [out.encode()])
 
     @pytest.mark.parametrize("argv", [["binom", "5"], ["row", "4", "--format", "dot"], ["frobnicate"], []])
     def test_usage_error_then_valid_verb(self, capsys, argv):

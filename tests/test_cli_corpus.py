@@ -1,9 +1,10 @@
 """Every case of the CLI byte-identity corpus, run in-process through `cli.run`.
 
-The process-only cases are skipped here; `tests/cli_corpus.py --processes` runs them.
-The listings, exports, `bench` tables and structured verify reports of the corpus
-are also checked against renderings built from `itertools`, `math` and `hashlib`
-alone, with no code of `cobweb`.
+The process-only cases are skipped here; `tests/cli_corpus.py --processes` runs them,
+and the last tests check that its bounds fail a run of one small case.  The listings,
+exports, `bench` tables, verify reports and refusals of the corpus are also checked
+against renderings built from `itertools`, `math` and `hashlib` alone, with no code
+of `cobweb`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ import pytest
 
 from cobweb import cli
 
-from cli_corpus import CASES, CORPUS, in_process, in_process_records, two_passes
+import cli_corpus
+from cli_corpus import (
+    CASES, CORPUS, DEFAULT_MIB, LARGER_BOUNDS, PROCESS_ONLY, in_process, in_process_records, two_passes,
+)
 
 ALL_RECORDS = json.loads(CORPUS.read_text())
 RECORDS = in_process_records(ALL_RECORDS)
@@ -49,6 +53,7 @@ def test_every_case_twice_in_one_process(monkeypatch):
 # every vertex of the levels above it.
 
 DEFAULT_LIMIT = 10**8  # the chain guard's limit when no override is given
+DIM_CAP = 10_000  # the most rows an incidence matrix, or an export, may have
 REFUSAL = "use the closed-form counter or raise the limit explicitly"
 
 
@@ -63,6 +68,19 @@ def fibonacci(top: int) -> list[int]:
 def f_product(fibs: list[int], lo: int, hi: int) -> int:
     """F(lo) * ... * F(hi); 1 when lo > hi."""
     return math.prod(fibs[lo:hi + 1])
+
+
+def vertex_count(depth: int) -> int:
+    """F(1) + ... + F(depth), by the plain recurrence, holding two terms at a time."""
+    total, f, g = 0, 1, 1
+    for _ in range(depth):
+        total, f, g = total + f, g, f + g
+    return total
+
+
+def named(number: int) -> str:
+    """A number as an error message names it: in full up to 4300 digits, else by its bit length."""
+    return str(number) if number < 10**4300 else f"(a {number.bit_length()}-bit number)"
 
 
 def level_ids(depth: int) -> list[list[str]]:
@@ -101,32 +119,47 @@ def export_lines(argv: list[str]):
         yield "}\n"
 
 
-def verify_lines(argv: list[str]):
-    # One (k, n, value) per case, formula and oracle equal: n_F! from the root,
-    # F(k+1)...F(n) from each of the F(k) vertices of level k, and the
-    # Fibonomial for the counted cases to max_n, then the closed-form tail to
-    # 3 * max_n.
-    max_n = int(options(argv)["--max-n"])
+def max_n(argv: list[str]) -> int:
+    return int(options(argv).get("--max-n", "7"))
+
+
+def verify_cases(observation: str, max_n: int) -> list[tuple[int, int, int]]:
+    """One (k, n, value) per case of one observation, formula and oracle equal.
+
+    n_F! from the root; F(k+1)...F(n) from each of the F(k) vertices of
+    level k; the Fibonomial for the counted cases to max_n, then the
+    closed-form tail to 3 * max_n.
+    """
     fibs = fibonacci(3 * max_n)
-    cases = {
-        "1": [(1, n, f_product(fibs, 1, n)) for n in range(1, max_n + 1)],
-        "2": [
+    if observation == "1":
+        return [(1, n, f_product(fibs, 1, n)) for n in range(1, max_n + 1)]
+    if observation == "2":
+        return [
             (k, n, f_product(fibs, k + 1, n))
             for k in range(1, max_n)
             for n in range(k + 1, max_n + 1)
             for _ in range(fibs[k])
-        ],
-        "3": [
-            (k, n, f_product(fibs, n - k + 1, n) // f_product(fibs, 1, k))
-            for top in (max_n, 3 * max_n)
-            for n in range(2, top + 1)
-            for k in range(1, n)
-        ],
-    }
+        ]
+    return [
+        (k, n, f_product(fibs, n - k + 1, n) // f_product(fibs, 1, k))
+        for top in (max_n, 3 * max_n)
+        for n in range(2, top + 1)
+        for k in range(1, n)
+    ]
+
+
+def verify_lines(argv: list[str]):
     observation = options(argv).get("--obs", "all")
-    for o in ["1", "2", "3"] if observation == "all" else [observation]:
-        for k, n, value in cases[o]:
-            yield f"observation={o} k={k} n={n} formula={value} oracle={value} status=pass\n"
+    observations = ["1", "2", "3"] if observation == "all" else [observation]
+    for o in observations:
+        cases = verify_cases(o, max_n(argv))
+        if "structured" in argv:
+            for k, n, value in cases:
+                yield f"observation={o} k={k} n={n} formula={value} oracle={value} status=pass\n"
+        else:
+            yield f"Observation {o}: PASS ({len(cases)} cases, max_n={max_n(argv)})\n"
+    if "structured" not in argv:
+        yield "RESULT: PASS\n"
 
 
 def bench_lines(argv: list[str]):
@@ -141,42 +174,74 @@ def bench_lines(argv: list[str]):
         yield f"n={n} formula={chains} formula_s=<t> {enumeration}\n"
 
 
+def limit(argv: list[str]) -> int:
+    return int(options(argv).get("--unsafe-enumeration-limit", DEFAULT_LIMIT))
+
+
+def refusal(argv: list[str]) -> str | None:
+    """The guard line of a run that refuses before any work; None if the run is admitted.
+
+    An export refuses past DIM_CAP vertices.  A listing refuses when the
+    product of the level sizes above its start passes the limit; a sweep
+    admits the root's walk to each level 2..max_n in turn, and refuses at
+    the first whose n_F! chains pass it.
+    """
+    if argv[0] == "export":
+        dim = vertex_count(int(argv[1]))
+        return None if dim <= DIM_CAP else f"guard: incidence matrix would be {named(dim)}x{named(dim)}; cap is {DIM_CAP} rows\n"
+    if argv[0] == "chains":
+        n = int(argv[1])
+        level = int(options(argv).get("--from", "1:0").split(":")[0])
+        walks = [f_product(fibonacci(n), level + 1, n)]
+    elif argv[0] == "verify":
+        fibs = fibonacci(max_n(argv))
+        walks = [f_product(fibs, 1, n) for n in range(2, max_n(argv) + 1)]
+    else:
+        return None
+    over = [chains for chains in walks if chains > limit(argv)]
+    if not over:
+        return None
+    return f"guard: enumeration would visit {named(over[0])} chains, over the limit of {limit(argv)}; {REFUSAL}\n"
+
+
 def rendered_stderr(argv: list[str]) -> str:
-    limit = options(argv).get("--unsafe-enumeration-limit")
-    text = "" if limit is None else f"warning: enumeration guard overridden to {limit} predicted chains\n"
+    text = ""
+    if "--unsafe-enumeration-limit" in argv:
+        text = f"warning: enumeration guard overridden to {limit(argv)} predicted chains\n"
     if argv[0] == "bench":
         fibs = fibonacci(int(argv[1]))
         for n in range(1, len(fibs)):
             chains = f_product(fibs, 1, n)
             if chains > DEFAULT_LIMIT:
                 text += f"guard: n={n} skipped: enumeration would visit {chains} chains, over the limit of {DEFAULT_LIMIT}; {REFUSAL}\n"
-    return text
+    return text + (refusal(argv) or "")
 
 
 RENDERINGS = {"chains": chains_lines, "export": export_lines, "verify": verify_lines, "bench": bench_lines}
 
 
 def rendered_record(argv: list[str]) -> dict:
-    out = "".join(RENDERINGS[argv[0]](argv)).encode()
+    refused = refusal(argv) is not None
+    out = b"" if refused else "".join(RENDERINGS[argv[0]](argv)).encode()
     return {
         "argv": argv,
-        "exit": 0,
+        "exit": 3 if refused else 0,
         "stdout_bytes": len(out),
         "stdout_sha256": hashlib.sha256(out).hexdigest(),
         "stderr": rendered_stderr(argv),
     }
 
 
-# Every listing, export and bench table that exits 0, and every structured
-# verify report; `chains 9` (103 MB) and both `export 18` (91.5 MB and
+# Every listing, export, bench table and verify report that exits 0, and
+# every refusal; `chains 9` (103 MB) and both `export 18` (91.5 MB and
 # 150 MB) are left to `--processes`.
 UNRENDERED = [["chains", "9"], ["export", "18", "--format", "csv"], ["export", "18", "--format", "dot"]]
 RENDERED = [
     r for r in ALL_RECORDS
-    if r["exit"] == 0
+    if r["exit"] in (0, 3)
+    and r["argv"][0] in RENDERINGS
     and r["argv"] not in UNRENDERED
     and "--help" not in r["argv"]
-    and (r["argv"][0] in ("chains", "export", "bench") or "structured" in r["argv"])
 ]
 
 
@@ -207,5 +272,29 @@ def test_rendering_has_the_frozen_count(argv, marker, count):
 
 
 def test_every_verb_with_a_rendering_is_covered():
+    # 28 records that exit 0 and the 9 refusals.
     assert sorted({r["argv"][0] for r in RENDERED}) == sorted(RENDERINGS)
-    assert len(RENDERED) == 24
+    assert [r["exit"] for r in RENDERED].count(3) == 9
+    assert len(RENDERED) == 37
+
+
+def test_tables_name_only_corpus_cases():
+    assert all(argv in CASES for argv in PROCESS_ONLY)
+    assert all(list(argv) in CASES for argv in LARGER_BOUNDS)
+    # The table only ever raises a bound.
+    assert all(mib > DEFAULT_MIB for mib in LARGER_BOUNDS.values())
+
+
+@pytest.mark.parametrize(
+    "bound, line",
+    [("DEFAULT_MIB", "over its memory bound: fib 1: peak RSS "), ("WALL_S", "over the wall bound: fib 1: ")],
+)
+def test_a_run_past_a_bound_fails_and_is_named(capsys, monkeypatch, bound, line):
+    # A bound of 1 KiB, or of 1 ms, is under any run's; a child still going
+    # at the wall bound is killed.  No passing run is checked here: on Linux
+    # a child's reported peak is at least that of this test process.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli_corpus, bound, 0.001)
+    assert cli_corpus.check_processes([r for r in ALL_RECORDS if r["argv"] == ["fib", "1"]]) == 1
+    assert line in capsys.readouterr().out
+

@@ -132,7 +132,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
     # and a DOT edge list grows like the matrix.
     zeta._admit(fibcalc.fib(args.depth + 2) - 1)
     P = build_cobweb(args.depth)
-    chunks = zeta.zeta_matrix(P)._csv_blocks() if args.format == "csv" else _hasse_dot(P)
+    chunks = zeta._zeta_csv(P.level_sizes) if args.format == "csv" else _hasse_dot(P)
     if args.out is None:
         sys.stdout.writelines(chunks)
     else:

@@ -5,19 +5,18 @@ index-minor).  Under that order the matrix is upper triangular with unit
 diagonal and shows the staircase of zero blocks: one identity block per
 level on the diagonal, all-ones blocks above, zeros below.
 
-A matrix is held as one row-major bytes buffer of dim * dim cells.  Building
-the zeta cells, the staircase check and the reconstruction are whole-buffer
-operations done in C, with at most one Python step per level.  CSV in both
-directions goes in blocks of whole rows, one Python step per block, so a
-matrix streams its own CSV and reads one back without holding a copy of the
-whole text.  A per-row scan runs only to name the first bad cell of an input
-already found wrong.  `_admit` alone reads DEFAULT_DIM_CAP.
+A matrix is held as one row-major bytes buffer of dim * dim cells.  The zeta
+matrix is fixed by its level sizes, and one generator, `_zeta_rows`, writes
+its rows from them in two alphabets: the 0/1 cells, and the CSV text that the
+export streams with no matrix built.  CSV goes in blocks of whole rows, one
+Python step per block; the staircase check and the reconstruction are
+whole-buffer compares in C.  A per-row scan runs only to name the first bad
+cell of an input already found wrong.  `_admit` alone reads DEFAULT_DIM_CAP.
 """
 
 from __future__ import annotations
 
 import io
-from itertools import repeat
 from typing import Iterable, Iterator, Sequence
 
 from .poset import CobwebPoset, GuardError
@@ -93,25 +92,22 @@ class IncidenceMatrix:
         return tuple(self._cells[start:start + self.dim])
 
     def to_csv(self) -> str:
-        """One comma-separated 0/1 row per line, newline-terminated, no header."""
-        return "".join(self._csv_blocks())
-
-    def _csv_blocks(self) -> Iterator[str]:
-        """to_csv's text in blocks of whole rows, about _BLOCK_BYTES each.
+        """One comma-separated 0/1 row per line, newline-terminated, no header.
 
         A line is 2 * dim characters wide, so the cells of every row sit at
-        the even offsets of a block.  One body of separators is built per
-        call; each block overwrites its even offsets with one strided
-        assignment, and the last block trims the body to its rows.
+        the even offsets of a body of separators.  The text is made in blocks
+        of whole rows, about _BLOCK_BYTES each, one strided assignment a
+        block, so the work buffers stay one block in size.
         """
-        dim = self.dim
+        dim, blocks = self.dim, []
         rows = max(1, _BLOCK_BYTES // max(1, 2 * dim))
         body = bytearray(b"," * (2 * dim - 1) + b"\n") * min(rows, dim)
         for start in range(0, dim, rows):
-            if dim - start < rows:
-                del body[2 * dim * (dim - start):]
-            body[::2] = self._cells[start * dim:(start + rows) * dim].translate(_ENTRY_TO_CELL)
-            yield body.decode("ascii")
+            cells = self._cells[start * dim:(start + rows) * dim]
+            del body[2 * len(cells):]
+            body[::2] = cells.translate(_ENTRY_TO_CELL)
+            blocks.append(body.decode("ascii"))
+        return "".join(blocks)
 
     @classmethod
     def from_csv(cls, text: str) -> "IncidenceMatrix":
@@ -172,28 +168,39 @@ class IncidenceMatrix:
         return f"IncidenceMatrix(dim={self.dim})"
 
 
-def _zeta_cells(level_sizes: Sequence[int]) -> bytes:
-    """The zeta matrix's row-major cells, from the level sizes alone.
+def _zeta_rows(level_sizes: Sequence[int], zero: bytes, one: bytes, comma: bytes, newline: bytes) -> Iterator[bytearray]:
+    """The zeta matrix's rows from the level sizes alone, in blocks of whole rows.
 
-    The row of a vertex in the level ending at column block_end is 0 up to
-    block_end and 1 from there on, apart from its 1 on the diagonal.  Each
-    level writes its row in blocks of whole rows, then one strided
-    assignment sets the diagonal.  BytesIO hands its buffer over as the
-    returned bytes without a copy, so the cells are held once.
+    A cell is `zero` or `one`, then `comma`, or `newline` (as long) after a
+    row's last.  A row of the level ending at column block_end is zero up to
+    block_end and one from there on, apart from its one on the diagonal.  A
+    block repeats its level's line as often as fits in _BLOCK_BYTES, at least
+    once, and one strided assignment sets its diagonal.
     """
-    dim = sum(level_sizes)
-    buf = io.BytesIO()
+    dim, width = sum(level_sizes), len(zero + comma)
     block_end = 0
     for size in level_sizes:
-        block_end += size
-        row = bytes(block_end) + b"\x01" * (dim - block_end)
-        step = min(size, max(1, _BLOCK_BYTES // dim))
-        blocks, rest = divmod(size, step)
-        buf.writelines(repeat(row * step, blocks))
-        buf.write(row * rest)
-    with buf.getbuffer() as cells:
-        cells[::dim + 1] = b"\x01" * dim
+        block_start, block_end = block_end, block_end + size
+        line = bytearray((zero + comma) * block_end + (one + comma) * (dim - block_end))
+        line[len(line) - len(comma):] = newline
+        step = min(size, max(1, _BLOCK_BYTES // len(line)))
+        for first in range(block_start, block_end, step):
+            rows = min(step, block_end - first)
+            block = line * rows
+            block[first * width::len(line) + width] = one * rows
+            yield block
+
+
+def _zeta_cells(level_sizes: Sequence[int]) -> bytes:
+    """The zeta matrix's row-major cells, held once: BytesIO hands its buffer over uncopied."""
+    buf = io.BytesIO()
+    buf.writelines(_zeta_rows(level_sizes, b"\x00", b"\x01", b"", b""))
     return buf.getvalue()
+
+
+def _zeta_csv(level_sizes: Sequence[int]) -> Iterator[str]:
+    """The zeta matrix's CSV, as to_csv writes it, in blocks of whole rows, with no matrix built."""
+    return (block.decode("ascii") for block in _zeta_rows(level_sizes, b"0", b"1", b",", b"\n"))
 
 
 def _admit(dim: int) -> None:

@@ -20,18 +20,17 @@ them.  `tests/test_cli_corpus.py` also checks the listings, exports, `bench`
 tables, verify reports and refusals against renderings that use no code of
 `cobweb`.
 
-`--processes` is the one process-level check of the CLI, and CI runs it
-with no wrapper.  Each case is started with `posix_spawn` and reaped with
-`wait4` (`tests/peak_rss.py`); its stdout is hashed in 64 KiB blocks as it
-arrives, so no output is held whole (the 150 MB `export 18 --format dot`
-included), and its stderr goes to a temporary file.  A run fails when its
-record differs, when its peak RSS reaches its bound (DEFAULT_MIB, or a
-larger one from LARGER_BOUNDS), or when it is still going at WALL_S
-seconds, when it is killed.  The check also fails when its own peak RSS
-reaches DEFAULT_MIB: on Linux each child's reported peak is at least this
-process's own peak, so a larger harness would push every run to its bound.
-It prints each failing run, the slowest run and its own peak, and exits 1
-on any failure.
+`--processes` is the one process-level check of the CLI, and CI runs it with
+no wrapper.  Each case is started with `posix_spawn` and reaped with `wait4`
+(`tests/peak_rss.py`); its stdout is hashed in 64 KiB blocks as it arrives,
+so no output is held whole (the 150 MB `export 18 --format dot` included),
+and its stderr goes to a temporary file.  A run fails when its record
+differs, when its peak RSS reaches DEFAULT_MIB, the one memory bound of
+every run, or when it is still going at WALL_S seconds, when it is killed.
+The check also fails when its own peak RSS reaches DEFAULT_MIB: on Linux
+each child's reported peak is at least this process's own peak, so a larger
+harness would push every run to its bound.  It prints each failing run, the
+slowest run and its own peak, and exits 1 on any failure.
 
 To add a case, add its argv to CASES, run `--write` on the code before the
 change that needs it, and name every changed record in CHANGES.md.
@@ -85,12 +84,6 @@ PROCESS_ONLY = [
     ["export", "18", "--format", "dot"],
     ["verify", "--obs", "1", "--max-n", "28", "--unsafe-enumeration-limit", str(10**200)],
 ]
-
-# Cases whose peak RSS may pass DEFAULT_MIB, and their bound in MiB.
-LARGER_BOUNDS = {
-    ("export", "18", "--format", "csv"): 120,
-    ("export", "18", "--format", "dot"): 64,
-}
 
 # The help of the full parser and of each verb, in help order.
 HELP_VERBS = ["fib", "fibfact", "falling", "binom", "row", "build", "export", "chains", "verify", "bench"]
@@ -235,18 +228,17 @@ def as_process(argv: list[str]) -> tuple[dict, float, float]:
 
 
 def check_processes(expected: list) -> int:
-    """Run every record as a process under its bounds; print each failure, the slowest run and this check's own peak."""
+    """Run every record as a process under the bounds; print each failure, the slowest run and this check's own peak."""
     failed, slowest = set(), (0.0, "")
     for want in expected:
         name = " ".join(want["argv"]) or "<no argv>"
         got, peak, seconds = as_process(want["argv"])
-        bound = LARGER_BOUNDS.get(tuple(want["argv"]), DEFAULT_MIB)
         slowest = max(slowest, (seconds, name))
         if got != want:
             print(f"differs: {name}\n  expected {want}\n  got      {got}")
             failed.add(name)
-        if peak >= bound:
-            print(f"over its memory bound: {name}: peak RSS {peak:.1f} MiB, bound {bound} MiB")
+        if peak >= DEFAULT_MIB:
+            print(f"over its memory bound: {name}: peak RSS {peak:.1f} MiB, bound {DEFAULT_MIB} MiB")
             failed.add(name)
         if seconds >= WALL_S:
             print(f"over the wall bound: {name}: {seconds:.2f} s, bound {WALL_S:g} s")
@@ -259,7 +251,7 @@ def check_processes(expected: list) -> int:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--processes", action="store_true", help="run each case as a process, under its bounds")
+    parser.add_argument("--processes", action="store_true", help="run each case as a process, under the bounds")
     parser.add_argument("--write", action="store_true", help="regenerate the corpus file")
     args = parser.parse_args()
     os.environ["COLUMNS"] = "80"

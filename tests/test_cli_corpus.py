@@ -20,7 +20,7 @@ from cobweb import cli
 
 import cli_corpus
 from cli_corpus import (
-    CASES, CORPUS, DEFAULT_MIB, LARGER_BOUNDS, PROCESS_ONLY, in_process, in_process_records, two_passes,
+    CASES, CORPUS, PROCESS_ONLY, in_process, in_process_records, two_passes,
 )
 
 ALL_RECORDS = json.loads(CORPUS.read_text())
@@ -39,6 +39,23 @@ def test_corpus_file_holds_every_case():
 def test_case_is_byte_identical(monkeypatch, want):
     monkeypatch.setenv("COLUMNS", "80")
     assert in_process(want["argv"]) == want
+
+
+EXPORTS = [r for r in RECORDS if r["argv"][:1] == ["export"] and "--help" not in r["argv"] and r["exit"] == 0]
+
+
+def test_every_export_that_writes_is_checked_with_out():
+    assert [" ".join(r["argv"][1:]) for r in EXPORTS] == [
+        "1 --format csv", "1 --format dot", "10 --format csv", "12 --format csv", "8 --format dot", "12 --format dot",
+    ]
+
+
+@pytest.mark.parametrize("want", EXPORTS, ids=argv_id)
+def test_export_to_a_file_writes_the_record(capsys, tmp_path, want):
+    path = tmp_path / "out"
+    assert cli.run([*want["argv"], "--out", str(path)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert cli_corpus.digest(want["argv"], [path.read_bytes()]) == (want["stdout_bytes"], want["stdout_sha256"])
 
 
 def test_every_case_twice_in_one_process(monkeypatch):
@@ -280,9 +297,6 @@ def test_every_verb_with_a_rendering_is_covered():
 
 def test_tables_name_only_corpus_cases():
     assert all(argv in CASES for argv in PROCESS_ONLY)
-    assert all(list(argv) in CASES for argv in LARGER_BOUNDS)
-    # The table only ever raises a bound.
-    assert all(mib > DEFAULT_MIB for mib in LARGER_BOUNDS.values())
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -218,6 +219,45 @@ class TestZetaMatrix:
         assert str(err) == (
             f"incidence matrix would be (a {bits}-bit number)x(a {bits}-bit number); cap is 10000 rows"
         )
+
+
+@functools.cache
+def oracle_csv(depth: int) -> str:
+    return csv_body(zeta_row_bytes(depth))
+
+
+def entrywise_cells(level_sizes) -> bytes:
+    """Independent oracle: cell (i, j) is 1 iff i == j or i's level is below j's."""
+    level = [s for s, size in enumerate(level_sizes) for _ in range(size)]
+    return bytes(i == j or level[i] < level[j] for i in range(len(level)) for j in range(len(level)))
+
+
+BLOCK_SIZES = [1, 7, 64, 100, 1 << 16]
+
+
+class TestZetaRows:
+    """`_zeta_rows` writes both alphabets: the matrix's cells and the export's CSV."""
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+    @pytest.mark.parametrize("depth", range(1, 17))
+    def test_csv_blocks_are_whole_rows_of_the_oracle(self, monkeypatch, depth, block_bytes):
+        monkeypatch.setattr(zeta, "_BLOCK_BYTES", block_bytes)
+        sizes = build_cobweb(depth).level_sizes
+        line = 2 * sum(sizes)
+        blocks = list(zeta._zeta_csv(sizes))
+        assert "".join(blocks) == oracle_csv(depth)
+        assert all(len(b) % line == 0 and 0 < len(b) <= max(block_bytes, line) for b in blocks)
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+    @pytest.mark.parametrize(
+        "sizes", [tuple(range(1, 9)), tuple(2 ** s - 1 for s in range(1, 7))], ids=["1..8", "2^s-1"]
+    )
+    def test_any_level_sizes(self, monkeypatch, sizes, block_bytes):
+        monkeypatch.setattr(zeta, "_BLOCK_BYTES", block_bytes)
+        dim = sum(sizes)
+        cells = zeta._zeta_cells(sizes)
+        assert cells == entrywise_cells(sizes)
+        assert "".join(zeta._zeta_csv(sizes)) == IncidenceMatrix._of_cells(dim, cells).to_csv()
 
 
 class TestStaircaseCheck:

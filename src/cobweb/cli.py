@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import chains, fibcalc, zeta
 from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
@@ -90,20 +91,37 @@ def _hasse_dot(P: CobwebPoset) -> Iterator[str]:
     yield "}\n"
 
 
-def _print_ints(values: Sequence[int], sep: str = " ", prefix: str = "") -> None:
+def _print_ints(values: Sequence[object], sep: str = " ", prefix: str = "") -> None:
     """Print exact decimals on one line after `prefix`.
 
-    Any number of digits: `run` lifts the int -> str digit limit while a
-    verb runs.
+    The values are ints, or integral Decimals from fibcalc's base-10 routes,
+    whose `str` is linear.  An int of any number of digits prints whole:
+    `run` lifts the int -> str digit limit while a verb runs.
     """
     print(prefix + sep.join(map(str, values)))
 
 
+def _line_blocks(texts: Iterable[str], sep: str) -> Iterator[str]:
+    """The line sep.join(texts) + "\n" in blocks of about zeta's block size, so it is never held whole."""
+    block, size, lead = [], 0, ""
+    for text in texts:
+        block.append(text)
+        size += len(text)
+        if size >= zeta._BLOCK_BYTES:
+            yield lead + sep.join(block)
+            block, size, lead = [], 0, sep
+    yield lead + sep.join(block) + "\n" if block else "\n"
+
+
 def _cmd_value(args: argparse.Namespace) -> int:
     # Looked up on fibcalc by name when the verb runs, so a wrapper set on
-    # that module attribute is the one called.
-    function = getattr(fibcalc, args.function)
-    _print_ints([function(*(getattr(args, name) for name in args.arg_names))])
+    # that module attribute is the one called.  `fib` stays on int and str:
+    # below an index of about 50,000 its fast doubling is faster on ints.
+    values = [getattr(args, name) for name in args.arg_names]
+    if args.function == "fib":
+        _print_ints([fibcalc.fib(*values)])
+    else:
+        _print_ints([fibcalc._in_base_ten(args.function, *values)])
     return EXIT_OK
 
 
@@ -111,8 +129,9 @@ def _cmd_row(args: argparse.Namespace) -> int:
     # The row is palindromic: its first half goes to text, and the text is
     # mirrored, so no entry is converted twice.
     n = args.n
-    half = list(map(str, fibcalc.fibonomial_row(n)[: n // 2 + 1]))
-    print(("," if args.format == "csv" else " ").join(half + half[: (n + 1) // 2][::-1]))
+    half = [str(entry) for entry in fibcalc._in_base_ten("fibonomial_row", n)[: n // 2 + 1]]
+    texts = itertools.chain(half, reversed(half[: (n + 1) // 2]))
+    sys.stdout.writelines(_line_blocks(texts, "," if args.format == "csv" else " "))
     return EXIT_OK
 
 
@@ -174,21 +193,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         formula = chains.count_from_root_formula(n)
         formula_s = time.perf_counter() - t0
+        # The count is n_F!; its text comes from fibcalc's base-10 route,
+        # in linear time.  A mismatch prints the two ints compared.
+        text = fibcalc._in_base_ten("fib_factorial", n)
         try:
             t0 = time.perf_counter()
             enumerated = chains.enumerate_from_root(P, n, limit)
             enum_s = time.perf_counter() - t0
         except chains.EnumerationGuardError as exc:
             print(f"guard: n={n} skipped: {exc}", file=sys.stderr)
-            print(f"n={n} formula={formula} formula_s={formula_s:.6f} enumeration=skipped enumeration_s=- match=-")
+            print(f"n={n} formula={text} formula_s={formula_s:.6f} enumeration=skipped enumeration_s=- match=-")
             continue
-        match = "yes" if enumerated == formula else "no"
-        print(
-            f"n={n} formula={formula} formula_s={formula_s:.6f} "
-            f"enumeration={enumerated} enumeration_s={enum_s:.6f} match={match}"
-        )
         if enumerated != formula:
+            print(
+                f"n={n} formula={formula} formula_s={formula_s:.6f} "
+                f"enumeration={enumerated} enumeration_s={enum_s:.6f} match=no"
+            )
             return EXIT_VERIFICATION
+        print(f"n={n} formula={text} formula_s={formula_s:.6f} enumeration={text} enumeration_s={enum_s:.6f} match=yes")
     return EXIT_OK
 
 
@@ -287,11 +309,13 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     Only the named verb's parser is used; help, an unknown verb and an
     empty argv get the full parser.  Each is built once per process and
-    reused by later runs; parsing leaves it unchanged.  CPython 3.10.7 and
-    later refuse int -> str past a digit limit (4300 by default).  Argv is
-    parsed under that limit; it is lifted only while the verb's handler
-    runs, so every exact number it prints comes out whole, and then put
-    back.
+    reused by later runs; parsing leaves it unchanged.  `binom`,
+    `falling`, `fibfact`, `row` and `bench`'s formula column print
+    Decimals from fibcalc's base-10 routes, whose text is linear and has no
+    digit limit.  The other numbers are ints: CPython 3.10.7 and later
+    refuse int -> str past a digit limit (4300 by default).  Argv is parsed
+    under that limit; it is lifted only while the verb's handler runs, so
+    every exact number it prints comes out whole, and then put back.
     """
     if argv is None:
         argv = sys.argv[1:]

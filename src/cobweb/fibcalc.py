@@ -6,8 +6,9 @@ from multiple threads.
 
 No routine divides one big number by another big number:
 
-- F-factorials and falling F-factorials are balanced product trees, so the
-  large multiplies meet operands of like size (Karatsuba, not schoolbook).
+- F-factorials and falling F-factorials are balanced product trees, split
+  by size, so the large multiplies meet operands of like size (Karatsuba,
+  not schoolbook).
 - A Fibonomial C_F(n, k) with j = min(k, n - k) of at least
   _PRIMITIVE_MIN_K is a product of Fibonacci primitive parts P_d.  Each
   composite d costs one small exact division when its part is produced.
@@ -38,13 +39,29 @@ Two bounded, append-only caches keep what depends on the index alone:
 Past the cap a Fibonacci run goes on by fast doubling, and parts are
 built per call; both are dropped when the call returns, so the memory kept
 between calls is bounded.
+
+Each route except `fib` is written once, over a `lift` of the values those
+two producers hand out.  The public functions pass the values as they are
+and return ints.  The private `_in_base_ten` lifts each value to
+`decimal.Decimal` and runs the same route under `_exact_context()`: the
+widest precision and exponent range, with Inexact and Rounded trapped, so a
+rounding raises instead of giving a wrong digit.  Its routes use only *,
+divmod and the integrality check on integral values, never /, and never
+convert a Decimal back to an int but to name bit lengths in a failed
+check's message.  libmpdec multiplies huge operands by number-theoretic
+transform, and `str` of an integral Decimal is linear, where CPython 3.10
+and 3.11 convert an int to str in quadratic time; the CLI verbs `binom`,
+`falling`, `fibfact`, `row` and `bench` print from this entry.  `decimal`
+is imported only when it runs.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import threading
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "fib",
@@ -122,31 +139,52 @@ def _fib_run(lo: int, hi: int) -> list[int]:
     return run
 
 
-def _product(factors: Sequence[int]) -> int:
-    """Product of factors by a balanced tree, so big multiplies meet like sizes."""
+def _product(factors: Sequence) -> object:
+    """Product of factors by a balanced tree, so big multiplies meet like sizes.
+
+    Each split halves the factors' total size, not their count: a run of
+    Fibonacci values or of ascending parts grows along the run, and a split
+    by count put about 3/4 of the bits on the right.  The size of an int is
+    its bit length, and that of a Decimal its adjusted exponent (digits - 1).
+    """
     if len(factors) <= _PRODUCT_LEAF:
         return math.prod(factors)
-    mid = len(factors) // 2
-    return _product(factors[:mid]) * _product(factors[mid:])
+    size = int.bit_length if type(factors[0]) is int else type(factors[0]).adjusted
+    return _tree(factors, list(itertools.accumulate(map(size, factors))), 0, len(factors))
+
+
+def _tree(factors: Sequence, ends: list[int], lo: int, hi: int) -> object:
+    """Product of factors[lo:hi], split where ends, the running total of sizes, passes half its part."""
+    if hi - lo <= _PRODUCT_LEAF:
+        return math.prod(factors[lo:hi])
+    half = ((ends[lo - 1] if lo else 0) + ends[hi - 1]) // 2
+    mid = bisect.bisect_left(ends, half, lo, hi - 2) + 1
+    return _tree(factors, ends, lo, mid) * _tree(factors, ends, mid, hi)
 
 
 class _InexactDivision(AssertionError):
     """A division that theory makes exact left a remainder: a wrong Fibonacci value or a bug."""
 
 
-def _exact_div(numerator: int, denominator: int, what: str, *args: int) -> int:
+def _exact_div(numerator, denominator, what: str, *args: int):
     """numerator // denominator; a nonzero remainder raises _InexactDivision.
 
-    The message names the division as what.format(*args), built only on
-    failure.
+    Both are ints, or both integral Decimals.  The message names the
+    division as what.format(*args), and the bit lengths of its operands,
+    built only on failure.
     """
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
         raise _InexactDivision(
-            f"{what.format(*args)}: non-exact division of a {numerator.bit_length()}-bit "
-            f"numerator by a {denominator.bit_length()}-bit denominator"
+            f"{what.format(*args)}: non-exact division of a {int(numerator).bit_length()}-bit "
+            f"numerator by a {int(denominator).bit_length()}-bit denominator"
         )
     return quotient
+
+
+def _as_is(values: list[int]) -> list[int]:
+    """The lift of the int routes: the values as they are."""
+    return values
 
 
 def fib(n: int) -> int:
@@ -160,10 +198,27 @@ def fib(n: int) -> int:
     return _fib_run(n, n + 1)[0]
 
 
+# Each route below is written once, over the values that `_fib_run` and
+# `_parts` hand out, passed through `lift`: `_as_is` for the public
+# functions, which return ints, and a lift to Decimal for `_in_base_ten`.
+
+
+def _fib_factorial(n: int, lift: Callable[[list[int]], list]):
+    _check_index(n, "n")
+    return _product(lift(_fib_run(1, n + 1)))
+
+
 def fib_factorial(n: int) -> int:
     """Product F(1)*F(2)*...*F(n); the empty product (n = 0) is 1."""
+    return _fib_factorial(n, _as_is)
+
+
+def _falling_f_factorial(n: int, k: int, lift: Callable[[list[int]], list]):
     _check_index(n, "n")
-    return _product(_fib_run(1, n + 1))
+    _check_index(k, "k")
+    if k > n:
+        return lift([0])[0]
+    return _product(lift(_fib_run(n - k + 1, n + 1)))
 
 
 def falling_f_factorial(n: int, k: int) -> int:
@@ -173,11 +228,7 @@ def falling_f_factorial(n: int, k: int) -> int:
     meets or crosses F(0) = 0, so the result is 0 without evaluating factors
     at negative indices.
     """
-    _check_index(n, "n")
-    _check_index(k, "k")
-    if k > n:
-        return 0
-    return _product(_fib_run(n - k + 1, n + 1))
+    return _falling_f_factorial(n, k, _as_is)
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
@@ -230,6 +281,18 @@ def _parts(ds: list[int]) -> list[int]:
     return [new[d] if d in new else _PART[d] for d in ds]
 
 
+def _fibonomial(n: int, k: int, lift: Callable[[list[int]], list]):
+    _check_index(n, "n")
+    _check_index(k, "k")
+    if k > n:
+        return lift([0])[0]
+    j = min(k, n - k)
+    if j < _PRIMITIVE_MIN_K:
+        falling = _product(lift(_fib_run(n - j + 1, n + 1)))
+        return _exact_div(falling, _product(lift(_fib_run(1, j + 1))), "fibonomial({}, {})", n, k)
+    return _product(lift(_parts([d for d in range(1, n + 1) if n % d < j % d])))
+
+
 def fibonomial(n: int, k: int) -> int:
     """Fibonomial coefficient C_F(n, k) = n_F! / (k_F! * (n-k)_F!).
 
@@ -247,15 +310,16 @@ def fibonomial(n: int, k: int) -> int:
     P_d once per process.  A nonzero remainder in any division
     raises AssertionError.
     """
+    return _fibonomial(n, k, _as_is)
+
+
+def _fibonomial_row(n: int, lift: Callable[[list[int]], list]) -> list:
     _check_index(n, "n")
-    _check_index(k, "k")
-    if k > n:
-        return 0
-    j = min(k, n - k)
-    if j < _PRIMITIVE_MIN_K:
-        falling = _product(_fib_run(n - j + 1, n + 1))
-        return _exact_div(falling, _product(_fib_run(1, j + 1)), "fibonomial({}, {})", n, k)
-    return _product(_parts([d for d in range(1, n + 1) if n % d < j % d]))
+    fibs = lift(_fib_run(0, n + 1))
+    half = lift([1])
+    for j in range(1, n // 2 + 1):
+        half.append(_exact_div(half[-1] * fibs[n - j + 1], fibs[j], "fibonomial_row({}) at k={}", n, j))
+    return half + [half[n - k] for k in range(len(half), n + 1)]
 
 
 def fibonomial_row(n: int) -> list[int]:
@@ -265,9 +329,42 @@ def fibonomial_row(n: int) -> list[int]:
     Each step is an exact division by F(j), and a nonzero remainder raises
     AssertionError.  The second half mirrors the first.
     """
-    _check_index(n, "n")
-    fibs = _fib_run(0, n + 1)
-    half = [1]
-    for j in range(1, n // 2 + 1):
-        half.append(_exact_div(half[-1] * fibs[n - j + 1], fibs[j], "fibonomial_row({}) at k={}", n, j))
-    return half + [half[n - k] for k in range(len(half), n + 1)]
+    return _fibonomial_row(n, _as_is)
+
+
+# The routes of `_in_base_ten`, by the name of their public function.
+_ROUTES: dict[str, Callable] = {
+    "fib_factorial": _fib_factorial,
+    "falling_f_factorial": _falling_f_factorial,
+    "fibonomial": _fibonomial,
+    "fibonomial_row": _fibonomial_row,
+}
+
+
+def _in_base_ten(function: str, *args: int):
+    """The value of the public `function` at args, computed in base 10.
+
+    The same route as the public function, over its values lifted to
+    `decimal.Decimal`, under `_exact_context()`.  Returns a Decimal (a list
+    of them for fibonomial_row) whose `str` is the text of the int, made in
+    linear time; an empty product is the int 1.  Raises as the public
+    function does.
+    """
+    from decimal import Decimal, localcontext
+
+    with localcontext(_exact_context()):
+        return _ROUTES[function](*args, lambda values: list(map(Decimal, values)))
+
+
+def _exact_context():
+    """A decimal context under which integer *, +, - and divmod are exact or raise.
+
+    Its precision and exponent range are the widest there are, and a
+    rounding raises (Inexact and Rounded are trapped) instead of giving a
+    wrong digit.
+    """
+    import decimal
+
+    context = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    context.traps[decimal.Inexact] = context.traps[decimal.Rounded] = True
+    return context

@@ -14,11 +14,11 @@ Every mode runs with COLUMNS=80.  The in-process check runs every case
 twice in one process, the second pass in reverse order, so each case also
 runs on parsers that other cases used before it; `tests/test_cli_corpus.py`
 runs it in the test suite.  The cases of PROCESS_ONLY write megabytes to
-stdout or take a second or more: `--processes` checks them and `--write`
-runs them as processes, while the in-process check and the test suite skip
-them.  `tests/test_cli_corpus.py` also checks the listings, exports, `bench`
-tables, verify reports and refusals against renderings that use no code of
-`cobweb`.
+stdout, or take (or once took) a second or more: `--processes` checks them
+under the wall bound and `--write` runs them as processes, while the
+in-process check and the test suite skip them.  `tests/test_cli_corpus.py`
+also checks the listings, exports, `bench` tables, verify reports and
+refusals against renderings that use no code of `cobweb`.
 
 `--processes` is the one process-level check of the CLI, and CI runs it with
 no wrapper.  Each case is started with `posix_spawn` and reaped with `wait4`
@@ -75,7 +75,8 @@ USAGE_ERRORS = [
 ]
 
 # Cases run only as processes: 105 MB, 3.2 MB, 14 MB, 91.5 MB and 150 MB
-# of stdout, and a counted sweep of 1-2 s.
+# of stdout, a counted sweep of 1-2 s, and numbers of 0.4-12 MB of digits
+# that took 0.2-11 s when their text came from int -> str.
 PROCESS_ONLY = [
     ["chains", "9"],
     ["chains", "27", "--from", "26:0"],
@@ -83,6 +84,11 @@ PROCESS_ONLY = [
     ["export", "18", "--format", "csv"],
     ["export", "18", "--format", "dot"],
     ["verify", "--obs", "1", "--max-n", "28", "--unsafe-enumeration-limit", str(10**200)],
+    ["binom", "4000", "2000"],
+    ["falling", "3000", "1500"],
+    ["fibfact", "2000"],
+    ["row", "400"],
+    ["row", "700"],
 ]
 
 # The help of the full parser and of each verb, in help order.

@@ -18,3 +18,16 @@ def digit_limit_640():
         yield
     finally:
         sys.set_int_max_str_digits(before)
+
+
+@pytest.fixture
+def no_digit_limit():
+    """The int -> str digit limit lifted, put back afterwards."""
+    before = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if before is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -70,34 +71,64 @@ class TestScalarVerbs:
 
     @pytest.mark.parametrize("fmt, sep", [("plain", " "), ("csv", ",")])
     def test_row_text_is_every_entry_converted(self, capsys, fmt, sep):
-        # The verb converts the first half of the row and mirrors its text.
-        for n in [*range(42), 218]:
+        # The verb converts the first half of the base-10 row and mirrors
+        # its text; the expected text is `str` of the int row.
+        for n in range(301):
             assert run(["row", str(n), "--format", fmt]) == EXIT_OK
-            assert capsys.readouterr().out == sep.join(map(str, fibcalc.fibonomial_row(n))) + "\n"
+            assert capsys.readouterr().out == sep.join(int_row_text(n)) + "\n"
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000, 1 << 16])
+    def test_row_is_written_in_blocks(self, monkeypatch, block):
+        class Recorder:
+            def __init__(self):
+                self.chunks = []
+
+            def writelines(self, chunks):
+                self.chunks.extend(chunks)
+
+        monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
+        for n, fmt, sep in [(0, "plain", " "), (1, "csv", ","), (40, "plain", " "), (300, "csv", ",")]:
+            out = Recorder()
+            monkeypatch.setattr(sys, "stdout", out)
+            assert run(["row", str(n), "--format", fmt]) == EXIT_OK
+            texts = int_row_text(n)
+            assert "".join(out.chunks) == sep.join(texts) + "\n"
+            # A block's digits reach the block size at its last entry, and
+            # only there; the last block is what is left, and the newline.
+            digits = [[len(t) for t in c.strip(sep + "\n").split(sep)] for c in out.chunks]
+            assert all(sum(d) >= block > sum(d[:-1]) for d in digits[:-1])
+            assert sum(digits[-1][:-1]) < block and out.chunks[-1].endswith("\n")
 
     @pytest.mark.parametrize(
-        "argv, function",
+        "argv, attribute, call",
         [
-            (["fib", "7"], "fib"),
-            (["fibfact", "7"], "fib_factorial"),
-            (["falling", "7", "3"], "falling_f_factorial"),
-            (["binom", "7", "3"], "fibonomial"),
+            (["fib", "7"], "fib", (7,)),
+            (["fibfact", "7"], "_in_base_ten", ("fib_factorial", 7)),
+            (["falling", "7", "3"], "_in_base_ten", ("falling_f_factorial", 7, 3)),
+            (["binom", "7", "3"], "_in_base_ten", ("fibonomial", 7, 3)),
         ],
         ids=["fib", "fibfact", "falling", "binom"],
     )
-    def test_function_looked_up_when_verb_runs(self, capsys, monkeypatch, argv, function):
+    def test_function_looked_up_when_verb_runs(self, capsys, monkeypatch, argv, attribute, call):
         # A wrapper set on fibcalc after import (as the benchmark tracer does)
-        # must be the one the verb calls.
+        # must be the one the verb calls: `fib` itself, or the base-10 entry
+        # that the other value verbs call with their public function's name.
         received = []
 
         def spy(*args):
             received.append(args)
             return 987654321987654321
 
-        monkeypatch.setattr(fibcalc, function, spy)
+        monkeypatch.setattr(fibcalc, attribute, spy)
         assert run(argv) == EXIT_OK
         assert capsys.readouterr().out == "987654321987654321\n"
-        assert received == [tuple(int(a) for a in argv[1:])]
+        assert received == [call]
+
+
+@functools.cache
+def int_row_text(n: int) -> list[str]:
+    """`str` of each entry of the int route's row n, with the digit limit lifted meanwhile."""
+    return exact_text(fibcalc.fibonomial_row(n), "\n").split()
 
 
 def digit_limit() -> int | None:
@@ -477,7 +508,7 @@ class TestGuardRefusals:
     @pytest.fixture
     def no_work(self, monkeypatch):
         for owner, name in [(chains, "_dfs_count"), (chains, "_walk_text"),
-                            (zeta, "_zeta_cells"), (cli, "_hasse_dot")]:
+                            (zeta, "_zeta_cells"), (zeta, "_zeta_rows"), (cli, "_hasse_dot")]:
             monkeypatch.setattr(owner, name, refuse_work)
 
     @pytest.mark.parametrize(
@@ -711,8 +742,10 @@ def wrong_f7():
 class TestInexactDivision:
     """A failed integrality check exits 1, the verification-failure status, with one stderr line."""
 
-    # The sweep meets its first inexact division in the row recurrence, the
-    # one Fibonomial route of observation 3; binom in the direct quotient.
+    # The sweep and row meet their first inexact division in the row
+    # recurrence, the one Fibonomial route of observation 3; binom in the
+    # direct quotient.  binom and row run it over Decimals: the message
+    # names the same bit lengths as the int route's.
     MESSAGES = {
         "verify --max-n 9": (
             "integrality check failed: fibonomial_row(15) at k=7: "
@@ -722,6 +755,10 @@ class TestInexactDivision:
             "integrality check failed: fibonomial(15, 7): "
             "non-exact division of a 51-bit numerator by a 12-bit denominator\n"
         ),
+        "row 15": (
+            "integrality check failed: fibonomial_row(15) at k=7: "
+            "non-exact division of a 43-bit numerator by a 4-bit denominator\n"
+        ),
     }
 
     @pytest.mark.parametrize("argv", MESSAGES)
@@ -730,7 +767,7 @@ class TestInexactDivision:
         assert out_of(capsys) == ("", self.MESSAGES[argv])
 
     def test_other_assertion_errors_are_not_caught(self, monkeypatch):
-        monkeypatch.setattr(fibcalc, "fibonomial", refuse_work)
+        monkeypatch.setattr(fibcalc, "_in_base_ten", refuse_work)
         with pytest.raises(AssertionError, match="work started"):
             run(["binom", "15", "7"])
 
@@ -827,6 +864,8 @@ class TestBenchVerb:
         assert run(["bench", "3"]) == EXIT_VERIFICATION
         out, _ = out_of(capsys)
         assert "match=no" in out
+        # The row names the two ints compared, not n_F! from the base-10 route.
+        assert out.splitlines()[1].startswith("n=1 formula=7 formula_s=")
 
     def test_formulas_past_the_digit_limit(self, capsys):
         # 210_F! has more than 4300 digits; the formula column once stopped
@@ -880,3 +919,18 @@ def test_import_leaves_out_dataclasses_and_inspect():
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_decimal_is_imported_when_a_base_ten_verb_runs():
+    # Under -S, as above.  `fib` prints from ints; `binom` computes in base 10.
+    code = (
+        "import sys, io, contextlib; sys.path.insert(0, sys.argv[1]); from cobweb import cli; "
+        "seen = ['decimal' in sys.modules]; out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    for argv in (['fib', '9'], ['binom', '9', '4']):\n"
+        "        cli.run(argv); seen.append('decimal' in sys.modules)\n"
+        "print(seen, out.getvalue().split())"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[False, False, True] ['34', '12376']\n", "")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import decimal
+import math
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -427,3 +429,138 @@ class TestFibonomialRow:
         for k in (0, 1, 2, 97, fibcalc._PRIMITIVE_MIN_K - 1, fibcalc._PRIMITIVE_MIN_K, 299, 300, 451, 600):
             assert row[k] == fibonomial(600, k)
         assert row[300] == ratio_form_fibonomial(600, 300)
+
+
+class TestProduct:
+    @pytest.mark.parametrize("lift", [int, decimal.Decimal], ids=["int", "Decimal"])
+    def test_equals_the_flat_product(self, lift):
+        rng = random.Random(5)
+        for length in [*range(40), 100, 257]:
+            # Sizes from 1 to 2000 bits, in random order, and a run ascending by size.
+            factors = [rng.getrandbits(rng.randint(1, 2000)) | 1 for _ in range(length)]
+            for values in (factors, sorted(factors)):
+                with decimal.localcontext(fibcalc._exact_context()):
+                    assert fibcalc._product([lift(v) for v in values]) == lift(math.prod(values))
+
+    def test_splits_an_ascending_run_by_size(self, monkeypatch):
+        # F(1..1000): the first split by size falls at 708, near 1000/sqrt(2),
+        # where a split by count would fall at 500.
+        spans = []
+        tree = fibcalc._tree
+
+        def spy(factors, ends, lo, hi):
+            spans.append((lo, hi))
+            return tree(factors, ends, lo, hi)
+
+        monkeypatch.setattr(fibcalc, "_tree", spy)
+        assert fib_factorial(1000) == math.prod(naive_fib_sequence(1000)[1:])
+        assert spans[:2] == [(0, 1000), (0, 708)]
+
+
+def base_ten_text(function: str, *args: int) -> str:
+    return str(fibcalc._in_base_ten(function, *args))
+
+
+@pytest.mark.usefixtures("no_digit_limit")
+class TestBaseTen:
+    """`_in_base_ten` runs each route over Decimals: its text is `str` of the public function's int."""
+
+    # Every pair to n = 400 takes about a minute on CPython 3.11, whose int ->
+    # str is quadratic: every pair to 150, then every third n to 400.
+    def test_every_pair_to_150(self):
+        for n in range(151):
+            assert base_ten_text("fib_factorial", n) == str(fib_factorial(n))
+            for k in range(n + 2):
+                assert base_ten_text("fibonomial", n, k) == str(fibonomial(n, k))
+                assert base_ten_text("falling_f_factorial", n, k) == str(falling_f_factorial(n, k))
+
+    def test_every_third_n_to_400(self):
+        for n in range(151, 401, 3):
+            assert base_ten_text("fib_factorial", n) == str(fib_factorial(n))
+            for k in (1, n // 5, n // 2, n - 1):
+                assert base_ten_text("fibonomial", n, k) == str(fibonomial(n, k))
+                assert base_ten_text("falling_f_factorial", n, k) == str(falling_f_factorial(n, k))
+
+    def test_either_side_of_the_primitive_route(self):
+        cross = fibcalc._PRIMITIVE_MIN_K
+        for n in (2 * cross, 2 * cross + 1, 400, 1000):
+            for j in (cross - 1, cross):
+                for k in (j, n - j):
+                    assert base_ten_text("fibonomial", n, k) == str(fibonomial(n, k))
+
+    @pytest.mark.parametrize(
+        "function, args",
+        [
+            ("fib_factorial", (0,)),
+            ("falling_f_factorial", (0, 0)),
+            ("falling_f_factorial", (0, 1)),
+            ("falling_f_factorial", (9, 0)),
+            ("falling_f_factorial", (3, 5)),
+            ("falling_f_factorial", (400, 401)),
+            ("fibonomial", (0, 0)),
+            ("fibonomial", (0, 1)),
+            ("fibonomial", (9, 0)),
+            ("fibonomial", (2, 5)),
+            ("fibonomial", (400, 0)),
+            ("fibonomial", (400, 401)),
+        ],
+    )
+    def test_empty_products_zeros_and_n_zero(self, function, args):
+        assert base_ten_text(function, *args) == str(getattr(fibcalc, function)(*args))
+
+    def test_rows(self):
+        for n in (0, 1, 2, 41, 218, 300):
+            assert list(map(str, fibcalc._in_base_ten("fibonomial_row", n))) == list(map(str, fibonomial_row(n)))
+
+    def test_values_are_integral_decimals(self):
+        # Exponent 0: str gives the digits alone, in linear time.
+        values = [
+            fibcalc._in_base_ten("fib_factorial", 650),
+            fibcalc._in_base_ten("falling_f_factorial", 1000, 300),
+            fibcalc._in_base_ten("fibonomial", 1000, 100),
+            fibcalc._in_base_ten("fibonomial", 1000, 500),
+            *fibcalc._in_base_ten("fibonomial_row", 120),
+        ]
+        assert all(type(v) is decimal.Decimal and v.as_tuple().exponent == 0 for v in values)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            fibcalc._in_base_ten("fibonomial", 5, -1)
+        with pytest.raises(ValueError):
+            fibcalc._in_base_ten("fibonomial_row", -1)
+
+    def test_a_corrupted_value_fails_the_check_with_the_int_message(self):
+        fib(400)
+        saved = dict(fibcalc._PART)
+        fibcalc._PART.clear()
+        fibcalc._FIB[7] += 1  # F(7) = 13 becomes 14
+        try:
+            for function, args in [("fibonomial", (20, 10)), ("fibonomial", (400, 200)), ("fibonomial_row", (20,))]:
+                with pytest.raises(fibcalc._InexactDivision) as lifted:
+                    fibcalc._in_base_ten(function, *args)
+                with pytest.raises(fibcalc._InexactDivision) as plain:
+                    getattr(fibcalc, function)(*args)
+                assert str(lifted.value) == str(plain.value)
+        finally:
+            fibcalc._FIB[7] -= 1
+            fibcalc._PART.clear()
+            fibcalc._PART.update(saved)
+
+    def test_the_context_is_exact_and_traps_rounding(self):
+        context = fibcalc._exact_context()
+        assert (context.prec, context.Emax, context.Emin) == (decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN)
+        assert context.traps[decimal.Inexact] and context.traps[decimal.Rounded]
+        # The same traps at a precision a product can pass: a rounding
+        # that loses a digit, and one that drops only zeros, both raise.
+        narrow = context.copy()
+        narrow.prec = 3
+        with pytest.raises(decimal.Inexact):
+            narrow.multiply(decimal.Decimal(999), decimal.Decimal(999))
+        with pytest.raises(decimal.Rounded):
+            narrow.multiply(decimal.Decimal(1000), decimal.Decimal(1))
+
+    def test_the_callers_context_is_left_as_it_was(self):
+        before = decimal.getcontext().copy()
+        fibcalc._in_base_ten("fibonomial", 300, 150)
+        after = decimal.getcontext()
+        assert (after.prec, after.traps, after.flags) == (before.prec, before.traps, before.flags)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import re
 import sys
 import tracemalloc
 from typing import Sequence
@@ -25,13 +24,11 @@ from cobweb.chains import (
     iter_chains,
     verify_observation,
 )
-from cobweb.fibcalc import falling_f_factorial, fib, fib_factorial, fibonomial
+from cobweb.fibcalc import falling_f_factorial, fib_factorial, fibonomial
 from cobweb.poset import CobwebPoset, GuardError, Vertex, _Level, build_cobweb
 from cobweb.zeta import IncidenceMatrix, cobweb_from_matrix, staircase_check, zeta_matrix
 
-REPORT_LINE = re.compile(
-    r"^observation=[123] k=\d+ n=\d+ formula=\d+ oracle=\d+ status=(pass|fail)$"
-)
+import naive
 
 
 def naive_count(P: CobwebPoset, v: Vertex, stop_level: int) -> int:
@@ -87,14 +84,6 @@ class SizedPoset(CobwebPoset):
 # counts over the per-copy product are Gaussian binomials at q = 2.
 NATURAL = tuple(range(1, 9))
 MERSENNE = tuple(2**s - 1 for s in range(1, 13))
-
-
-def gaussian_binomial_q2(n: int, k: int) -> int:
-    """[n choose k] at q = 2 by the q-Pascal rule [m, j] = [m-1, j-1] + 2^j [m-1, j]."""
-    row = [1]
-    for m in range(1, n + 1):
-        row = [1] + [row[j - 1] + 2**j * row[j] for j in range(1, m)] + [1]
-    return row[k]
 
 
 class PassCountedTuple(tuple):
@@ -168,7 +157,7 @@ def naive_chains(P: CobwebPoset, v: Vertex, stop_level: int) -> list[tuple[Verte
 def walks(draw):
     depth = draw(st.integers(1, 8))
     k = draw(st.integers(1, depth))
-    start = Vertex(k, draw(st.integers(0, fib(k) - 1)))
+    start = Vertex(k, draw(st.integers(0, naive.fib(k) - 1)))
     return build_cobweb(depth), start, draw(st.integers(k, depth))
 
 
@@ -284,7 +273,7 @@ class TestDfsOracle:
         P = PlantedPoset(7, planted, covers)
         leaves = sum(1 for w in covers if w.level == 6)
         # Chains reaching the planted vertex from the root: 4!_F = 6.
-        expected = count_from_root_formula(6) + (leaves - 8) * fib_factorial(4)
+        expected = naive.f_factorial(6) + (leaves - 8) * naive.f_factorial(4)
         for start in (P.root, Vertex(3, 1), Vertex(4, 2), Vertex(5, 1), planted):
             for stop in (6, 7):
                 self.assert_three_way(P, start, stop)
@@ -306,7 +295,7 @@ class TestDfsOracle:
         leaves = sum(1 for w in covers if w.level == 6)
         assert chains._dfs_count(P, 6)(Vertex(5, 0)) == 8
         for v in P.level_vertices(4):
-            assert chains._dfs_count(P, 6)(v) == (fib(5) - 1) * 8 + leaves
+            assert chains._dfs_count(P, 6)(v) == (naive.fib(5) - 1) * 8 + leaves
 
     @pytest.mark.parametrize("k, n", [(1, 2), (1, 7), (2, 7), (3, 6), (4, 7), (6, 7), (7, 7)])
     def test_covers_above_call_count(self, k, n):
@@ -316,14 +305,12 @@ class TestDfsOracle:
         # The counter calls covers_above once per distinct vertex below
         # level n: the start, then every vertex of levels k+1..n-1, so
         # 1 + F(k+1) + ... + F(n-1) calls (20 at k=1, n=7).
-        assert P.calls == (0 if k == n else 1 + sum(fib(j) for j in range(k + 1, n)))
+        assert P.calls == (0 if k == n else 1 + sum(naive.fib(j) for j in range(k + 1, n)))
         # The listing walk calls it once per path: 1 + the sum over
         # j = k+1..n-1 of F(k+1)...F(j) (280 at k=1, n=7).
         P.calls = 0
         assert sum(1 for _ in iter_chains(P, start, n)) == counted
-        assert P.calls == (0 if k == n else 1 + sum(
-            math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k + 1, n)
-        ))
+        assert P.calls == (0 if k == n else 1 + sum(naive.f_product(k + 1, j) for j in range(k + 1, n)))
 
     def test_fresh_cover_tuples_count_the_same(self):
         P, fresh = build_cobweb(8), PassCountingPoset(8, fresh=True)
@@ -346,7 +333,7 @@ class TestDfsOracle:
                 # first start visits every vertex of levels k+1..stop-1 once
                 # and the other starts hit the memo, so one call per vertex
                 # of levels k..stop-1 and one pass per level.
-                calls = sum(fib(s) for s in range(k, stop))
+                calls = sum(naive.fib(s) for s in range(k, stop))
                 assert len(P.handed) == calls
                 assert len({id(t) for t in P.handed}) == (calls if fresh else stop - k)
                 passed = [t for t in {id(t): t for t in P.handed}.values() if t.passes]
@@ -357,9 +344,9 @@ class TestDfsOracle:
         # Equal cover tuples share one sum, so counting the root to level 12
         # calls covers_above once per vertex of levels 1..11, F(13) - 1 =
         # 232 times, however the relation hands its tuples out.
-        P = CappedFreshPoset(12, cap=10 * (fib(13) - 1))
-        assert chains._dfs_count(P, 12)(P.root) == fib_factorial(12)
-        assert len(P.handed) == fib(13) - 1 == 232
+        P = CappedFreshPoset(12, cap=10 * (naive.fib(13) - 1))
+        assert chains._dfs_count(P, 12)(P.root) == naive.f_factorial(12)
+        assert len(P.handed) == naive.fib(13) - 1 == 232
         assert set(P.passes_per_value().values()) == {1}
 
     def test_memo_holds_one_entry_per_level(self):
@@ -375,7 +362,7 @@ class TestDfsOracle:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert counted == fib_factorial(22)
+        assert counted == naive.f_factorial(22)
         assert held < 64 * 1024
 
     def test_poset_and_count_hold_no_level(self):
@@ -390,7 +377,7 @@ class TestDfsOracle:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert counted == fib_factorial(26)
+        assert counted == naive.f_factorial(26)
         assert held < 64 * 1024
 
 
@@ -442,7 +429,7 @@ class TestGuard:
     def test_refusal_under_a_lowered_digit_limit(self, digit_limit_640):
         # 100_F! has 1,021 digits: str() of it raises under a 640-digit limit,
         # so the refusal names it by its bit length.
-        bits = math.prod(fib(s) for s in range(1, 101)).bit_length()
+        bits = naive.f_factorial(100).bit_length()
         with pytest.raises(EnumerationGuardError) as exc:
             enumerate_from_root(build_cobweb(100), 100)
         assert str(exc.value) == (
@@ -516,11 +503,11 @@ class TestDefaultLimitReadAtAdmission:
     def test_patched_default_is_the_boundary(self, monkeypatch, entry, limit, last):
         monkeypatch.setattr(chains, "DEFAULT_ENUMERATION_LIMIT", limit)
         walk = self.ENTRIES[entry]
-        assert fib_factorial(last) <= limit < fib_factorial(last + 1)
+        assert naive.f_factorial(last) <= limit < naive.f_factorial(last + 1)
         walk(last)
         with pytest.raises(EnumerationGuardError) as exc:
             walk(last + 1)
-        assert (exc.value.predicted, exc.value.limit) == (fib_factorial(last + 1), limit)
+        assert (exc.value.predicted, exc.value.limit) == (naive.f_factorial(last + 1), limit)
 
 
 class TestAnyLevelSizes:
@@ -571,7 +558,7 @@ class TestAnyLevelSizes:
                 layer = enumerate_layer_chains(P, LayerSpec(Vertex(k, 0), n), limit=10**30)
                 per_copy = math.prod(2**s - 1 for s in range(1, n - k + 1))
                 assert layer % per_copy == 0
-                assert layer // per_copy == gaussian_binomial_q2(n, k)
+                assert layer // per_copy == naive.gaussian_binomial_q2(n, k)
 
     @pytest.mark.parametrize("start", [Vertex(1, 0), Vertex(5, 30), Vertex(11, 0)], ids=str)
     def test_mersenne_sizes_refusal_predicts_the_count(self, start):
@@ -698,7 +685,7 @@ class TestIterChains:
             iter_chains(P, Vertex(3, 2), 5)
         with pytest.raises(EnumerationGuardError) as exc:
             iter_chains(P, Vertex(3, 1), 20)
-        assert exc.value.predicted == count_layer_chains_formula(3, 20)
+        assert exc.value.predicted == naive.f_product(4, 20)
         assert exc.value.limit == chains.DEFAULT_ENUMERATION_LIMIT
         assert P.calls == 0
 
@@ -734,14 +721,14 @@ class TestIterChains:
         assert list(iter_chains(P, start, n)) == naive_chains(build_cobweb(8), start, n)
         assert sorted(P.shared) == list(range(k, n))
         assert all(t.passes == 1 for t in P.shared.values())
-        assert len(P.handed) == 1 + sum(math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k + 1, n))
+        assert len(P.handed) == 1 + sum(naive.f_product(k + 1, j) for j in range(k + 1, n))
 
     @pytest.mark.parametrize("k, n", [(1, 8), (3, 8), (6, 9)])
     def test_listing_passes_once_over_each_fresh_cover_value(self, k, n):
         # Fresh equal tuples share one tuple of the walk, so each cover
         # value is passed over once; covers_above is still read once per
         # path below n.
-        calls = 1 + sum(math.prod(fib(i) for i in range(k + 1, j + 1)) for j in range(k + 1, n))
+        calls = 1 + sum(naive.f_product(k + 1, j) for j in range(k + 1, n))
         P = CappedFreshPoset(n, cap=10 * calls)
         start = P.level_vertices(k)[-1]
         assert list(iter_chains(P, start, n)) == naive_chains(build_cobweb(n), start, n)
@@ -897,8 +884,8 @@ class TestObs3Quotient:
         closed = {(c.k, c.n): c.oracle for c in cases[math.comb(5, 2):]}
         for quotients in (counted, closed):
             assert (quotients[2, 4], quotients[1, 4]) == (6, 3)
-            assert all(quotients[k, k + 1] == fib(k + 1) for k in range(1, 5))
-        assert all(closed[k, k + 1] == fib(k + 1) for k in range(1, 15))
+            assert all(quotients[k, k + 1] == naive.fib(k + 1) for k in range(1, 5))
+        assert all(closed[k, k + 1] == naive.fib(k + 1) for k in range(1, 15))
 
     def test_modes_agree_small(self):
         cases = verify_observation(3, 6).cases
@@ -933,8 +920,8 @@ class TestObs3Quotient:
         # An inexact layer count is reported raw, an exact one as its quotient.
         assert quotient == (None if layer % per_copy else layer // per_copy)
         oracle = layer if quotient is None else quotient
-        assert (case.formula, case.oracle, case.passed) == (fibonomial(4, k), oracle, False)
-        line = f"observation=3 k={k} n=4 formula={fibonomial(4, k)} oracle={oracle} status=fail"
+        assert (case.formula, case.oracle, case.passed) == (naive.fibonomial(4, k), oracle, False)
+        line = f"observation=3 k={k} n=4 formula={naive.fibonomial(4, k)} oracle={oracle} status=fail"
         assert line in report.to_text().splitlines()
 
     def test_inexact_quotient_fails_even_when_its_floor_matches(self, monkeypatch):
@@ -951,7 +938,7 @@ class TestObs3Quotient:
         report = verify_observation(3, 3)
         assert len(report.counterexamples) == len(report.cases) == 3 + math.comb(9, 2)
         for c in report.cases:
-            assert (c.formula, c.oracle) == (fibonomial(c.n, c.k) + 1, fibonomial(c.n, c.k))
+            assert (c.formula, c.oracle) == (naive.fibonomial(c.n, c.k) + 1, naive.fibonomial(c.n, c.k))
 
     @pytest.mark.parametrize("max_n", [1, 4, 9])
     def test_one_row_per_target_level_and_no_closed_form_per_case(self, monkeypatch, max_n):
@@ -996,7 +983,7 @@ class TestVerifyObservation:
         report = verify_observation(2, 5)
         assert report.passed
         # one case per (k, n, start vertex): sum of F(k) * (5 - k)
-        assert len(report.cases) == sum(fib(k) * (5 - k) for k in range(1, 5))
+        assert len(report.cases) == sum(naive.fib(k) * (5 - k) for k in range(1, 5))
         starts = {c.start for c in report.cases}
         assert Vertex(3, 1) in starts
 
@@ -1012,7 +999,7 @@ class TestVerifyObservation:
             text = verify_observation(obs, 4).to_text()
             lines = text.splitlines()
             assert text.endswith("\n")
-            assert all(REPORT_LINE.match(line) for line in lines)
+            assert all(naive.REPORT_LINE.match(line) for line in lines)
         first = verify_observation(1, 4).to_text().splitlines()[0]
         assert first == "observation=1 k=1 n=1 formula=1 oracle=1 status=pass"
 
@@ -1064,8 +1051,8 @@ class TestVerifyObservation:
         monkeypatch.setattr(chains, "build_cobweb", build)
         verify_observation(observation, 7)
         [P] = built
-        later = {1: lambda n: 0, 2: lambda n: fib(n + 1) - 2, 3: lambda n: n - 2}[observation]
-        calls = sum(fib(n + 1) - 1 + later(n) for n in range(2, 8))
+        later = {1: lambda n: 0, 2: lambda n: naive.fib(n + 1) - 2, 3: lambda n: n - 2}[observation]
+        calls = sum(naive.fib(n + 1) - 1 + later(n) for n in range(2, 8))
         assert P.calls == calls == {1: 46, 2: 86, 3: 61}[observation]
 
     def test_sweep_counts_every_start_of_a_planted_fault(self, monkeypatch):
@@ -1083,7 +1070,7 @@ class TestVerifyObservation:
         expected = {
             (Vertex(k, i), n): oracle
             for k, row in oracles.items()
-            for i in range(fib(k))
+            for i in range(naive.fib(k))
             for n, oracle in zip((6, 7), row)
         }
         expected.update({(planted, 6): 7, (planted, 7): 91})

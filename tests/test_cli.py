@@ -6,8 +6,6 @@ import argparse
 import functools
 import itertools
 import json
-import math
-import re
 import signal
 import subprocess
 import sys
@@ -22,14 +20,11 @@ from cobweb.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, run
 from cobweb.poset import build_cobweb
 from cobweb.zeta import IncidenceMatrix, cobweb_from_matrix
 
+import naive
 from cli_corpus import CORPUS, HELP_VERBS, digest
 
 GOLDEN = Path(__file__).parent / "golden"
 CLI_CORPUS = json.loads(CORPUS.read_text())
-
-REPORT_LINE = re.compile(
-    r"^observation=[123] k=\d+ n=\d+ formula=\d+ oracle=\d+ status=(pass|fail)$"
-)
 
 
 def out_of(capsys):
@@ -72,10 +67,10 @@ class TestScalarVerbs:
     @pytest.mark.parametrize("fmt, sep", [("plain", " "), ("csv", ",")])
     def test_row_text_is_every_entry_converted(self, capsys, fmt, sep):
         # The verb converts the first half of the base-10 row and mirrors
-        # its text; the expected text is `str` of the int row.
-        for n in range(301):
+        # its text; the expected text is the decimal text of every entry.
+        for n, texts in enumerate(row_texts()):
             assert run(["row", str(n), "--format", fmt]) == EXIT_OK
-            assert capsys.readouterr().out == sep.join(int_row_text(n)) + "\n"
+            assert capsys.readouterr().out == sep.join(texts) + "\n"
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1000, 1 << 16])
     def test_row_is_written_in_blocks(self, monkeypatch, block):
@@ -91,7 +86,7 @@ class TestScalarVerbs:
             out = Recorder()
             monkeypatch.setattr(sys, "stdout", out)
             assert run(["row", str(n), "--format", fmt]) == EXIT_OK
-            texts = int_row_text(n)
+            texts = row_texts()[n]
             assert "".join(out.chunks) == sep.join(texts) + "\n"
             # A block's digits reach the block size at its last entry, and
             # only there; the last block is what is left, and the newline.
@@ -126,9 +121,9 @@ class TestScalarVerbs:
 
 
 @functools.cache
-def int_row_text(n: int) -> list[str]:
-    """`str` of each entry of the int route's row n, with the digit limit lifted meanwhile."""
-    return exact_text(fibcalc.fibonomial_row(n), "\n").split()
+def row_texts() -> list[list[str]]:
+    """The decimal text of each entry of rows 0..300 of C_F, from the division-free rows."""
+    return [list(map(naive.decimal_text, row)) for row in naive.fibonomial_rows(300)]
 
 
 def digit_limit() -> int | None:
@@ -136,38 +131,23 @@ def digit_limit() -> int | None:
     return None if get_limit is None else get_limit()
 
 
-def exact_text(values: list[int], sep: str = " ") -> str:
-    """Decimal text of values, with the int/str digit limit lifted meanwhile."""
-    previous = digit_limit()
-    if previous is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        return sep.join(map(str, values)) + "\n"
-    finally:
-        if previous is not None:
-            sys.set_int_max_str_digits(previous)
-
-
 class TestResultsOverDigitLimit:
     """Results of more than 4300 digits print in full and leave the limit as it was."""
 
     def test_fib_30000(self, capsys):
-        a, b = 0, 1
-        for _ in range(30000):
-            a, b = b, a + b
         before = digit_limit()
         assert run(["fib", "30000"]) == EXIT_OK
         assert digit_limit() == before
         out, err = out_of(capsys)
         assert err == ""
         assert len(out) > 4301
-        assert out == exact_text([a])
+        assert out == naive.decimal_text(naive.fib(30000)) + "\n"
 
     def test_row_300(self, capsys):
         before = digit_limit()
         assert run(["row", "300", "--format", "csv"]) == EXIT_OK
         assert digit_limit() == before
-        assert capsys.readouterr().out == exact_text(fibcalc.fibonomial_row(300), ",")
+        assert capsys.readouterr().out == ",".join(row_texts()[300]) + "\n"
 
     def test_without_a_digit_limit(self, capsys, monkeypatch):
         # Pythons before 3.10.7 have no limit and no sys.get_int_max_str_digits.
@@ -339,23 +319,16 @@ class TestBuild:
         assert "vertices=2178308\n" in out  # F(32) - 1
         assert err == ""
 
-    def test_past_the_digit_limit(self, capsys):
-        # F(3100) has 648 digits, over a limit lowered to 640 for this test.
-        sizes = [fibcalc.fib(s) for s in range(1, 3101)]
+    def test_past_the_digit_limit(self, capsys, digit_limit_640):
+        # F(3100) has 648 digits, over the limit lowered to 640.
+        sizes = naive.level_sizes(3100)
+        edges = sum(a * b for a, b in zip(sizes, sizes[1:]))
         expected = (
-            "depth=3100\nlevel_sizes=" + exact_text(sizes, ",")
-            + "vertices=" + exact_text([sum(sizes)])
-            + "edges=" + exact_text([sum(a * b for a, b in zip(sizes, sizes[1:]))])
+            f"depth=3100\nlevel_sizes={','.join(map(naive.decimal_text, sizes))}\n"
+            f"vertices={naive.decimal_text(sum(sizes))}\nedges={naive.decimal_text(edges)}\n"
         )
-        before = digit_limit()
-        if before is not None:
-            sys.set_int_max_str_digits(640)
-        try:
-            assert run(["build", "3100"]) == EXIT_OK
-            assert digit_limit() == (None if before is None else 640)
-        finally:
-            if before is not None:
-                sys.set_int_max_str_digits(before)
+        assert run(["build", "3100"]) == EXIT_OK
+        assert digit_limit() == 640
         assert out_of(capsys) == (expected, "")
 
 
@@ -418,19 +391,17 @@ class TestExport:
     @pytest.mark.parametrize("depth", [6, 11, 15])
     def test_dot_streams_about_one_mib_of_whole_source_vertices_a_chunk(self, depth):
         # Chunks are about one block each, zeta._BLOCK_BYTES (1 MiB when this test was named).
-        P = build_cobweb(depth)
-        ids = [[v.node_id() for v in P.level_vertices(s)] for s in range(1, depth + 1)]
         # Every edge on its own line, level pair by level pair: what the edge chunks must join to.
-        per_level_pair = "".join(f"  {x} -> {y};\n" for low, high in zip(ids, ids[1:]) for x in low for y in high)
-        chunks = list(cli._hasse_dot(P))
-        assert "".join(chunks[1:-1]) == per_level_pair
+        edges = [line for line in naive.dot_lines(depth) if " -> " in line]
+        chunks = list(cli._hasse_dot(build_cobweb(depth)))
+        assert "".join(chunks[1:-1]) == "".join(edges)
         assert chunks[0].startswith("digraph cobweb {\n") and chunks[-1] == "}\n"
         assert all(len(c) <= zeta._BLOCK_BYTES and c.endswith(";\n") for c in chunks[1:-1])
         # Each chunk holds the edge lists of as many whole source vertices
         # of one level pair as fit in a block at the widest source's size.
         expected = []
-        for low, high in zip(ids, ids[1:]):
-            texts = ["".join(f"  {x} -> {y};\n" for y in high) for x in low]
+        for _, pair in itertools.groupby(edges, key=lambda line: line.split("_")[0]):  # by the source's level
+            texts = ["".join(lines) for _, lines in itertools.groupby(pair, key=lambda line: line.split()[0])]
             step = zeta._BLOCK_BYTES // max(map(len, texts))
             expected += ["".join(texts[i:i + step]) for i in range(0, len(texts), step)]
         assert chunks[1:-1] == expected
@@ -455,11 +426,11 @@ class TestExport:
         assert all(len(c) % line == 0 and 0 < len(c) <= zeta._BLOCK_BYTES for c in out.chunks)
         # Chunks end at level boundaries, so each of the 15 levels may add one short chunk.
         assert len(out.chunks) <= -(-1596 // rows) + 15
-        assert "".join(out.chunks) == zeta.zeta_matrix(build_cobweb(15)).to_csv()
+        assert "".join(out.chunks) == naive.zeta_csv(naive.level_sizes(15))
 
     @pytest.mark.parametrize("depth", range(1, 17))
     def test_csv_export_builds_no_matrix(self, capsys, monkeypatch, depth):
-        expected = zeta.zeta_matrix(build_cobweb(depth)).to_csv()
+        expected = naive.zeta_csv(naive.level_sizes(depth))
         monkeypatch.setattr(zeta, "zeta_matrix", refuse_work)
         monkeypatch.setattr(zeta, "_zeta_cells", refuse_work)
         monkeypatch.setattr(IncidenceMatrix, "_of_cells", refuse_work)
@@ -545,7 +516,8 @@ class TestGuardRefusals:
 
     def test_export_admits_the_vertex_count(self):
         # F(1) + ... + F(d) = F(d + 2) - 1, the count export admits before it builds.
-        assert all(fibcalc.fib(d + 2) - 1 == build_cobweb(d).vertex_count for d in range(1, 301))
+        for d in range(1, 301):
+            assert naive.vertex_count(d) == naive.fib(d + 2) - 1 == build_cobweb(d).vertex_count
 
     def test_export_cap_boundary(self, capsys, monkeypatch):
         monkeypatch.setattr(zeta, "DEFAULT_DIM_CAP", 12)
@@ -596,7 +568,7 @@ class TestGuardRefusals:
         monkeypatch.setattr(chains, "DEFAULT_ENUMERATION_LIMIT", limit)
         monkeypatch.setattr(chains, "_walk_text", lambda *args: iter(()))
         refusal = (
-            f"enumeration would visit {fibcalc.fib_factorial(last + 1)} chains, over the limit of {limit}; "
+            f"enumeration would visit {naive.f_factorial(last + 1)} chains, over the limit of {limit}; "
             "use the closed-form counter or raise the limit explicitly\n"
         )
         assert run(["chains", str(last)]) == EXIT_OK
@@ -632,16 +604,12 @@ class TestChainsVerb:
 
     @pytest.mark.parametrize("start, n", [("1:0", 6), ("4:2", 7), ("5:4", 5), ("6:7", 8)])
     def test_listing_is_product_of_levels(self, capsys, start, n):
-        level, index = map(int, start.split(":"))
-        names = [[f"v{s}_{i}" for i in range(fibcalc.fib(s))] for s in range(level + 1, n + 1)]
-        expected = "".join(
-            " ".join((f"v{level}_{index}", *rest)) + "\n" for rest in itertools.product(*names)
-        )
+        expected = "".join(naive.chain_lines(n, *map(int, start.split(":"))))
         assert run(["chains", str(n), "--from", start]) == EXIT_OK
         assert out_of(capsys) == (expected, "")
 
     def test_guard_refusal_text(self, capsys):
-        predicted = math.prod(fibcalc.fib(s) for s in range(4, 13))
+        predicted = naive.f_product(4, 12)
         assert run(["chains", "12", "--from", "3:1"]) == EXIT_GUARD
         assert out_of(capsys) == ("", (
             f"guard: enumeration would visit {predicted} chains, over the limit of "
@@ -669,7 +637,7 @@ class TestRunsInOneProcess:
         assert (len(out.splitlines()), err) == (6, "")
 
     def test_format_does_not_stick(self, capsys):
-        row = fibcalc.fibonomial_row(6)
+        row = naive.fibonomial_row(6)
         assert run(["row", "6", "--format", "csv"]) == EXIT_OK
         assert out_of(capsys) == (",".join(map(str, row)) + "\n", "")
         assert run(["row", "6"]) == EXIT_OK
@@ -778,7 +746,7 @@ class TestVerifyVerb:
         out, _ = out_of(capsys)
         lines = out.splitlines()
         assert len(lines) == 134  # 5 + 14 + (10 + 105)
-        assert all(REPORT_LINE.match(line) for line in lines)
+        assert all(naive.REPORT_LINE.match(line) for line in lines)
         assert all(line.endswith("status=pass") for line in lines)
         assert lines[0] == "observation=1 k=1 n=1 formula=1 oracle=1 status=pass"
 
@@ -870,9 +838,6 @@ class TestBenchVerb:
     def test_formulas_past_the_digit_limit(self, capsys):
         # 210_F! has more than 4300 digits; the formula column once stopped
         # at n = 205 with a usage error.
-        fibs = [0, 1]
-        while len(fibs) <= 210:
-            fibs.append(fibs[-1] + fibs[-2])
         before = digit_limit()
         assert run(["bench", "210"]) == EXIT_OK
         assert digit_limit() == before
@@ -881,7 +846,7 @@ class TestBenchVerb:
         assert lines[-1].startswith("n=210 formula=")
         formula = lines[-1].split()[1].removeprefix("formula=")
         assert len(formula) > 4300
-        assert formula + "\n" == exact_text([math.prod(fibs[1:])])
+        assert formula == naive.decimal_text(naive.f_factorial(210))
 
 
 def test_console_entry_point_runs():

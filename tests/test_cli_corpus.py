@@ -3,22 +3,21 @@
 The process-only cases are skipped here; `tests/cli_corpus.py --processes` runs them,
 and the last tests check that its bounds fail a run of one small case.  The listings,
 exports, `bench` tables, verify reports and refusals of the corpus are also checked
-against renderings built from `itertools`, `math` and `hashlib` alone, with no code
-of `cobweb`.
+against the renderings of `tests/naive.py`, built from the standard library alone;
+`tests/test_package.py` checks that `tests/naive.py` imports no code of `cobweb`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-import math
 
 import pytest
 
 from cobweb import cli
 
 import cli_corpus
+import naive
 from cli_corpus import (
     CASES, CORPUS, PROCESS_ONLY, in_process, in_process_records, two_passes,
 )
@@ -65,190 +64,6 @@ def test_every_case_twice_in_one_process(monkeypatch):
     assert [in_process(want["argv"]) for want in two_passes(RECORDS)] == two_passes(RECORDS)
 
 
-# The independent renderings.  Level s of the cobweb poset holds F(s)
-# vertices v{s}_0 .. v{s}_{F(s)-1}, and every vertex of a level lies below
-# every vertex of the levels above it.
-
-DEFAULT_LIMIT = 10**8  # the chain guard's limit when no override is given
-DIM_CAP = 10_000  # the most rows an incidence matrix, or an export, may have
-REFUSAL = "use the closed-form counter or raise the limit explicitly"
-
-
-def fibonacci(top: int) -> list[int]:
-    """F(0..top) by the plain recurrence."""
-    fibs = [0, 1]
-    while len(fibs) <= top:
-        fibs.append(fibs[-1] + fibs[-2])
-    return fibs
-
-
-def f_product(fibs: list[int], lo: int, hi: int) -> int:
-    """F(lo) * ... * F(hi); 1 when lo > hi."""
-    return math.prod(fibs[lo:hi + 1])
-
-
-def vertex_count(depth: int) -> int:
-    """F(1) + ... + F(depth), by the plain recurrence, holding two terms at a time."""
-    total, f, g = 0, 1, 1
-    for _ in range(depth):
-        total, f, g = total + f, g, f + g
-    return total
-
-
-def named(number: int) -> str:
-    """A number as an error message names it: in full up to 4300 digits, else by its bit length."""
-    return str(number) if number < 10**4300 else f"(a {number.bit_length()}-bit number)"
-
-
-def level_ids(depth: int) -> list[list[str]]:
-    """The node ids of levels 1..depth."""
-    fibs = fibonacci(depth)
-    return [[f"v{s}_{i}" for i in range(fibs[s])] for s in range(1, depth + 1)]
-
-
-def options(argv: list[str]) -> dict[str, str]:
-    """{flag: value} of an argv whose every flag takes one value."""
-    return {flag: value for flag, value in zip(argv, argv[1:]) if flag.startswith("--")}
-
-
-def chains_lines(argv: list[str]):
-    n = int(argv[1])
-    level, index = map(int, options(argv).get("--from", "1:0").split(":"))
-    for rest in itertools.product(*level_ids(n)[level:]):
-        yield " ".join((f"v{level}_{index}", *rest)) + "\n"
-
-
-def export_lines(argv: list[str]):
-    ids = level_ids(int(argv[1]))
-    if options(argv)["--format"] == "csv":
-        dim, end = sum(map(len, ids)), 0
-        for level in ids:
-            end += len(level)
-            for i in range(end - len(level), end):
-                yield ",".join("1" if j == i or j >= end else "0" for j in range(dim)) + "\n"
-    else:
-        yield "digraph cobweb {\n  rankdir=BT;\n"
-        for level in ids:
-            yield f"  {{ rank=same; {'; '.join(level)}; }}\n"
-        for low, high in zip(ids, ids[1:]):
-            for x, y in itertools.product(low, high):
-                yield f"  {x} -> {y};\n"
-        yield "}\n"
-
-
-def max_n(argv: list[str]) -> int:
-    return int(options(argv).get("--max-n", "7"))
-
-
-def verify_cases(observation: str, max_n: int) -> list[tuple[int, int, int]]:
-    """One (k, n, value) per case of one observation, formula and oracle equal.
-
-    n_F! from the root; F(k+1)...F(n) from each of the F(k) vertices of
-    level k; the Fibonomial for the counted cases to max_n, then the
-    closed-form tail to 3 * max_n.
-    """
-    fibs = fibonacci(3 * max_n)
-    if observation == "1":
-        return [(1, n, f_product(fibs, 1, n)) for n in range(1, max_n + 1)]
-    if observation == "2":
-        return [
-            (k, n, f_product(fibs, k + 1, n))
-            for k in range(1, max_n)
-            for n in range(k + 1, max_n + 1)
-            for _ in range(fibs[k])
-        ]
-    return [
-        (k, n, f_product(fibs, n - k + 1, n) // f_product(fibs, 1, k))
-        for top in (max_n, 3 * max_n)
-        for n in range(2, top + 1)
-        for k in range(1, n)
-    ]
-
-
-def verify_lines(argv: list[str]):
-    observation = options(argv).get("--obs", "all")
-    observations = ["1", "2", "3"] if observation == "all" else [observation]
-    for o in observations:
-        cases = verify_cases(o, max_n(argv))
-        if "structured" in argv:
-            for k, n, value in cases:
-                yield f"observation={o} k={k} n={n} formula={value} oracle={value} status=pass\n"
-        else:
-            yield f"Observation {o}: PASS ({len(cases)} cases, max_n={max_n(argv)})\n"
-    if "structured" not in argv:
-        yield "RESULT: PASS\n"
-
-
-def bench_lines(argv: list[str]):
-    fibs = fibonacci(int(argv[1]))
-    yield "# wall-clock timings below are non-deterministic; counts are exact\n"
-    for n in range(1, len(fibs)):
-        chains = f_product(fibs, 1, n)
-        if chains <= DEFAULT_LIMIT:
-            enumeration = f"enumeration={chains} enumeration_s=<t> match=yes"
-        else:
-            enumeration = "enumeration=skipped enumeration_s=- match=-"
-        yield f"n={n} formula={chains} formula_s=<t> {enumeration}\n"
-
-
-def limit(argv: list[str]) -> int:
-    return int(options(argv).get("--unsafe-enumeration-limit", DEFAULT_LIMIT))
-
-
-def refusal(argv: list[str]) -> str | None:
-    """The guard line of a run that refuses before any work; None if the run is admitted.
-
-    An export refuses past DIM_CAP vertices.  A listing refuses when the
-    product of the level sizes above its start passes the limit; a sweep
-    admits the root's walk to each level 2..max_n in turn, and refuses at
-    the first whose n_F! chains pass it.
-    """
-    if argv[0] == "export":
-        dim = vertex_count(int(argv[1]))
-        return None if dim <= DIM_CAP else f"guard: incidence matrix would be {named(dim)}x{named(dim)}; cap is {DIM_CAP} rows\n"
-    if argv[0] == "chains":
-        n = int(argv[1])
-        level = int(options(argv).get("--from", "1:0").split(":")[0])
-        walks = [f_product(fibonacci(n), level + 1, n)]
-    elif argv[0] == "verify":
-        fibs = fibonacci(max_n(argv))
-        walks = [f_product(fibs, 1, n) for n in range(2, max_n(argv) + 1)]
-    else:
-        return None
-    over = [chains for chains in walks if chains > limit(argv)]
-    if not over:
-        return None
-    return f"guard: enumeration would visit {named(over[0])} chains, over the limit of {limit(argv)}; {REFUSAL}\n"
-
-
-def rendered_stderr(argv: list[str]) -> str:
-    text = ""
-    if "--unsafe-enumeration-limit" in argv:
-        text = f"warning: enumeration guard overridden to {limit(argv)} predicted chains\n"
-    if argv[0] == "bench":
-        fibs = fibonacci(int(argv[1]))
-        for n in range(1, len(fibs)):
-            chains = f_product(fibs, 1, n)
-            if chains > DEFAULT_LIMIT:
-                text += f"guard: n={n} skipped: enumeration would visit {chains} chains, over the limit of {DEFAULT_LIMIT}; {REFUSAL}\n"
-    return text + (refusal(argv) or "")
-
-
-RENDERINGS = {"chains": chains_lines, "export": export_lines, "verify": verify_lines, "bench": bench_lines}
-
-
-def rendered_record(argv: list[str]) -> dict:
-    refused = refusal(argv) is not None
-    out = b"" if refused else "".join(RENDERINGS[argv[0]](argv)).encode()
-    return {
-        "argv": argv,
-        "exit": 3 if refused else 0,
-        "stdout_bytes": len(out),
-        "stdout_sha256": hashlib.sha256(out).hexdigest(),
-        "stderr": rendered_stderr(argv),
-    }
-
-
 # Every listing, export, bench table and verify report that exits 0, and
 # every refusal; `chains 9` (103 MB) and both `export 18` (91.5 MB and
 # 150 MB) are left to `--processes`.
@@ -256,10 +71,22 @@ UNRENDERED = [["chains", "9"], ["export", "18", "--format", "csv"], ["export", "
 RENDERED = [
     r for r in ALL_RECORDS
     if r["exit"] in (0, 3)
-    and r["argv"][0] in RENDERINGS
+    and r["argv"][0] in naive.RENDERINGS
     and r["argv"] not in UNRENDERED
     and "--help" not in r["argv"]
 ]
+
+
+def rendered_record(argv: list[str]) -> dict:
+    refused = naive.refusal(argv) is not None
+    out = b"" if refused else "".join(naive.RENDERINGS[argv[0]](argv)).encode()
+    return {
+        "argv": argv,
+        "exit": 3 if refused else 0,
+        "stdout_bytes": len(out),
+        "stdout_sha256": hashlib.sha256(out).hexdigest(),
+        "stderr": naive.stderr(argv),
+    }
 
 
 @pytest.mark.parametrize("want", RENDERED, ids=argv_id)
@@ -285,12 +112,12 @@ FROZEN_COUNTS = [
 
 @pytest.mark.parametrize("argv, marker, count", FROZEN_COUNTS, ids=[" ".join(a) for a, _, _ in FROZEN_COUNTS])
 def test_rendering_has_the_frozen_count(argv, marker, count):
-    assert sum(line.count(marker) for line in RENDERINGS[argv[0]](argv)) == count
+    assert sum(line.count(marker) for line in naive.RENDERINGS[argv[0]](argv)) == count
 
 
 def test_every_verb_with_a_rendering_is_covered():
     # 28 records that exit 0 and the 9 refusals.
-    assert sorted({r["argv"][0] for r in RENDERED}) == sorted(RENDERINGS)
+    assert sorted({r["argv"][0] for r in RENDERED}) == sorted(naive.RENDERINGS)
     assert [r["exit"] for r in RENDERED].count(3) == 9
     assert len(RENDERED) == 37
 

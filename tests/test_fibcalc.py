@@ -20,45 +20,10 @@ from cobweb.fibcalc import (
     fibonomial_row,
 )
 
+import naive
+
 # F(0)..F(12), unrolled by hand.
 FIB_PREFIX = [0, 1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144]
-
-
-def naive_fib_sequence(n: int) -> list[int]:
-    """Independent oracle: plain pairwise recurrence, no caching."""
-    out = [0]
-    a, b = 0, 1
-    for _ in range(n):
-        out.append(b)
-        a, b = b, a + b
-    return out
-
-
-def ratio_form_fibonomial(n: int, k: int) -> int:
-    """Independent oracle: the factorial-ratio form, checked exact."""
-    if k > n:
-        return 0
-    seq = naive_fib_sequence(n)
-
-    def ffact(m: int) -> int:
-        out = 1
-        for s in range(1, m + 1):
-            out *= seq[s]
-        return out
-
-    numerator = ffact(n)
-    denominator = ffact(k) * ffact(n - k)
-    assert numerator % denominator == 0
-    return numerator // denominator
-
-
-def pascal_fibonomial_row(n: int) -> list[int]:
-    """Independent oracle without division: C(m,k) = F(k-1) C(m-1,k) + F(m-k+1) C(m-1,k-1)."""
-    seq = naive_fib_sequence(n + 1)
-    row = [1]
-    for m in range(1, n + 1):
-        row = [1] + [seq[k - 1] * row[k] + seq[m - k + 1] * row[k - 1] for k in range(1, m)] + [1]
-    return row
 
 
 class TestFib:
@@ -71,7 +36,7 @@ class TestFib:
         assert [fib(n) for n in range(13)] == FIB_PREFIX
 
     def test_matches_naive_recurrence_to_1000(self):
-        oracle = naive_fib_sequence(1000)
+        oracle = naive.fibonacci(1000)
         assert [fib(n) for n in range(1001)] == oracle
 
     def test_known_value_at_100(self):
@@ -87,31 +52,25 @@ class TestFib:
         assert all(b > a for a, b in zip(values[1:], values[2:]))
 
     def test_concurrent_calls_agree(self):
-        expected = naive_fib_sequence(800)
+        expected = naive.fibonacci(800)
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(fib, range(801)))
         assert results == expected
 
     def test_above_cache_cap_matches_naive_recurrence(self):
         cap = fibcalc._FIB_CAP
-        oracle = naive_fib_sequence(cap + 300)
+        oracle = naive.fibonacci(cap + 300)
         assert [fib(n) for n in range(cap - 5, cap + 301)] == oracle[cap - 5:]
         assert len(fibcalc._FIB) <= cap + 1
 
     def test_isolated_large_index_by_fast_doubling(self):
-        a, b = 0, 1
-        for _ in range(20000):
-            a, b = b, a + b
-        assert fib(20000) == a
+        assert fib(20000) == naive.fib(20000)
         assert len(fibcalc._FIB) <= fibcalc._FIB_CAP + 1
 
     def test_bulk_routes_above_cache_cap(self):
         cap = fibcalc._FIB_CAP
-        oracle = naive_fib_sequence(cap + 60)
-        expected = 1
-        for s in range(cap - 20, cap + 61):
-            expected *= oracle[s]
-        assert falling_f_factorial(cap + 60, 81) == expected
+        oracle = naive.fibonacci(cap + 60)
+        assert falling_f_factorial(cap + 60, 81) == naive.f_product(cap - 20, cap + 60)
         assert fibonomial(cap + 60, 3) == oracle[cap + 60] * oracle[cap + 59] * oracle[cap + 58] // 2
         assert len(fibcalc._FIB) <= cap + 1
 
@@ -119,7 +78,7 @@ class TestFib:
         cap = fibcalc._FIB_CAP
         indices = list(range(cap - 400, cap + 400))
         random.Random(0).shuffle(indices)
-        oracle = naive_fib_sequence(cap + 400)
+        oracle = naive.fibonacci(cap + 400)
         del fibcalc._FIB[2:]  # every worker now races to grow the cache
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -129,12 +88,12 @@ class TestFib:
         finally:
             sys.setswitchinterval(interval)
         assert results == [oracle[n] for n in indices]
-        assert fibcalc._FIB == naive_fib_sequence(cap)[: len(fibcalc._FIB)]
+        assert fibcalc._FIB == naive.fibonacci(cap)[: len(fibcalc._FIB)]
 
     @pytest.mark.parametrize("cache", ["cold", "warm"])
     def test_one_producer_below_at_and_above_the_cap(self, monkeypatch, cache):
         cap = fibcalc._FIB_CAP
-        oracle = naive_fib_sequence(cap + 10)
+        oracle = naive.fibonacci(cap + 10)
         if cache == "cold":
             del fibcalc._FIB[2:]
         else:
@@ -221,7 +180,7 @@ class TestFibonomial:
             for k in range(n + 1):
                 value = fibonomial(n, k)
                 assert value == fibonomial(n, n - k)
-                assert value == ratio_form_fibonomial(n, k)
+                assert value == naive.fibonomial(n, k)
 
     @given(st.integers(0, 300), st.data(), st.sampled_from(["quotient", "primitive"]))
     def test_both_routes_match_ratio_oracle(self, n, data, route):
@@ -230,13 +189,13 @@ class TestFibonomial:
         k = data.draw(st.integers(0, n + 2))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fibcalc, "_PRIMITIVE_MIN_K", 0 if route == "primitive" else n + 1)
-            assert fibonomial(n, k) == ratio_form_fibonomial(n, k)
+            assert fibonomial(n, k) == naive.fibonomial(n, k)
 
     def test_both_sides_of_the_real_crossover(self):
         cross = fibcalc._PRIMITIVE_MIN_K
         n = 2 * cross + 40
         for k in (cross - 1, cross, n - cross, n - cross + 1, n // 2):
-            assert fibonomial(n, k) == ratio_form_fibonomial(n, k)
+            assert fibonomial(n, k) == naive.fibonomial(n, k)
 
     def test_symmetry_reads_the_shorter_side(self, monkeypatch):
         # C_F(400, 390) = C_F(400, 10): ten falling factors over 10_F!.
@@ -248,14 +207,15 @@ class TestFibonomial:
             return produce(lo, hi)
 
         monkeypatch.setattr(fibcalc, "_fib_run", spy)
-        assert fibonomial(400, 390) == ratio_form_fibonomial(400, 10)
+        assert fibonomial(400, 390) == naive.fibonomial(400, 10)
         assert seen == [(391, 401), (1, 11)]
 
     def test_primitive_parts_rebuild_fibonacci(self):
         # F(m) is the product of P_d over the divisors d of m.
-        seq = naive_fib_sequence(200)
+        seq = naive.fibonacci(200)
         spf = fibcalc._smallest_prime_factors(200)
         parts = [0] + [fibcalc._primitive_part(d, spf, seq) for d in range(1, 201)]
+        assert parts[1:] == list(naive.primitive_parts(200).values())
         for m in range(1, 201):
             product = 1
             for d in range(1, m + 1):
@@ -279,7 +239,7 @@ class TestFibonomial:
             fibcalc._FIB[7] -= 1
             fibcalc._PART.clear()
             fibcalc._PART.update(saved)
-        assert fibonomial(400, 200) == ratio_form_fibonomial(400, 200)
+        assert fibonomial(400, 200) == naive.fibonomial(400, 200)
 
     def test_inexact_division_is_its_own_assertion_error(self):
         with pytest.raises(fibcalc._InexactDivision) as exc:
@@ -295,13 +255,6 @@ class TestFibonomial:
             assert fibonomial(n, k) * fib_factorial(k) * fib_factorial(n - k) == fib_factorial(n)
         else:
             assert fibonomial(n, k) == 0
-
-
-def oracle_parts(n: int) -> dict[int, int]:
-    """{d: P_d} for d in 1..n, from the plain recurrence's Fibonacci values."""
-    seq = naive_fib_sequence(n)
-    spf = fibcalc._smallest_prime_factors(n)
-    return {d: fibcalc._primitive_part(d, spf, seq) for d in range(1, n + 1)}
 
 
 @pytest.fixture
@@ -336,7 +289,7 @@ class TestPrimitivePartCache:
     def test_warm_call_divides_nothing(self, cold_parts, divisions):
         cold = fibonomial(1000, 500)
         selected = [d for d in range(1, 1001) if 1000 % d < 500 % d]
-        oracle = oracle_parts(1000)
+        oracle = naive.primitive_parts(1000)
         assert fibcalc._PART == {d: oracle[d] for d in selected}
         del divisions[:]
         assert fibonomial(1000, 500) == cold
@@ -347,10 +300,9 @@ class TestPrimitivePartCache:
         # composite d, and past the cap once more on every call.
         cap = fibcalc._FIB_CAP
         n = cap + 60
-        seq = naive_fib_sequence(n)
-        spf = fibcalc._smallest_prime_factors(n)
+        seq = naive.fibonacci(n)
         selected = [d for d in range(1, n + 1) if n % d < 3 % d]
-        composite = [d for d in selected if spf[d] != d]
+        composite = [d for d in selected if any(d % e == 0 for e in range(2, math.isqrt(d) + 1))]
         expected = seq[n] * seq[n - 1] * seq[n - 2] // 2
         monkeypatch.setattr(fibcalc, "_PRIMITIVE_MIN_K", 0)
         assert fibonomial(n, 3) == expected
@@ -364,7 +316,7 @@ class TestPrimitivePartCache:
         cap = fibcalc._FIB_CAP
         his = list(range(1, 700)) + [cap - 1, cap + 1, cap + 20]
         random.Random(0).shuffle(his)
-        oracle = oracle_parts(cap + 20)
+        oracle = naive.primitive_parts(cap + 20)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -377,7 +329,7 @@ class TestPrimitivePartCache:
 
     def test_past_the_cap_parts_are_dropped(self, monkeypatch):
         cap = fibcalc._FIB_CAP
-        seq = naive_fib_sequence(cap + 60)
+        seq = naive.fibonacci(cap + 60)
         monkeypatch.setattr(fibcalc, "_PRIMITIVE_MIN_K", 0)
         assert fibonomial(cap + 60, 3) == seq[cap + 60] * seq[cap + 59] * seq[cap + 58] // 2
         assert len(fibcalc._PART) <= cap and max(fibcalc._PART) <= cap
@@ -400,7 +352,7 @@ class TestPrimitivePartCache:
         finally:
             fibcalc._FIB[7] -= 1
         assert fibcalc._PART == {}
-        assert fibonomial(400, 200) == ratio_form_fibonomial(400, 200)
+        assert fibonomial(400, 200) == naive.fibonomial(400, 200)
         assert fibcalc._PART[7] == 13
 
 
@@ -421,14 +373,14 @@ class TestFibonomialRow:
             assert fibonomial_row(n) == [fibonomial(n, k) for k in range(n + 1)]
 
     def test_matches_pascal_oracle_at_300(self):
-        assert fibonomial_row(300) == pascal_fibonomial_row(300)
+        assert fibonomial_row(300) == naive.fibonomial_row(300)
 
     def test_spot_check_at_600(self):
         row = fibonomial_row(600)
         assert len(row) == 601 and row == row[::-1]
         for k in (0, 1, 2, 97, fibcalc._PRIMITIVE_MIN_K - 1, fibcalc._PRIMITIVE_MIN_K, 299, 300, 451, 600):
             assert row[k] == fibonomial(600, k)
-        assert row[300] == ratio_form_fibonomial(600, 300)
+        assert row[300] == naive.fibonomial(600, 300)
 
 
 class TestProduct:
@@ -453,7 +405,7 @@ class TestProduct:
             return tree(factors, ends, lo, hi)
 
         monkeypatch.setattr(fibcalc, "_tree", spy)
-        assert fib_factorial(1000) == math.prod(naive_fib_sequence(1000)[1:])
+        assert fib_factorial(1000) == naive.f_factorial(1000)
         assert spans[:2] == [(0, 1000), (0, 708)]
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import sys
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -48,3 +50,12 @@ def test_console_script_target_is_callable():
     scripts = pyproject["project"]["scripts"]
     assert scripts == {"cobweb": "cobweb.cli:main"}
     assert callable(EntryPoint(name="cobweb", value=scripts["cobweb"], group="console_scripts").load())
+
+
+def test_naive_imports_only_the_standard_library():
+    # The tests' reference values must not come from the code they check.
+    tree = ast.parse((Path(__file__).parent / "naive.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported and not any(name.split(".")[0] == "cobweb" for name in imported)
+    assert {name.split(".")[0] for name in imported} <= sys.stdlib_module_names

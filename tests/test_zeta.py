@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cobweb import zeta
-from cobweb.fibcalc import fib
 from cobweb.poset import CobwebPoset, GuardError, build_cobweb
 from cobweb.zeta import (
     IncidenceMatrix,
@@ -21,34 +20,9 @@ from cobweb.zeta import (
     zeta_matrix,
 )
 
+import naive
+
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def expected_block_rows(depth: int) -> list[list[int]]:
-    """Independent oracle: build the matrix from the level-block description.
-
-    Identity blocks of sizes F(1)..F(depth) on the diagonal, all-ones blocks
-    above, all-zeros below.
-    """
-    sizes = [fib(s) for s in range(1, depth + 1)]
-    dim = sum(sizes)
-    rows = [[0] * dim for _ in range(dim)]
-    offsets = []
-    pos = 0
-    for size in sizes:
-        offsets.append(pos)
-        pos += size
-    for bi, si in enumerate(sizes):
-        for bj, sj in enumerate(sizes):
-            for a in range(si):
-                for b in range(sj):
-                    i, j = offsets[bi] + a, offsets[bj] + b
-                    if bi == bj:
-                        rows[i][j] = 1 if a == b else 0
-                    elif bi < bj:
-                        rows[i][j] = 1
-        # rows below the diagonal stay 0
-    return rows
 
 
 def oracle_cobweb_from_matrix(M: IncidenceMatrix) -> CobwebPoset:
@@ -63,7 +37,7 @@ def oracle_cobweb_from_matrix(M: IncidenceMatrix) -> CobwebPoset:
             start = j
     sizes.append(M.dim - start)
     P = CobwebPoset(len(sizes))
-    if tuple(sizes) != P.level_sizes:
+    if sizes != naive.level_sizes(len(sizes)):
         raise ValueError(f"level sizes {sizes} are not an initial Fibonacci segment")
     verts = P.vertices()
     for i, vi in enumerate(verts):
@@ -73,20 +47,13 @@ def oracle_cobweb_from_matrix(M: IncidenceMatrix) -> CobwebPoset:
     return P
 
 
-def zeta_row_bytes(depth: int) -> list[bytes]:
-    """Independent oracle: each zeta row built on its own, 1 at i and on every later level."""
-    sizes = [fib(s) for s in range(1, depth + 1)]
-    dim = sum(sizes)
-    rows = []
-    end = 0
-    for size in sizes:
-        end += size
-        rows += [bytes(i) + b"\x01" + bytes(end - i - 1) + b"\x01" * (dim - end) for i in range(end - size, end)]
-    return rows
+def oracle_rows(depth: int) -> list[bytes]:
+    return list(naive.zeta_rows(naive.level_sizes(depth)))
 
 
-def csv_body(rows) -> str:
-    return "".join(",".join(map(str, row)) + "\n" for row in rows)
+@functools.cache
+def oracle_csv(depth: int) -> str:
+    return naive.zeta_csv(naive.level_sizes(depth))
 
 
 def reference_from_csv(text: str) -> IncidenceMatrix:
@@ -171,19 +138,18 @@ class TestZetaMatrix:
     @pytest.mark.parametrize("depth", range(1, 9))
     def test_level_block_structure(self, depth):
         M = zeta_matrix(build_cobweb(depth))
-        expected = expected_block_rows(depth)
-        assert [list(M.row(i)) for i in range(M.dim)] == expected
+        assert [bytes(M.row(i)) for i in range(M.dim)] == oracle_rows(depth)
 
     @pytest.mark.parametrize("block_bytes", [1, 7, 64])
     @pytest.mark.parametrize("depth", range(1, 9))
     def test_cells_written_in_blocks(self, monkeypatch, depth, block_bytes):
         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block_bytes)
         M = zeta_matrix(build_cobweb(depth))
-        assert [list(M.row(i)) for i in range(M.dim)] == expected_block_rows(depth)
+        assert [bytes(M.row(i)) for i in range(M.dim)] == oracle_rows(depth)
 
     def test_depth_sixteen_splits_levels_into_blocks(self):
         M = zeta_matrix(build_cobweb(16))  # a 2583-byte row: 405 rows a block, F(16) = 987
-        rows = zeta_row_bytes(16)
+        rows = oracle_rows(16)
         assert M.dim == len(rows) == 2583
         assert all(bytes(M.row(i)) == r for i, r in enumerate(rows))
 
@@ -191,6 +157,9 @@ class TestZetaMatrix:
         with pytest.raises(MatrixSizeError) as exc:
             zeta_matrix(build_cobweb(19))  # 10945 vertices
         assert (exc.value.predicted, exc.value.limit) == (10945, 10000)
+        with pytest.raises(MatrixSizeError) as exc:
+            zeta_matrix(build_cobweb(21))
+        assert exc.value.predicted == naive.vertex_count(21)
 
     def test_custom_cap(self, monkeypatch):
         P = build_cobweb(5)
@@ -221,17 +190,6 @@ class TestZetaMatrix:
         )
 
 
-@functools.cache
-def oracle_csv(depth: int) -> str:
-    return csv_body(zeta_row_bytes(depth))
-
-
-def entrywise_cells(level_sizes) -> bytes:
-    """Independent oracle: cell (i, j) is 1 iff i == j or i's level is below j's."""
-    level = [s for s, size in enumerate(level_sizes) for _ in range(size)]
-    return bytes(i == j or level[i] < level[j] for i in range(len(level)) for j in range(len(level)))
-
-
 BLOCK_SIZES = [1, 7, 64, 100, 1 << 16]
 
 
@@ -256,7 +214,7 @@ class TestZetaRows:
         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block_bytes)
         dim = sum(sizes)
         cells = zeta._zeta_cells(sizes)
-        assert cells == entrywise_cells(sizes)
+        assert cells == b"".join(naive.zeta_rows(sizes))
         assert "".join(zeta._zeta_csv(sizes)) == IncidenceMatrix._of_cells(dim, cells).to_csv()
 
 
@@ -303,7 +261,7 @@ class TestCsv:
     @pytest.mark.parametrize("depth", range(1, 9))
     def test_csv_written_in_blocks(self, monkeypatch, depth, block_bytes):
         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block_bytes)
-        assert zeta_matrix(build_cobweb(depth)).to_csv() == csv_body(zeta_row_bytes(depth))
+        assert zeta_matrix(build_cobweb(depth)).to_csv() == oracle_csv(depth)
 
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_round_trip(self, depth):
@@ -327,8 +285,8 @@ class TestCsv:
 
     @pytest.mark.parametrize("depth", range(1, 13))
     def test_valid_body_equals_the_constructed_matrix(self, depth):
-        rows = zeta_row_bytes(depth)
-        M = IncidenceMatrix.from_csv(csv_body(rows))
+        rows = oracle_rows(depth)
+        M = IncidenceMatrix.from_csv(oracle_csv(depth))
         assert M == IncidenceMatrix(rows)
         assert [bytes(M.row(i)) for i in range(M.dim)] == rows
 

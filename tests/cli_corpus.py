@@ -18,7 +18,7 @@ stdout, or take (or once took) a second or more: `--processes` checks them
 under the wall bound and `--write` runs them as processes, while the
 in-process check and the test suite skip them.  `tests/test_cli_corpus.py`
 also checks the listings, exports, `bench` tables, verify reports and
-refusals against the records `tests/naive.py` renders with no code of `cobweb`.
+refusals against records it renders, with `tests/naive.py`, from no code of `cobweb`.
 
 `--processes` is the one process-level check of the CLI, and CI runs it with
 no wrapper.  Each case is started with `posix_spawn` and reaped with `wait4`

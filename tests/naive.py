@@ -21,17 +21,22 @@ import re
 # Fibonacci values, their products and quotients.
 
 
+def fibonacci_stream():
+    """F(0), F(1), F(2), ... by the plain recurrence, two terms held at a time."""
+    a, b = 0, 1
+    while True:
+        yield a
+        a, b = b, a + b
+
+
 def fibonacci(top: int) -> list[int]:
-    """F(0..top) by the plain recurrence."""
-    fibs = [0, 1]
-    while len(fibs) <= top:
-        fibs.append(fibs[-1] + fibs[-2])
-    return fibs[:top + 1]
+    """F(0..top)."""
+    return list(itertools.islice(fibonacci_stream(), top + 1))
 
 
 def fib(n: int) -> int:
-    """F(n) by the plain recurrence."""
-    return fibonacci(n)[-1]
+    """F(n)."""
+    return next(itertools.islice(fibonacci_stream(), n, None))
 
 
 def f_product(lo: int, hi: int) -> int:
@@ -48,7 +53,8 @@ def fibonomial(n: int, k: int) -> int:
     """C_F(n, k) = n_F! / (k_F! (n - k)_F!), the division checked exact; 0 when k > n."""
     if k > n:
         return 0
-    quotient, remainder = divmod(f_factorial(n), f_factorial(k) * f_factorial(n - k))
+    fibs = fibonacci(n)
+    quotient, remainder = divmod(math.prod(fibs[1:]), math.prod(fibs[1:k + 1]) * math.prod(fibs[1:n - k + 1]))
     assert remainder == 0, f"ratio form not integral at n={n}, k={k}"
     return quotient
 
@@ -86,14 +92,6 @@ def primitive_parts(top: int) -> dict[int, int]:
     return parts
 
 
-def gaussian_binomial_q2(n: int, k: int) -> int:
-    """[n choose k] at q = 2 by the q-Pascal rule [m, j] = [m-1, j-1] + 2^j [m-1, j]."""
-    row = [1]
-    for m in range(1, n + 1):
-        row = [1] + [row[j - 1] + 2**j * row[j] for j in range(1, m)] + [1]
-    return row[k]
-
-
 _PIECE = 10**600  # under 640 digits, the lowest int -> str limit a Python accepts
 
 
@@ -115,7 +113,8 @@ def level_sizes(depth: int) -> list[int]:
 
 
 def vertex_count(depth: int) -> int:
-    return sum(level_sizes(depth))
+    """F(1) + ... + F(depth)."""
+    return sum(itertools.islice(fibonacci_stream(), 1, depth + 1))
 
 
 def level_ids(depth: int, lo: int = 1) -> list[list[str]]:
@@ -140,22 +139,9 @@ def zeta_csv(sizes) -> str:
     return "".join(",".join(row.translate(_DIGITS).decode()) + "\n" for row in zeta_rows(sizes))
 
 
-# The CLI's text: listings, exports, verify reports, bench tables and refusals.
+# The CLI's text: listings, the DOT export and verify reports.
 
-DEFAULT_LIMIT = 10**8  # the chain guard's limit when no override is given
-DIM_CAP = 10_000  # the most rows an incidence matrix, or an export, may have
-REFUSAL = "use the closed-form counter or raise the limit explicitly"
 REPORT_LINE = re.compile(r"^observation=[123] k=\d+ n=\d+ formula=\d+ oracle=\d+ status=(pass|fail)$")
-
-
-def named(number: int) -> str:
-    """A number as an error message names it: in full up to 4300 digits, else by its bit length."""
-    return str(number) if number < 10**4300 else f"(a {number.bit_length()}-bit number)"
-
-
-def options(argv: list[str]) -> dict[str, str]:
-    """{flag: value} of an argv whose every flag takes one value."""
-    return {flag: value for flag, value in zip(argv, argv[1:]) if flag.startswith("--")}
 
 
 def chain_lines(n: int, level: int = 1, index: int = 0):
@@ -176,20 +162,6 @@ def dot_lines(depth: int):
     yield "}\n"
 
 
-def chains_verb(argv: list[str]):
-    level, index = map(int, options(argv).get("--from", "1:0").split(":"))
-    return chain_lines(int(argv[1]), level, index)
-
-
-def export_verb(argv: list[str]):
-    depth = int(argv[1])
-    return [zeta_csv(level_sizes(depth))] if options(argv)["--format"] == "csv" else dot_lines(depth)
-
-
-def max_n(argv: list[str]) -> int:
-    return int(options(argv).get("--max-n", "7"))
-
-
 def verify_cases(observation: str, max_n: int) -> list[tuple[int, int, int]]:
     """One (k, n, value) per case of one observation, formula and oracle equal.
 
@@ -207,70 +179,14 @@ def verify_cases(observation: str, max_n: int) -> list[tuple[int, int, int]]:
     return [(k, n, fibonomial(n, k)) for top in (max_n, 3 * max_n) for n in range(2, top + 1) for k in range(1, n)]
 
 
-def verify_verb(argv: list[str]):
-    observation = options(argv).get("--obs", "all")
-    for o in ["1", "2", "3"] if observation == "all" else [observation]:
-        cases = verify_cases(o, max_n(argv))
-        if "structured" in argv:
+def verify_lines(observations: list[str], max_n: int, structured: bool):
+    """The report of a passing `verify` of these observations: a line per case, or a summary per observation."""
+    for o in observations:
+        cases = verify_cases(o, max_n)
+        if structured:
             for k, n, value in cases:
                 yield f"observation={o} k={k} n={n} formula={value} oracle={value} status=pass\n"
         else:
-            yield f"Observation {o}: PASS ({len(cases)} cases, max_n={max_n(argv)})\n"
-    if "structured" not in argv:
+            yield f"Observation {o}: PASS ({len(cases)} cases, max_n={max_n})\n"
+    if not structured:
         yield "RESULT: PASS\n"
-
-
-def bench_verb(argv: list[str]):
-    yield "# wall-clock timings below are non-deterministic; counts are exact\n"
-    for n in range(1, int(argv[1]) + 1):
-        chains = f_factorial(n)
-        if chains <= DEFAULT_LIMIT:
-            enumeration = f"enumeration={chains} enumeration_s=<t> match=yes"
-        else:
-            enumeration = "enumeration=skipped enumeration_s=- match=-"
-        yield f"n={n} formula={chains} formula_s=<t> {enumeration}\n"
-
-
-def limit(argv: list[str]) -> int:
-    return int(options(argv).get("--unsafe-enumeration-limit", DEFAULT_LIMIT))
-
-
-def refusal(argv: list[str]) -> str | None:
-    """The guard line of a run that refuses before any work; None if the run is admitted.
-
-    An export refuses past DIM_CAP vertices.  A listing refuses when the
-    product of the level sizes above its start passes the limit; a sweep
-    admits the root's walk to each level 2..max_n in turn, and refuses at
-    the first whose n_F! chains pass it.
-    """
-    if argv[0] == "export":
-        dim = vertex_count(int(argv[1]))
-        return None if dim <= DIM_CAP else f"guard: incidence matrix would be {named(dim)}x{named(dim)}; cap is {DIM_CAP} rows\n"
-    if argv[0] == "chains":
-        level = int(options(argv).get("--from", "1:0").split(":")[0])
-        walks = [f_product(level + 1, int(argv[1]))]
-    elif argv[0] == "verify":
-        walks = [f_factorial(n) for n in range(2, max_n(argv) + 1)]
-    else:
-        return None
-    over = [chains for chains in walks if chains > limit(argv)]
-    if not over:
-        return None
-    return f"guard: enumeration would visit {named(over[0])} chains, over the limit of {limit(argv)}; {REFUSAL}\n"
-
-
-def stderr(argv: list[str]) -> str:
-    """The stderr of a run of argv: an override's warning, `bench`'s skipped levels, then any refusal."""
-    text = ""
-    if "--unsafe-enumeration-limit" in argv:
-        text = f"warning: enumeration guard overridden to {limit(argv)} predicted chains\n"
-    if argv[0] == "bench":
-        for n in range(1, int(argv[1]) + 1):
-            chains = f_factorial(n)
-            if chains > DEFAULT_LIMIT:
-                text += f"guard: n={n} skipped: enumeration would visit {chains} chains, over the limit of {DEFAULT_LIMIT}; {REFUSAL}\n"
-    return text + (refusal(argv) or "")
-
-
-RENDERINGS = {"chains": chains_verb, "export": export_verb, "verify": verify_verb, "bench": bench_verb}
-

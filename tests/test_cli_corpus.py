@@ -3,8 +3,8 @@
 The process-only cases are skipped here; `tests/cli_corpus.py --processes` runs them,
 and the last tests check that its bounds fail a run of one small case.  The listings,
 exports, `bench` tables, verify reports and refusals of the corpus are also checked
-against the renderings of `tests/naive.py`, built from the standard library alone;
-`tests/test_package.py` checks that `tests/naive.py` imports no code of `cobweb`.
+against renderings built here and in `tests/naive.py` from the standard library
+alone; `tests/test_package.py` checks that `tests/naive.py` imports no code of `cobweb`.
 """
 
 from __future__ import annotations
@@ -64,6 +64,97 @@ def test_every_case_twice_in_one_process(monkeypatch):
     assert [in_process(want["argv"]) for want in two_passes(RECORDS)] == two_passes(RECORDS)
 
 
+# Independent renderings of each record: stdout, stderr and exit.
+
+DEFAULT_LIMIT = 10**8  # the chain guard's limit when no override is given
+DIM_CAP = 10_000  # the most rows an incidence matrix, or an export, may have
+REFUSAL = "use the closed-form counter or raise the limit explicitly"
+
+
+def named(number: int) -> str:
+    """A number as an error message names it: in full up to 4300 digits, else by its bit length."""
+    return str(number) if number < 10**4300 else f"(a {number.bit_length()}-bit number)"
+
+
+def options(argv: list[str]) -> dict[str, str]:
+    """{flag: value} of an argv whose every flag takes one value."""
+    return {flag: value for flag, value in zip(argv, argv[1:]) if flag.startswith("--")}
+
+
+def max_n(argv: list[str]) -> int:
+    return int(options(argv).get("--max-n", "7"))
+
+
+def limit(argv: list[str]) -> int:
+    return int(options(argv).get("--unsafe-enumeration-limit", DEFAULT_LIMIT))
+
+
+def chains_verb(argv: list[str]):
+    level, index = map(int, options(argv).get("--from", "1:0").split(":"))
+    return naive.chain_lines(int(argv[1]), level, index)
+
+
+def export_verb(argv: list[str]):
+    depth = int(argv[1])
+    return [naive.zeta_csv(naive.level_sizes(depth))] if options(argv)["--format"] == "csv" else naive.dot_lines(depth)
+
+
+def verify_verb(argv: list[str]):
+    observation = options(argv).get("--obs", "all")
+    return naive.verify_lines(["1", "2", "3"] if observation == "all" else [observation], max_n(argv), "structured" in argv)
+
+
+def bench_verb(argv: list[str]):
+    yield "# wall-clock timings below are non-deterministic; counts are exact\n"
+    for n in range(1, int(argv[1]) + 1):
+        chains = naive.f_factorial(n)
+        if chains <= DEFAULT_LIMIT:
+            enumeration = f"enumeration={chains} enumeration_s=<t> match=yes"
+        else:
+            enumeration = "enumeration=skipped enumeration_s=- match=-"
+        yield f"n={n} formula={chains} formula_s=<t> {enumeration}\n"
+
+
+RENDERINGS = {"chains": chains_verb, "export": export_verb, "verify": verify_verb, "bench": bench_verb}
+
+
+def refusal(argv: list[str]) -> str | None:
+    """The guard line of a run that refuses before any work; None if the run is admitted.
+
+    An export refuses past DIM_CAP vertices.  A listing refuses when the
+    product of the level sizes above its start passes the limit; a sweep
+    admits the root's walk to each level 2..max_n in turn, and refuses at
+    the first whose n_F! chains pass it.
+    """
+    if argv[0] == "export":
+        dim = naive.vertex_count(int(argv[1]))
+        return None if dim <= DIM_CAP else f"guard: incidence matrix would be {named(dim)}x{named(dim)}; cap is {DIM_CAP} rows\n"
+    if argv[0] == "chains":
+        level = int(options(argv).get("--from", "1:0").split(":")[0])
+        walks = [naive.f_product(level + 1, int(argv[1]))]
+    elif argv[0] == "verify":
+        walks = [naive.f_factorial(n) for n in range(2, max_n(argv) + 1)]
+    else:
+        return None
+    over = [chains for chains in walks if chains > limit(argv)]
+    if not over:
+        return None
+    return f"guard: enumeration would visit {named(over[0])} chains, over the limit of {limit(argv)}; {REFUSAL}\n"
+
+
+def stderr(argv: list[str]) -> str:
+    """The stderr of a run of argv: an override's warning, `bench`'s skipped levels, then any refusal."""
+    text = ""
+    if "--unsafe-enumeration-limit" in argv:
+        text = f"warning: enumeration guard overridden to {limit(argv)} predicted chains\n"
+    if argv[0] == "bench":
+        for n in range(1, int(argv[1]) + 1):
+            chains = naive.f_factorial(n)
+            if chains > DEFAULT_LIMIT:
+                text += f"guard: n={n} skipped: enumeration would visit {chains} chains, over the limit of {DEFAULT_LIMIT}; {REFUSAL}\n"
+    return text + (refusal(argv) or "")
+
+
 # Every listing, export, bench table and verify report that exits 0, and
 # every refusal; `chains 9` (103 MB) and both `export 18` (91.5 MB and
 # 150 MB) are left to `--processes`.
@@ -71,21 +162,21 @@ UNRENDERED = [["chains", "9"], ["export", "18", "--format", "csv"], ["export", "
 RENDERED = [
     r for r in ALL_RECORDS
     if r["exit"] in (0, 3)
-    and r["argv"][0] in naive.RENDERINGS
+    and r["argv"][0] in RENDERINGS
     and r["argv"] not in UNRENDERED
     and "--help" not in r["argv"]
 ]
 
 
 def rendered_record(argv: list[str]) -> dict:
-    refused = naive.refusal(argv) is not None
-    out = b"" if refused else "".join(naive.RENDERINGS[argv[0]](argv)).encode()
+    refused = refusal(argv) is not None
+    out = b"" if refused else "".join(RENDERINGS[argv[0]](argv)).encode()
     return {
         "argv": argv,
         "exit": 3 if refused else 0,
         "stdout_bytes": len(out),
         "stdout_sha256": hashlib.sha256(out).hexdigest(),
-        "stderr": naive.stderr(argv),
+        "stderr": stderr(argv),
     }
 
 
@@ -112,12 +203,12 @@ FROZEN_COUNTS = [
 
 @pytest.mark.parametrize("argv, marker, count", FROZEN_COUNTS, ids=[" ".join(a) for a, _, _ in FROZEN_COUNTS])
 def test_rendering_has_the_frozen_count(argv, marker, count):
-    assert sum(line.count(marker) for line in naive.RENDERINGS[argv[0]](argv)) == count
+    assert sum(line.count(marker) for line in RENDERINGS[argv[0]](argv)) == count
 
 
 def test_every_verb_with_a_rendering_is_covered():
     # 28 records that exit 0 and the 9 refusals.
-    assert sorted({r["argv"][0] for r in RENDERED}) == sorted(naive.RENDERINGS)
+    assert sorted({r["argv"][0] for r in RENDERED}) == sorted(RENDERINGS)
     assert [r["exit"] for r in RENDERED].count(3) == 9
     assert len(RENDERED) == 37
 

@@ -246,9 +246,9 @@ def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
     # output, as it reads when the walk starts.  The levels below the lowest
     # text that fits are walked vertex by vertex, and each path writes that
     # text as one chunk, each line led by the path's ids.  When the top
-    # level's own lines pass a block they are joined into chunks of about a
-    # block.  The oracles, _dfs_count and iter_chains, still read
-    # covers_above vertex by vertex.
+    # level's own lines pass a block, `zeta._chunks` cuts them, as it cuts
+    # every variable-width text.  The oracles, _dfs_count and iter_chains,
+    # still read covers_above vertex by vertex.
     if start.level == stop_level:
         yield start.node_id() + "\n"
         return
@@ -269,16 +269,7 @@ def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
             for w in levels[i]:
                 yield from walk(head + w.node_id() + " ", i + 1)
         else:  # the top level's own lines pass a block
-            lines: list[str] = []
-            size = 0
-            for w in levels[i]:
-                lines.append(head + w.node_id() + "\n")
-                size += len(lines[-1])
-                if size >= block:
-                    yield "".join(lines)
-                    lines, size = [], 0
-            if lines:
-                yield "".join(lines)
+            yield from zeta._chunks(head + w.node_id() + "\n" for w in levels[i])
 
     yield from walk(start.node_id() + " ", 0)
 

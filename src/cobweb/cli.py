@@ -23,7 +23,7 @@ import itertools
 import sys
 import time
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import chains, fibcalc, zeta
 from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
@@ -74,43 +74,17 @@ def _hasse_dot(P: CobwebPoset) -> Iterator[str]:
     """DOT digraph of the Hasse diagram: nodes v{level}_{index}, edges low -> high.
 
     Yields the header with the rank groups, then the edges of each pair of
-    consecutive levels in blocks of whole source vertices, each about
-    zeta's block size or one source vertex, then the closing brace, so the
-    whole diagram is never held as one string.
+    consecutive levels in chunks of whole source vertices, cut by
+    `zeta._chunks`, then the closing brace, so the whole diagram is never
+    held as one string.
     """
     ids = [[v.node_id() for v in P.level_vertices(s)] for s in range(1, P.depth + 1)]
     yield "digraph cobweb {\n  rankdir=BT;\n" + "".join(
         f"  {{ rank=same; {'; '.join(level)}; }}\n" for level in ids
     )
     for low, high in zip(ids, ids[1:]):
-        # "  x -> y;\n" per edge: a source's text is at most this wide.
-        width = sum(map(len, high)) + len(high) * (len(low[-1]) + 8)
-        step = max(1, zeta._BLOCK_BYTES // width)
-        for start in range(0, len(low), step):
-            yield "".join(f"  {x} -> " + f";\n  {x} -> ".join(high) + ";\n" for x in low[start:start + step])
+        yield from zeta._chunks(f"  {x} -> " + f";\n  {x} -> ".join(high) + ";\n" for x in low)
     yield "}\n"
-
-
-def _print_ints(values: Sequence[object], sep: str = " ", prefix: str = "") -> None:
-    """Print exact decimals on one line after `prefix`.
-
-    The values are ints, or integral Decimals from fibcalc's base-10 routes,
-    whose `str` is linear.  An int of any number of digits prints whole:
-    `run` lifts the int -> str digit limit while a verb runs.
-    """
-    print(prefix + sep.join(map(str, values)))
-
-
-def _line_blocks(texts: Iterable[str], sep: str) -> Iterator[str]:
-    """The line sep.join(texts) + "\n" in blocks of about zeta's block size, so it is never held whole."""
-    block, size, lead = [], 0, ""
-    for text in texts:
-        block.append(text)
-        size += len(text)
-        if size >= zeta._BLOCK_BYTES:
-            yield lead + sep.join(block)
-            block, size, lead = [], 0, sep
-    yield lead + sep.join(block) + "\n" if block else "\n"
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
@@ -119,9 +93,9 @@ def _cmd_value(args: argparse.Namespace) -> int:
     # below an index of about 50,000 its fast doubling is faster on ints.
     values = [getattr(args, name) for name in args.arg_names]
     if args.function == "fib":
-        _print_ints([fibcalc.fib(*values)])
+        print(fibcalc.fib(*values))
     else:
-        _print_ints([fibcalc._in_base_ten(args.function, *values)])
+        print(fibcalc._in_base_ten(args.function, *values))
     return EXIT_OK
 
 
@@ -131,7 +105,7 @@ def _cmd_row(args: argparse.Namespace) -> int:
     n = args.n
     half = [str(entry) for entry in fibcalc._in_base_ten("fibonomial_row", n)[: n // 2 + 1]]
     texts = itertools.chain(half, reversed(half[: (n + 1) // 2]))
-    sys.stdout.writelines(_line_blocks(texts, "," if args.format == "csv" else " "))
+    sys.stdout.writelines(zeta._chunks(texts, "," if args.format == "csv" else " ", "\n"))
     return EXIT_OK
 
 
@@ -139,9 +113,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
     P = build_cobweb(args.depth)
     sizes = P.level_sizes
     print(f"depth={P.depth}")
-    _print_ints(sizes, ",", "level_sizes=")
-    _print_ints([P.vertex_count], prefix="vertices=")
-    _print_ints([sum(a * b for a, b in zip(sizes, sizes[1:]))], prefix="edges=")
+    print("level_sizes=" + ",".join(map(str, sizes)))
+    print(f"vertices={P.vertex_count}")
+    print(f"edges={sum(a * b for a, b in zip(sizes, sizes[1:]))}")
     return EXIT_OK
 
 
@@ -309,13 +283,14 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     Only the named verb's parser is used; help, an unknown verb and an
     empty argv get the full parser.  Each is built once per process and
-    reused by later runs; parsing leaves it unchanged.  `binom`,
-    `falling`, `fibfact`, `row` and `bench`'s formula column print
-    Decimals from fibcalc's base-10 routes, whose text is linear and has no
-    digit limit.  The other numbers are ints: CPython 3.10.7 and later
-    refuse int -> str past a digit limit (4300 by default).  Argv is parsed
-    under that limit; it is lifted only while the verb's handler runs, so
-    every exact number it prints comes out whole, and then put back.
+    reused by later runs; parsing leaves it unchanged.  Handlers print
+    their numbers with `str`.  `binom`, `falling`, `fibfact`, `row` and
+    `bench`'s formula column print Decimals from fibcalc's base-10 routes,
+    whose text is linear and has no digit limit.  The other numbers are
+    ints: CPython 3.10.7 and later refuse int -> str past a digit limit
+    (4300 by default).  Argv is parsed under that limit; it is lifted only
+    while the verb's handler runs, so every exact number it prints comes
+    out whole, and then put back.
     """
     if argv is None:
         argv = sys.argv[1:]

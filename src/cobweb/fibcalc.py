@@ -288,8 +288,7 @@ def _fibonomial(n: int, k: int, lift: Callable[[list[int]], list]):
         return lift([0])[0]
     j = min(k, n - k)
     if j < _PRIMITIVE_MIN_K:
-        falling = _product(lift(_fib_run(n - j + 1, n + 1)))
-        return _exact_div(falling, _product(lift(_fib_run(1, j + 1))), "fibonomial({}, {})", n, k)
+        return _exact_div(_falling_f_factorial(n, j, lift), _fib_factorial(j, lift), "fibonomial({}, {})", n, k)
     return _product(lift(_parts([d for d in range(1, n + 1) if n % d < j % d])))
 
 

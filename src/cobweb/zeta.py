@@ -37,12 +37,32 @@ _ENTRY_TO_CELL = bytes.maketrans(b"\x00\x01", b"01")
 _CELL_TO_ENTRY = bytes.maketrans(b"01", b"\x00\x01")
 
 # The one block size of everything built or streamed in pieces: the zeta cells,
-# the CSV and DOT exports, the CSV reader and the chain listing's text.  Each
-# reads it when it starts, so patching it here moves them all.
+# the CSV and DOT exports, the CSV reader, the chain listing's text and the
+# `row` verb's line.  Each reads it when it starts, so patching it here moves
+# them all.  Fixed-width rows (the cells, the CSV) go as many whole rows a
+# block as fit; variable-width text (DOT edges, listing lines, row entries)
+# is cut by `_chunks` alone.
 # 64 KiB sits below glibc's default 128 KiB mmap threshold, so malloc serves
 # every block from the heap and reuses it for the next one instead of mapping
 # and faulting in fresh pages, and a few blocks fit in a 2 MiB L2 cache.
 _BLOCK_BYTES = 1 << 16
+
+
+def _chunks(texts: Iterable[str], sep: str = "", end: str = "") -> Iterator[str]:
+    """sep.join(texts) + end in chunks of whole texts, never an empty one.
+
+    A chunk closes at the text that brings it to _BLOCK_BYTES, as read at
+    the first chunk; the next one starts with `sep`.
+    """
+    block, kept, size = _BLOCK_BYTES, [], 0
+    for text in texts:
+        kept.append(text)
+        size += len(text)
+        if size >= block:
+            yield sep.join(kept)
+            kept, size = [""], 0  # joined, the "" puts sep first
+    if last := sep.join(kept) + end:
+        yield last
 
 
 class MatrixSizeError(GuardError):

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import sys
+import types
 
 import pytest
+
+from cobweb import fibcalc
 
 
 @pytest.fixture
@@ -31,3 +34,34 @@ def no_digit_limit():
     finally:
         if before is not None:
             sys.set_int_max_str_digits(before)
+
+
+@pytest.fixture
+def cold_parts():
+    """fibcalc's primitive-part cache emptied; it and the Fibonacci cache are put back afterwards.
+
+    So a test may plant a wrong value in fibcalc._FIB: the empty part cache
+    makes the plant enter the parts' divisions, and the plant goes when the
+    Fibonacci cache is put back.
+    """
+    fibs, parts = list(fibcalc._FIB), dict(fibcalc._PART)
+    fibcalc._PART.clear()
+    yield
+    fibcalc._FIB[:] = fibs
+    fibcalc._PART.clear()
+    fibcalc._PART.update(parts)
+
+
+@pytest.fixture
+def record_stdout(monkeypatch):
+    """A call that sets sys.stdout to a recorder and returns the list of chunks written to it with writelines.
+
+    It is called in the test: pytest sets sys.stdout again after the fixtures are set up.
+    """
+
+    def record() -> list[str]:
+        chunks: list[str] = []
+        monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(writelines=chunks.extend))
+        return chunks
+
+    return record

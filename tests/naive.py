@@ -104,6 +104,23 @@ def decimal_text(n: int) -> str:
     return str(n) + "".join(reversed(pieces))
 
 
+def difference(got, want) -> str | None:
+    """None when two texts (or bytes) are equal; otherwise a short note of where they first differ.
+
+    Compare long texts as `assert not difference(got, want)`: a failed `==`
+    of two long texts has pytest run difflib over both, for minutes on a
+    megabyte.  The note names the first differing offset, the two lengths
+    and about 40 characters of each side from there.
+    """
+    if got == want:
+        return None
+    step = 1 << 12
+    at = next(i for i in range(0, max(len(got), len(want)) + 1, step) if got[i:i + step] != want[i:i + step])
+    at += next(i for i in range(step) if got[at + i:at + i + 1] != want[at + i:at + i + 1])
+    sides = f"{got[at:at + 40]!r} != {want[at:at + 40]!r}"
+    return f"first difference at offset {at}, lengths {len(got)} and {len(want)}: {sides}"
+
+
 # The cobweb poset and its zeta matrix.
 
 

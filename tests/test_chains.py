@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import sys
 import tracemalloc
 from typing import Sequence
 
@@ -551,7 +550,7 @@ class TestAnyLevelSizes:
                     expected = TestChainBlocks.listing(P, start, stop)
                     for block in TestChainBlocks.BLOCKS:
                         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
-                        assert "".join(chains._chain_text(P, start, stop)) == expected
+                        assert not naive.difference("".join(chains._chain_text(P, start, stop)), expected)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_natural_sizes_refusal_predicts_the_count(self, n):
@@ -774,7 +773,7 @@ class TestChainBlocks:
                     expected = self.listing(P, start, stop)
                     for block in self.BLOCKS:
                         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
-                        assert self.chains_verb(capsys, start, stop) == expected
+                        assert not naive.difference(self.chains_verb(capsys, start, stop), expected)
 
     @pytest.mark.parametrize("block", (*BLOCKS, 1 << 20))
     def test_chunks_are_whole_lines_of_the_listing(self, monkeypatch, block):
@@ -807,22 +806,14 @@ class TestChainBlocks:
         assert all(len(chunk) >= block for chunk in chunks[:-1])
         assert len(chunks) <= -(-len(text) // block) < 233
 
-    def test_chains_nine_in_chunks_of_at_most_two_blocks(self, monkeypatch):
-        class Recorder:
-            def __init__(self):
-                self.chunks = []
-
-            def writelines(self, chunks):
-                self.chunks.extend(chunks)
-
-        out = Recorder()
-        monkeypatch.setattr(sys, "stdout", out)
+    def test_chains_nine_in_chunks_of_at_most_two_blocks(self, record_stdout):
+        chunks = record_stdout()
         assert cli.run(["chains", "9"]) == cli.EXIT_OK
-        assert sum(chunk.count("\n") for chunk in out.chunks) == count_from_root_formula(9) == 2_227_680
-        assert all(chunk.endswith("\n") and len(chunk) <= 2 * zeta._BLOCK_BYTES for chunk in out.chunks)
-        first = out.chunks[0].split("\n", 1)[0]
+        assert sum(chunk.count("\n") for chunk in chunks) == count_from_root_formula(9) == 2_227_680
+        assert all(chunk.endswith("\n") and len(chunk) <= 2 * zeta._BLOCK_BYTES for chunk in chunks)
+        first = chunks[0].split("\n", 1)[0]
         assert first == "v1_0 v2_0 v3_0 v4_0 v5_0 v6_0 v7_0 v8_0 v9_0"
-        assert out.chunks[-1].endswith("v1_0 v2_0 v3_1 v4_2 v5_4 v6_7 v7_12 v8_20 v9_33\n")
+        assert chunks[-1].endswith("v1_0 v2_0 v3_1 v4_2 v5_4 v6_7 v7_12 v8_20 v9_33\n")
 
     def test_reads_one_cover_object_per_level(self, monkeypatch):
         # The listing reads the level structure, not the relation vertex by
@@ -853,7 +844,7 @@ class TestChainBlocks:
         assert len(P.handed) == n - k
         passes = P.passes_per_value()
         assert len(passes) == n - k and set(passes.values()) == {1}
-        assert text == listing
+        assert not naive.difference(text, listing)
 
     def test_wide_top_level_is_listed_without_its_vertices_held(self):
         # From 26:0 the walk writes the 196,418 vertices of level 27 as
@@ -868,7 +859,7 @@ class TestChainBlocks:
             tracemalloc.stop()
         assert len(text) == 3_227_996
         assert peak < 16 * 1024 * 1024
-        assert text == self.listing(build_cobweb(27), Vertex(26, 0), 27)
+        assert not naive.difference(text, self.listing(build_cobweb(27), Vertex(26, 0), 27))
 
 
 class TestObs3Quotient:

@@ -70,29 +70,21 @@ class TestScalarVerbs:
         # its text; the expected text is the decimal text of every entry.
         for n, texts in enumerate(row_texts()):
             assert run(["row", str(n), "--format", fmt]) == EXIT_OK
-            assert capsys.readouterr().out == sep.join(texts) + "\n"
+            assert not naive.difference(capsys.readouterr().out, sep.join(texts) + "\n")
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1000, 1 << 16])
-    def test_row_is_written_in_blocks(self, monkeypatch, block):
-        class Recorder:
-            def __init__(self):
-                self.chunks = []
-
-            def writelines(self, chunks):
-                self.chunks.extend(chunks)
-
+    def test_row_is_written_in_blocks(self, monkeypatch, record_stdout, block):
         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
         for n, fmt, sep in [(0, "plain", " "), (1, "csv", ","), (40, "plain", " "), (300, "csv", ",")]:
-            out = Recorder()
-            monkeypatch.setattr(sys, "stdout", out)
+            chunks = record_stdout()
             assert run(["row", str(n), "--format", fmt]) == EXIT_OK
             texts = row_texts()[n]
-            assert "".join(out.chunks) == sep.join(texts) + "\n"
+            assert not naive.difference("".join(chunks), sep.join(texts) + "\n")
             # A block's digits reach the block size at its last entry, and
             # only there; the last block is what is left, and the newline.
-            digits = [[len(t) for t in c.strip(sep + "\n").split(sep)] for c in out.chunks]
+            digits = [[len(t) for t in c.strip(sep + "\n").split(sep)] for c in chunks]
             assert all(sum(d) >= block > sum(d[:-1]) for d in digits[:-1])
-            assert sum(digits[-1][:-1]) < block and out.chunks[-1].endswith("\n")
+            assert sum(digits[-1][:-1]) < block and chunks[-1].endswith("\n")
 
     @pytest.mark.parametrize(
         "argv, attribute, call",
@@ -141,13 +133,13 @@ class TestResultsOverDigitLimit:
         out, err = out_of(capsys)
         assert err == ""
         assert len(out) > 4301
-        assert out == naive.decimal_text(naive.fib(30000)) + "\n"
+        assert not naive.difference(out, naive.decimal_text(naive.fib(30000)) + "\n")
 
     def test_row_300(self, capsys):
         before = digit_limit()
         assert run(["row", "300", "--format", "csv"]) == EXIT_OK
         assert digit_limit() == before
-        assert capsys.readouterr().out == ",".join(row_texts()[300]) + "\n"
+        assert not naive.difference(capsys.readouterr().out, ",".join(row_texts()[300]) + "\n")
 
     def test_without_a_digit_limit(self, capsys, monkeypatch):
         # Pythons before 3.10.7 have no limit and no sys.get_int_max_str_digits.
@@ -337,7 +329,8 @@ class TestBuild:
         finally:
             if before is not None:
                 sys.set_int_max_str_digits(before)
-        assert out_of(capsys) == (expected, "")
+        out, err = out_of(capsys)
+        assert not naive.difference(out, expected) and err == ""
 
 
 class TestExport:
@@ -398,43 +391,39 @@ class TestExport:
 
     @pytest.mark.parametrize("depth", [6, 11, 15])
     def test_dot_streams_about_one_mib_of_whole_source_vertices_a_chunk(self, depth):
+        def source(line):
+            return line.split()[0]
+
         # Chunks are about one block each, zeta._BLOCK_BYTES (1 MiB when this test was named).
         # Every edge on its own line, level pair by level pair: what the edge chunks must join to.
         edges = [line for line in naive.dot_lines(depth) if " -> " in line]
         chunks = list(cli._hasse_dot(build_cobweb(depth)))
-        assert "".join(chunks[1:-1]) == "".join(edges)
+        assert not naive.difference("".join(chunks[1:-1]), "".join(edges))
         assert chunks[0].startswith("digraph cobweb {\n") and chunks[-1] == "}\n"
-        assert all(len(c) <= zeta._BLOCK_BYTES and c.endswith(";\n") for c in chunks[1:-1])
-        # Each chunk holds the edge lists of as many whole source vertices
-        # of one level pair as fit in a block at the widest source's size.
+        # A chunk's edges reach a block only at its last source vertex.
+        for c in chunks[1:-1]:
+            sources = [sum(map(len, lines)) for _, lines in itertools.groupby(c.splitlines(True), key=source)]
+            assert c.endswith(";\n") and sum(sources[:-1]) < zeta._BLOCK_BYTES
+        # Each level pair's edges are cut by the chunker of every
+        # variable-width text, at whole source vertices.
         expected = []
         for _, pair in itertools.groupby(edges, key=lambda line: line.split("_")[0]):  # by the source's level
-            texts = ["".join(lines) for _, lines in itertools.groupby(pair, key=lambda line: line.split()[0])]
-            step = zeta._BLOCK_BYTES // max(map(len, texts))
-            expected += ["".join(texts[i:i + step]) for i in range(0, len(texts), step)]
+            expected += zeta._chunks("".join(lines) for _, lines in itertools.groupby(pair, key=source))
         assert chunks[1:-1] == expected
         if depth == 6:
             assert len(chunks) == depth + 1  # the header, one chunk per level pair, the brace
         else:
             assert len(chunks) > depth + 1  # the edges from level 10 to 11 alone take 96 kB
 
-    def test_csv_streams_whole_rows_of_about_one_block_a_chunk(self, monkeypatch):
-        class Recorder:
-            def __init__(self):
-                self.chunks = []
-
-            def writelines(self, chunks):
-                self.chunks.extend(chunks)
-
-        out = Recorder()
-        monkeypatch.setattr(sys, "stdout", out)
+    def test_csv_streams_whole_rows_of_about_one_block_a_chunk(self, record_stdout):
+        chunks = record_stdout()
         assert run(["export", "15", "--format", "csv"]) == EXIT_OK
         line = 2 * 1596  # 1596 vertices at depth 15
         rows = zeta._BLOCK_BYTES // line  # 20 rows at 64 KiB
-        assert all(len(c) % line == 0 and 0 < len(c) <= zeta._BLOCK_BYTES for c in out.chunks)
+        assert all(len(c) % line == 0 and 0 < len(c) <= zeta._BLOCK_BYTES for c in chunks)
         # Chunks end at level boundaries, so each of the 15 levels may add one short chunk.
-        assert len(out.chunks) <= -(-1596 // rows) + 15
-        assert "".join(out.chunks) == naive.zeta_csv(naive.level_sizes(15))
+        assert len(chunks) <= -(-1596 // rows) + 15
+        assert not naive.difference("".join(chunks), naive.zeta_csv(naive.level_sizes(15)))
 
     @pytest.mark.parametrize("depth", range(1, 17))
     def test_csv_export_builds_no_matrix(self, capsys, monkeypatch, depth):
@@ -443,7 +432,8 @@ class TestExport:
         monkeypatch.setattr(zeta, "_zeta_cells", refuse_work)
         monkeypatch.setattr(IncidenceMatrix, "_of_cells", refuse_work)
         assert run(["export", str(depth), "--format", "csv"]) == EXIT_OK
-        assert out_of(capsys) == (expected, "")
+        out, err = out_of(capsys)
+        assert not naive.difference(out, expected) and err == ""
 
     def test_csv_export_holds_about_one_block(self, monkeypatch):
         # Built as a matrix first, the 13.3 MB export at depth 16 peaked at
@@ -701,18 +691,10 @@ class TestRunsInOneProcess:
 
 
 @pytest.fixture
-def wrong_f7():
-    """The cached F(7) = 13 set to 14, the primitive parts emptied, and both caches put back afterwards."""
+def wrong_f7(cold_parts):
+    """The cached F(7) = 13 set to 14, with the primitive parts emptied; `cold_parts` puts both caches back."""
     fibcalc.fib(400)
-    saved = list(fibcalc._FIB), dict(fibcalc._PART)
     fibcalc._FIB[7] = 14
-    fibcalc._PART.clear()
-    try:
-        yield
-    finally:
-        fibcalc._FIB[:] = saved[0]
-        fibcalc._PART.clear()
-        fibcalc._PART.update(saved[1])
 
 
 class TestInexactDivision:

@@ -223,22 +223,16 @@ class TestFibonomial:
                     product *= parts[d]
             assert product == seq[m]
 
-    def test_corrupted_fibonacci_value_fails_integrality_check(self):
+    def test_corrupted_fibonacci_value_fails_integrality_check(self, cold_parts):
         fib(400)
-        saved = dict(fibcalc._PART)
-        fibcalc._PART.clear()  # a cold parts cache, so the plant enters its divisions
-        fibcalc._FIB[7] += 1  # F(7) = 13 becomes 14
-        try:
-            with pytest.raises(AssertionError, match="non-exact"):
-                fibonomial(20, 10)  # direct quotient
-            with pytest.raises(AssertionError, match="non-exact"):
-                fibonomial(400, 200)  # primitive parts: P_21 is the first to divide by F(7)
-            with pytest.raises(AssertionError, match="non-exact"):
-                fibonomial_row(20)
-        finally:
-            fibcalc._FIB[7] -= 1
-            fibcalc._PART.clear()
-            fibcalc._PART.update(saved)
+        fibcalc._FIB[7] += 1  # F(7) = 13 becomes 14; the parts cache is cold, so the plant enters its divisions
+        with pytest.raises(AssertionError, match="non-exact"):
+            fibonomial(20, 10)  # direct quotient
+        with pytest.raises(AssertionError, match="non-exact"):
+            fibonomial(400, 200)  # primitive parts: P_21 is the first to divide by F(7)
+        with pytest.raises(AssertionError, match="non-exact"):
+            fibonomial_row(20)
+        fibcalc._FIB[7] -= 1
         assert fibonomial(400, 200) == naive.fibonomial(400, 200)
 
     def test_inexact_division_is_its_own_assertion_error(self):
@@ -255,19 +249,6 @@ class TestFibonomial:
             assert fibonomial(n, k) * fib_factorial(k) * fib_factorial(n - k) == fib_factorial(n)
         else:
             assert fibonomial(n, k) == 0
-
-
-@pytest.fixture
-def cold_parts():
-    """An empty primitive-part cache; it and the Fibonacci cache are put back afterwards."""
-    saved, fibs = dict(fibcalc._PART), list(fibcalc._FIB)
-    fibcalc._PART.clear()
-    try:
-        yield
-    finally:
-        fibcalc._PART.clear()
-        fibcalc._PART.update(saved)
-        fibcalc._FIB[:] = fibs
 
 
 @pytest.fixture
@@ -346,11 +327,9 @@ class TestPrimitivePartCache:
     def test_a_growth_step_that_raises_publishes_nothing(self, cold_parts):
         fib(400)
         fibcalc._FIB[7] += 1  # F(7) = 13 becomes 14, and P_7 = F(7)
-        try:
-            with pytest.raises(AssertionError, match="non-exact"):
-                fibonomial(400, 200)
-        finally:
-            fibcalc._FIB[7] -= 1
+        with pytest.raises(AssertionError, match="non-exact"):
+            fibonomial(400, 200)
+        fibcalc._FIB[7] -= 1
         assert fibcalc._PART == {}
         assert fibonomial(400, 200) == naive.fibonomial(400, 200)
         assert fibcalc._PART[7] == 13
@@ -481,22 +460,15 @@ class TestBaseTen:
         with pytest.raises(ValueError):
             fibcalc._in_base_ten("fibonomial_row", -1)
 
-    def test_a_corrupted_value_fails_the_check_with_the_int_message(self):
+    def test_a_corrupted_value_fails_the_check_with_the_int_message(self, cold_parts):
         fib(400)
-        saved = dict(fibcalc._PART)
-        fibcalc._PART.clear()
         fibcalc._FIB[7] += 1  # F(7) = 13 becomes 14
-        try:
-            for function, args in [("fibonomial", (20, 10)), ("fibonomial", (400, 200)), ("fibonomial_row", (20,))]:
-                with pytest.raises(fibcalc._InexactDivision) as lifted:
-                    fibcalc._in_base_ten(function, *args)
-                with pytest.raises(fibcalc._InexactDivision) as plain:
-                    getattr(fibcalc, function)(*args)
-                assert str(lifted.value) == str(plain.value)
-        finally:
-            fibcalc._FIB[7] -= 1
-            fibcalc._PART.clear()
-            fibcalc._PART.update(saved)
+        for function, args in [("fibonomial", (20, 10)), ("fibonomial", (400, 200)), ("fibonomial_row", (20,))]:
+            with pytest.raises(fibcalc._InexactDivision) as lifted:
+                fibcalc._in_base_ten(function, *args)
+            with pytest.raises(fibcalc._InexactDivision) as plain:
+                getattr(fibcalc, function)(*args)
+            assert str(lifted.value) == str(plain.value)
 
     def test_the_context_is_exact_and_traps_rounding(self):
         context = fibcalc._exact_context()

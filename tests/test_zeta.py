@@ -203,7 +203,7 @@ class TestZetaRows:
         sizes = build_cobweb(depth).level_sizes
         line = 2 * sum(sizes)
         blocks = list(zeta._zeta_csv(sizes))
-        assert "".join(blocks) == oracle_csv(depth)
+        assert not naive.difference("".join(blocks), oracle_csv(depth))
         assert all(len(b) % line == 0 and 0 < len(b) <= max(block_bytes, line) for b in blocks)
 
     @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
@@ -214,8 +214,8 @@ class TestZetaRows:
         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block_bytes)
         dim = sum(sizes)
         cells = zeta._zeta_cells(sizes)
-        assert cells == b"".join(naive.zeta_rows(sizes))
-        assert "".join(zeta._zeta_csv(sizes)) == IncidenceMatrix._of_cells(dim, cells).to_csv()
+        assert not naive.difference(cells, b"".join(naive.zeta_rows(sizes)))
+        assert not naive.difference("".join(zeta._zeta_csv(sizes)), IncidenceMatrix._of_cells(dim, cells).to_csv())
 
 
 class TestStaircaseCheck:
@@ -261,7 +261,7 @@ class TestCsv:
     @pytest.mark.parametrize("depth", range(1, 9))
     def test_csv_written_in_blocks(self, monkeypatch, depth, block_bytes):
         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block_bytes)
-        assert zeta_matrix(build_cobweb(depth)).to_csv() == oracle_csv(depth)
+        assert not naive.difference(zeta_matrix(build_cobweb(depth)).to_csv(), oracle_csv(depth))
 
     @pytest.mark.parametrize("depth", range(1, 7))
     def test_round_trip(self, depth):

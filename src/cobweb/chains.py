@@ -12,11 +12,13 @@ vertex of a sweep.  `iter_chains` is the chain-by-chain listing and the
 counter's ground truth in the tests.  The `chains` verb lists the same
 chains as text from the level structure alone: every vertex of a level is
 covered by every vertex of the next, so it reads one cover object per
-level and builds the text of every chain from a level up to the target
-once, from the top level down, while it fits in a block; a path's ids go
-before each of its lines by one `str.replace`.  The counter and
-`iter_chains` still follow covers_above vertex by vertex, so the listing is
-checked against walks that share no code with it.
+level, counts it, and writes the level's ids by one join per block of
+indices (`poset._node_ids`), making no vertex.  It builds the text of
+every chain from a level up to the target once, from the top level down,
+while it fits in a block; a path's ids go before each of its lines by one
+`str.replace`.
+The counter and `iter_chains` still follow covers_above vertex by vertex,
+so the listing is checked against walks that share no code with it.
 
 One admission check validates and guards every walk, counted or listed,
 before it starts.  It refuses (EnumerationGuardError) a walk whose
@@ -31,14 +33,19 @@ than the chains (54 vertices and 8 cover objects against 2,227,680 chains
 from the root to level 9).
 
 `verify_observation` sweeps each of the paper's observations against these
-oracles, and is the one check of each.  Observation 3, the quotient
-identity, divides a layer's chain count by the (n-k)-level F-factorial and
-compares the quotient with the Fibonomial; a mismatch or an inexact
-division is a failed case in the report, never an exception.  It works one
-target level n at a time: the Fibonomials are the row `fibonomial_row(n)`,
-the F-factorials one running product, and the closed-form tail's layer
-counts a running product over k descending, so each case costs one
-multiply and one division.
+oracles, and is the one check of each.  Its cases come from one private
+stream per observation, `_cases`: called, it validates, admits every walk
+and builds observation 3's rows, and then it makes each case as it is read.
+The report holds them all; the `verify` verb writes each as it comes, with
+`_case_lines`, the one renderer of case lines, and holds none.
+
+Observation 3, the quotient identity, divides a layer's chain count by the
+(n-k)-level F-factorial and compares the quotient with the Fibonomial; a
+mismatch or an inexact division is a failed case in the report, never an
+exception.  It works one target level n at a time: the Fibonomials are
+the row `fibonomial_row(n)`, the F-factorials one running product, and the
+closed-form tail's layer counts a running product over k descending, so
+each case costs one multiply and one division.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import zeta
 from .fibcalc import _product, fib, fib_factorial, falling_f_factorial, fibonomial_row
-from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
+from .poset import CobwebPoset, GuardError, Vertex, _node_ids, build_cobweb
 
 __all__ = [
     "DEFAULT_ENUMERATION_LIMIT",
@@ -239,7 +246,8 @@ def _within(block: int, parts: Iterable[str]) -> str | None:
 
 def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
     # Every vertex of a level is covered by every vertex of the next, so the
-    # walk reads one cover object per level, from the level's first vertex.
+    # walk reads one cover object per level, from the level's first vertex,
+    # in one pass that counts it, and writes the level's ids from a range.
     # The text of every chain from a vertex of one level up to stop_level is
     # then the same for every path below it.  It is built from the top level
     # down while it fits in a block: the one block size of every streamed
@@ -253,23 +261,39 @@ def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
         yield start.node_id() + "\n"
         return
     block = zeta._BLOCK_BYTES
-    levels = [P.covers_above(Vertex(s, 0)) for s in range(start.level, stop_level)]
-    fit, text = len(levels), None  # text: every chain from a vertex of levels[fit] up
-    for level in reversed(levels):
-        ids = map(Vertex.node_id, level)
-        wider = _within(block, (v + "\n" for v in ids) if text is None else (_prefixed(v + " ", text) for v in ids))
+    sizes = [sum(1 for _ in P.covers_above(Vertex(s, 0))) for s in range(start.level, stop_level)]
+
+    def lines(i: int) -> Iterator[str]:
+        # The ids of level start.level + 1 + i, one line each, rendered a
+        # slice of at most a block of text at a time, so no level is held
+        # whole.
+        level, size = start.level + 1 + i, sizes[i]
+        step = max(1, block // (len(Vertex(level, size - 1).node_id()) + 1))
+        for lo in range(0, size, step):
+            yield _node_ids(level, lo, min(size, lo + step), "\n") + "\n"
+
+    def ids(i: int) -> Iterator[str]:
+        for text in lines(i):
+            yield from text.split()
+
+    fit, text = len(sizes), None  # text: every chain from a vertex of level fit up
+    for i in reversed(range(len(sizes))):
+        if text is None:
+            wider = _within(block, lines(i))
+        else:
+            wider = _within(block, (_prefixed(v + " ", text) for v in ids(i)))
         if wider is None:
             break
-        fit, text = fit - 1, wider
+        fit, text = i, wider
 
     def walk(head: str, i: int) -> Iterator[str]:
         if i == fit:
             yield _prefixed(head, text)
-        elif i < len(levels) - 1:
-            for w in levels[i]:
-                yield from walk(head + w.node_id() + " ", i + 1)
+        elif i < len(sizes) - 1:
+            for v in ids(i):
+                yield from walk(head + v + " ", i + 1)
         else:  # the top level's own lines pass a block
-            yield from zeta._chunks(head + w.node_id() + "\n" for w in levels[i])
+            yield from zeta._chunks(head + v + "\n" for v in ids(i))
 
     yield from walk(start.node_id() + " ", 0)
 
@@ -286,7 +310,11 @@ class VerificationCase(NamedTuple):
 
 
 class VerificationReport(NamedTuple):
-    """Outcome of one observation sweep; failures are data, never exceptions."""
+    """Outcome of one observation sweep, every case held; failures are data, never exceptions.
+
+    `verify_observation` builds it from the sweep's case stream, which the
+    `verify` verb reads directly instead, holding no case list.
+    """
 
     observation: int
     max_n: int
@@ -301,19 +329,15 @@ class VerificationReport(NamedTuple):
         return not self.counterexamples
 
     def to_text(self) -> str:
-        """Line-oriented schema: observation= k= n= formula= oracle= status=."""
-        lines = []
-        for c in self.cases:
-            status = "pass" if c.passed else "fail"
-            lines.append(
-                f"observation={self.observation} k={c.k} n={c.n} "
-                f"formula={c.formula} oracle={c.oracle} status={status}"
-            )
-        return "".join(line + "\n" for line in lines)
+        """Line-oriented schema: observation= k= n= formula= oracle= status=, one line per case."""
+        return "".join(_case_lines(self.observation, self.cases))
 
 
-def _compare_case(k: int, n: int, formula: int, oracle: int, start: Vertex | None = None) -> VerificationCase:
-    return VerificationCase(k=k, n=n, formula=formula, oracle=oracle, passed=formula == oracle, start=start)
+def _case_lines(observation: int, cases: Iterable[VerificationCase]) -> Iterator[str]:
+    """Each case's line of the structured report, newline-terminated: the one renderer of a case line."""
+    head = f"observation={observation} k="
+    for k, n, formula, oracle, passed, _ in cases:
+        yield f"{head}{k} n={n} formula={formula} oracle={oracle} status={'pass' if passed else 'fail'}\n"
 
 
 def _layer_counts(fibs: list[int], n: int) -> list[int]:
@@ -343,6 +367,17 @@ def verify_observation(observation: int, max_n: int, limit: int | None = None) -
     Observation 2 has no case below max_n = 2, so a smaller max_n raises
     rather than pass a sweep of nothing.
     """
+    return VerificationReport(observation, max_n, tuple(_cases(observation, max_n, limit)))
+
+
+def _cases(observation: int, max_n: int, limit: int | None = None) -> Iterator[VerificationCase]:
+    """The cases of `verify_observation`'s sweep, in its order, made one at a time as they are read.
+
+    When called it validates the arguments, admits every walk and builds
+    observation 3's rows, which hold the sweep's one integrality check; so
+    every exception comes before the first case.  It holds the counters'
+    memos and the rows, and no case.
+    """
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     if observation == 2 and max_n < 2:
@@ -357,27 +392,49 @@ def verify_observation(observation: int, max_n: int, limit: int | None = None) -
         _admit(P, P.root, n, limit)
     # One counter per target level serves every start vertex of the sweep.
     count = {n: _dfs_count(P, n) for n in range(1, max_n + 1)}
-    cases: list[VerificationCase] = []
     if observation == 1:
-        for n in range(1, max_n + 1):
-            cases.append(_compare_case(1, n, count_from_root_formula(n), count[n](P.root)))
-    elif observation == 2:
-        for k in range(1, max_n):
-            starts = P.level_vertices(k)
-            for n in range(k + 1, max_n + 1):
-                formula = count_layer_chains_formula(k, n)
-                for start in starts:
-                    cases.append(_compare_case(k, n, formula, count[n](start), start=start))
-    else:
-        top = 3 * max_n
-        fibs = [fib(i) for i in range(top + 1)]
-        factorials = list(itertools.accumulate(fibs[1:], operator.mul, initial=1))
-        rows = {n: fibonomial_row(n) for n in range(2, top + 1)}
-        counted = ((k, n, count[n](Vertex(k, 0))) for n in range(2, max_n + 1) for k in range(1, n))
-        closed = ((k, n, layer) for n in range(2, top + 1) for k, layer in enumerate(_layer_counts(fibs, n), 1))
-        for k, n, layer in itertools.chain(counted, closed):
-            formula = rows[n][k]
+        return _root_cases(P, count)
+    if observation == 2:
+        return _layer_cases(P, count)
+    top = 3 * max_n
+    fibs = [fib(i) for i in range(top + 1)]
+    factorials = list(itertools.accumulate(fibs[1:], operator.mul, initial=1))
+    rows = {n: fibonomial_row(n) for n in range(2, top + 1)}
+    counted = ((n, [count[n](Vertex(k, 0)) for k in range(1, n)]) for n in range(2, max_n + 1))
+    closed = ((n, _layer_counts(fibs, n)) for n in range(2, top + 1))
+    return _quotient_cases(itertools.chain(counted, closed), rows, factorials)
+
+
+def _root_cases(P: CobwebPoset, count: dict[int, Callable[[Vertex], int]]) -> Iterator[VerificationCase]:
+    # Observation 1: n_F! against the chains from the root to level n.
+    for n in range(1, P.depth + 1):
+        formula, oracle = count_from_root_formula(n), count[n](P.root)
+        yield VerificationCase(1, n, formula, oracle, formula == oracle)
+
+
+def _layer_cases(P: CobwebPoset, count: dict[int, Callable[[Vertex], int]]) -> Iterator[VerificationCase]:
+    # Observation 2: the falling F-factorial against the chains from each
+    # start vertex of level k to level n.  A level's handle makes its
+    # vertices afresh on each pass, so no level is held as vertices.
+    for k in range(1, P.depth):
+        starts = P.level(k)
+        for n in range(k + 1, P.depth + 1):
+            formula, walk = count_layer_chains_formula(k, n), count[n]
+            for start in starts:
+                oracle = walk(start)
+                yield VerificationCase(k, n, formula, oracle, formula == oracle, start)
+
+
+def _quotient_cases(
+    layers: Iterable[tuple[int, list[int]]], rows: dict[int, list[int]], factorials: list[int]
+) -> Iterator[VerificationCase]:
+    # Observation 3: each target level n comes with its layer counts for
+    # k = 1..n-1.  A count is divided by (n-k)_F! and the quotient compared
+    # with the Fibonomial; an inexact division reports the raw count.
+    for n, counts in layers:
+        row = rows[n]
+        for k, layer in enumerate(counts, 1):
+            formula = row[k]
             quotient, remainder = divmod(layer, factorials[n - k])
-            passed = not remainder and quotient == formula
-            cases.append(VerificationCase(k=k, n=n, formula=formula, oracle=layer if remainder else quotient, passed=passed))
-    return VerificationReport(observation=observation, max_n=max_n, cases=tuple(cases))
+            oracle = layer if remainder else quotient
+            yield VerificationCase(k, n, formula, oracle, not remainder and quotient == formula)

@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from . import chains, fibcalc, zeta
-from .poset import CobwebPoset, GuardError, Vertex, build_cobweb
+from .poset import CobwebPoset, GuardError, Vertex, _node_ids, build_cobweb
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -78,7 +78,7 @@ def _hasse_dot(P: CobwebPoset) -> Iterator[str]:
     `zeta._chunks`, then the closing brace, so the whole diagram is never
     held as one string.
     """
-    ids = [[v.node_id() for v in P.level_vertices(s)] for s in range(1, P.depth + 1)]
+    ids = [_node_ids(s, 0, size, " ").split(" ") for s, size in enumerate(P.level_sizes, 1)]
     yield "digraph cobweb {\n  rankdir=BT;\n" + "".join(
         f"  {{ rank=same; {'; '.join(level)}; }}\n" for level in ids
     )
@@ -144,19 +144,36 @@ def _cmd_chains(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     limit = _resolve_limit(args)
     observations = [1, 2, 3] if args.obs == "all" else [int(args.obs)]
-    reports = [chains.verify_observation(o, args.max_n, limit) for o in observations]
-    passed = all(r.passed for r in reports)
+    # Each stream validates and admits its sweep, and builds observation 3's
+    # rows, when it is made, so a refusal or a failed integrality check comes
+    # before any output.  Then the cases go to text as they are made: plain
+    # output keeps a count and the counterexamples, structured output none.
+    streams = [(o, chains._cases(o, args.max_n, limit)) for o in observations]
     if args.format == "structured":
-        sys.stdout.writelines(r.to_text() for r in reports)
-    else:
-        for report in reports:
-            status = "PASS" if report.passed else "FAIL"
-            print(f"Observation {report.observation}: {status} ({len(report.cases)} cases, max_n={report.max_n})")
-            for c in report.counterexamples:
-                where = f" start={c.start.node_id()}" if c.start is not None else ""
-                print(f"  counterexample: k={c.k} n={c.n}{where} formula={c.formula} oracle={c.oracle}")
-        print(f"RESULT: {'PASS' if passed else 'FAIL'}")
-    return EXIT_OK if passed else EXIT_VERIFICATION
+        failed = False
+
+        def checked(cases: Iterator[chains.VerificationCase]) -> Iterator[chains.VerificationCase]:
+            nonlocal failed
+            for c in cases:
+                failed = failed or not c.passed
+                yield c
+
+        lines = itertools.chain.from_iterable(chains._case_lines(o, checked(cases)) for o, cases in streams)
+        sys.stdout.writelines(zeta._chunks(lines))
+        return EXIT_VERIFICATION if failed else EXIT_OK
+    failures = 0
+    for o, cases in streams:
+        total, counterexamples = 0, []
+        for total, c in enumerate(cases, 1):
+            if not c.passed:
+                counterexamples.append(c)
+        failures += len(counterexamples)
+        print(f"Observation {o}: {'FAIL' if counterexamples else 'PASS'} ({total} cases, max_n={args.max_n})")
+        for c in counterexamples:
+            where = f" start={c.start.node_id()}" if c.start is not None else ""
+            print(f"  counterexample: k={c.k} n={c.n}{where} formula={c.formula} oracle={c.oracle}")
+    print(f"RESULT: {'FAIL' if failures else 'PASS'}")
+    return EXIT_VERIFICATION if failures else EXIT_OK
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

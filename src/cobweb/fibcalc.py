@@ -77,9 +77,14 @@ __all__ = [
 # 76 MB.
 _FIB_CAP = 4096
 
-# Smallest min(k, n - k) that takes the primitive-part route.  Measured for
-# n = 400..3000, the primitive route took 1.04-1.14x the time of the direct
-# quotient at j = 176 and 0.91-0.98x at j = 192, whatever n was.
+# Smallest min(k, n - k) that takes the primitive-part route.  The value is
+# the crossover with the part cache cold (emptied before each call, the
+# Fibonacci cache warm) at n = 400: the parts route took 1.10x the time of
+# the direct quotient at j = 176 and 0.98x at j = 192.  The cold crossover
+# falls as n grows (0.98x at j = 160 for n = 1000, 0.94x at j = 128 for
+# n = 3000).  With the parts cached the parts route is the faster one from
+# about j = 48: 0.31-0.88x the direct route's time at j = 64..192 for
+# n = 400..3000 (best of 7-15 calls, CPython 3.11.7, 2-core host).
 _PRIMITIVE_MIN_K = 184
 
 # Product-tree leaves of at most this many factors go to math.prod.  Leaves

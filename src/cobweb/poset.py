@@ -58,6 +58,18 @@ class Vertex(NamedTuple):
 _vertex_of = partial(tuple.__new__, Vertex)
 
 
+def _node_ids(level: int, lo: int, hi: int, sep: str) -> str:
+    """The node ids of vertices lo..hi-1 of `level`, joined by `sep`, in one C-level join.
+
+    Each id is `Vertex(level, index).node_id()`; no Vertex is made.  Empty
+    when lo >= hi.
+    """
+    if lo >= hi:
+        return ""
+    prefix = f"v{level}_"
+    return prefix + (sep + prefix).join(map(str, range(lo, hi)))
+
+
 class _Level:
     """One level of a poset as (level, size): its vertices are made afresh by each pass."""
 
@@ -115,10 +127,14 @@ class CobwebPoset:
     def root(self) -> Vertex:
         return Vertex(1, 0)
 
+    def level(self, level: int) -> Iterable[Vertex]:
+        """One level's shared handle: its vertices in ascending index order, made afresh by each pass."""
+        self._check_level(level)
+        return self._levels[level - 1]
+
     def level_vertices(self, level: int) -> tuple[Vertex, ...]:
         """All vertices of one level in ascending index order."""
-        self._check_level(level)
-        return tuple(self._levels[level - 1])
+        return tuple(self.level(level))
 
     def vertices(self) -> tuple[Vertex, ...]:
         """Canonical ordering: ascending level, then ascending index."""

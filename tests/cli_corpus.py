@@ -75,8 +75,9 @@ USAGE_ERRORS = [
 ]
 
 # Cases run only as processes: 105 MB, 3.2 MB, 14 MB, 91.5 MB and 150 MB
-# of stdout, a counted sweep of 1-2 s, and numbers of 0.4-12 MB of digits
-# that took 0.2-11 s when their text came from int -> str.
+# of stdout, a counted sweep of 1-2 s, observation 2's sweep to max_n 25
+# (held whole, it peaked at 60 and 164 MiB), and numbers of 0.4-12 MB of
+# digits that took 0.2-11 s when their text came from int -> str.
 PROCESS_ONLY = [
     ["chains", "9"],
     ["chains", "27", "--from", "26:0"],
@@ -84,6 +85,8 @@ PROCESS_ONLY = [
     ["export", "18", "--format", "csv"],
     ["export", "18", "--format", "dot"],
     ["verify", "--obs", "1", "--max-n", "28", "--unsafe-enumeration-limit", str(10**200)],
+    ["verify", "--obs", "2", "--max-n", "25", "--unsafe-enumeration-limit", str(10**200)],
+    ["verify", "--obs", "2", "--max-n", "25", "--unsafe-enumeration-limit", str(10**200), "--format", "structured"],
     ["binom", "4000", "2000"],
     ["falling", "3000", "1500"],
     ["fibfact", "2000"],

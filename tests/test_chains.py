@@ -1034,6 +1034,35 @@ class TestVerifyObservation:
             verify_observation(1, 6, limit=10)
 
     @pytest.mark.parametrize("observation", [1, 2, 3])
+    def test_case_stream_checks_when_called_and_walks_when_read(self, monkeypatch, observation):
+        # Arguments, admission and observation 3's rows come at the call; no
+        # vertex is read before the first case is.
+        built: list[CountingPoset] = []
+        rows: list[int] = []
+
+        def build(depth: int) -> CountingPoset:
+            built.append(CountingPoset(depth))
+            return built[-1]
+
+        def row(n: int) -> list[int]:
+            rows.append(n)
+            return fibcalc.fibonomial_row(n)
+
+        monkeypatch.setattr(chains, "build_cobweb", build)
+        monkeypatch.setattr(chains, "fibonomial_row", row)
+        with pytest.raises(EnumerationGuardError):
+            chains._cases(observation, 10)
+        with pytest.raises(ValueError):
+            chains._cases(observation, 0)
+        built.clear()
+        cases = chains._cases(observation, 6)
+        [P] = built
+        assert P.calls == 0 and rows == ([] if observation < 3 else list(range(2, 19)))
+        first = next(cases)
+        assert P.calls > 0 or observation == 1
+        assert (first, *cases) == verify_observation(observation, 6).cases
+
+    @pytest.mark.parametrize("observation", [1, 2, 3])
     def test_sweep_reads_each_vertex_once_per_target(self, monkeypatch, observation):
         # One counter per target level n serves every start of the sweep.
         # The first start, the root, visits every vertex of levels 1..n-1

@@ -486,6 +486,7 @@ class TestGuardRefusals:
             ["chains", "12", "--from", "3:0"],
             ["chains", "500"],  # predicts an 86,374-bit count, past the digit limit
             ["verify", "--max-n", "10"],
+            ["verify", "--max-n", "10", "--format", "structured"],
             ["export", "19", "--format", "csv"],
             ["export", "19", "--format", "dot"],
             ["export", "40", "--format", "dot"],
@@ -702,10 +703,15 @@ class TestInexactDivision:
 
     # The sweep and row meet their first inexact division in the row
     # recurrence, the one Fibonomial route of observation 3; binom in the
-    # direct quotient.  binom and row run it over Decimals: the message
+    # direct quotient.  The sweep builds its rows before it writes a case,
+    # in either format.  binom and row run it over Decimals: the message
     # names the same bit lengths as the int route's.
     MESSAGES = {
         "verify --max-n 9": (
+            "integrality check failed: fibonomial_row(15) at k=7: "
+            "non-exact division of a 43-bit numerator by a 4-bit denominator\n"
+        ),
+        "verify --max-n 9 --format structured": (
             "integrality check failed: fibonomial_row(15) at k=7: "
             "non-exact division of a 43-bit numerator by a 4-bit denominator\n"
         ),
@@ -720,7 +726,10 @@ class TestInexactDivision:
     }
 
     @pytest.mark.parametrize("argv", MESSAGES)
-    def test_exits_one_without_a_traceback(self, capsys, wrong_f7, argv):
+    def test_exits_one_without_a_traceback(self, capsys, monkeypatch, wrong_f7, argv):
+        # At a block of one character every chunked line goes out as it is
+        # made, so a line written before the failure would show on stdout.
+        monkeypatch.setattr(zeta, "_BLOCK_BYTES", 1)
         assert run(argv.split()) == EXIT_VERIFICATION
         assert out_of(capsys) == ("", self.MESSAGES[argv])
 
@@ -760,6 +769,17 @@ class TestVerifyVerb:
         assert "FAIL" in out
         assert "counterexample" in out
 
+    def test_injected_bug_exits_one_in_structured_format(self, capsys, monkeypatch):
+        # The structured sweep finds its failures in the cases it writes.
+        monkeypatch.setattr(
+            chains, "count_layer_chains_formula", lambda k, n: 1 if (k, n) == (3, 5) else naive.f_product(k + 1, n)
+        )
+        assert run(["verify", "--obs", "all", "--max-n", "5", "--format", "structured"]) == EXIT_VERIFICATION
+        out, err = out_of(capsys)
+        failed = [line for line in out.splitlines() if not line.endswith("status=pass")]
+        assert failed == ["observation=2 k=3 n=5 formula=1 oracle=15 status=fail"] * 2 and err == ""
+        assert len(out.splitlines()) == 134
+
     @pytest.mark.parametrize("argv", [["verify", "--obs", "2", "--max-n", "1"], ["verify", "--max-n", "1"]])
     def test_sweep_of_no_case_is_a_usage_error(self, capsys, argv):
         # Observation 2 needs 1 <= k < n <= max_n, so max_n = 1 has nothing to pass.
@@ -786,6 +806,30 @@ class TestVerifyVerb:
             "guard: enumeration would visit 122522400 chains, over the limit of 122522399; "
             "use the closed-form counter or raise the limit explicitly\n"
         ))
+
+    def test_structured_sweep_holds_no_case_list(self, monkeypatch):
+        # Held as a case list and then one report text, observation 2's sweep
+        # peaked at about 5 MB under tracemalloc to max_n 18, and 13 MB to 20,
+        # growing as phi^n.  Streamed to a stdout that discards it, each peaks
+        # near 0.3 MB, and the two differ by less than a block.
+        class Discard:
+            def writelines(self, chunks):
+                for _ in chunks:
+                    pass
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        peaks = []
+        for max_n in (18, 20):
+            argv = ["verify", "--obs", "2", "--max-n", str(max_n), "--format", "structured"]
+            tracemalloc.start()
+            try:
+                assert run([*argv, "--unsafe-enumeration-limit", str(10**200)]) == EXIT_OK
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert max(peaks) < 1 << 20
+        assert abs(peaks[1] - peaks[0]) < zeta._BLOCK_BYTES
 
 
 class TestBenchVerb:

@@ -207,10 +207,10 @@ def test_rendering_has_the_frozen_count(argv, marker, count):
 
 
 def test_every_verb_with_a_rendering_is_covered():
-    # 28 records that exit 0 and the 9 refusals.
+    # 30 records that exit 0 and the 9 refusals.
     assert sorted({r["argv"][0] for r in RENDERED}) == sorted(RENDERINGS)
     assert [r["exit"] for r in RENDERED].count(3) == 9
-    assert len(RENDERED) == 37
+    assert len(RENDERED) == 39
 
 
 def test_tables_name_only_corpus_cases():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from cobweb.poset import CobwebPoset, GuardError, Vertex, build_cobweb
+from cobweb.poset import CobwebPoset, GuardError, Vertex, _node_ids, build_cobweb
 
 import naive
 
@@ -88,6 +88,25 @@ class TestCanonicalOrder:
                 # Every vertex of the level below is handed one shared object.
                 handed = [P.covers_above(v) for v in P.level_vertices(level - 1)]
                 assert all(h is handed[0] for h in handed) and tuple(handed[0]) == got
+                assert P.level(level) is handed[0]
+
+
+class TestNodeIds:
+    """`_node_ids` writes a range of one level's ids, each as `Vertex.node_id` writes it."""
+
+    INDICES = 12_346  # indices 0..12,345: one to five digits
+    SLICES = [(0, 1), (0, 10), (9, 11), (10, 100), (99, 101), (999, 1001), (9999, 10001), (12_345, 12_346)]
+
+    @pytest.mark.parametrize("level", [1, 9, 10, 100])
+    def test_equals_node_id_across_digit_widths(self, level):
+        ids = [Vertex(level, i).node_id() for i in range(self.INDICES)]
+        for sep in (" ", "\n", "; ", ";\n  v1_0 -> "):
+            assert _node_ids(level, 0, self.INDICES, sep) == sep.join(ids)
+        for lo, hi in self.SLICES:
+            assert _node_ids(level, lo, hi, " ") == " ".join(ids[lo:hi])
+
+    def test_empty_range_is_empty(self):
+        assert _node_ids(4, 2, 2, " ") == _node_ids(4, 3, 1, " ") == ""
 
 
 class TestRelations:
@@ -126,6 +145,7 @@ class TestRelations:
         (lambda P: P.leq(Vertex(1, 0), Vertex(5, 5)), "vertex Vertex(level=5, index=5) invalid: level 5 has 5 vertices"),
         (lambda P: P.level_vertices(0), "level must be in 1..5, got 0"),
         (lambda P: P.level_vertices(6), "level must be in 1..5, got 6"),
+        (lambda P: P.level(0), "level must be in 1..5, got 0"),
     ])
     def test_error_messages(self, call, message):
         with pytest.raises(ValueError) as exc:

@@ -6,9 +6,10 @@ from multiple threads.
 
 No routine divides one big number by another big number:
 
-- F-factorials and falling F-factorials are balanced product trees, split
-  by size, so the large multiplies meet operands of like size (Karatsuba,
-  not schoolbook).
+- F-factorials and falling F-factorials are products of runs of
+  Fibonacci values, cut along one fixed tree of spans split by size, so
+  the large multiplies meet operands of like size (Karatsuba, not
+  schoolbook).
 - A Fibonomial C_F(n, k) with j = min(k, n - k) of at least
   _PRIMITIVE_MIN_K is a product of Fibonacci primitive parts P_d.  Each
   composite d costs one small exact division when its part is produced.
@@ -24,7 +25,7 @@ are integers by theory, so a remainder means a wrong Fibonacci value or a
 bug.  It sees only values that enter a division: a prime p has
 P_p = F(p), taken as is.
 
-Two bounded, append-only caches keep what depends on the index alone:
+Three bounded, append-only caches keep what depends on the index alone:
 
 - Every Fibonacci value comes from one producer, `_fib_run`; `fib` is its
   run of one.  F(0.._FIB_CAP) are cached once computed, about 0.35 * CAP^2
@@ -35,15 +36,28 @@ Two bounded, append-only caches keep what depends on the index alone:
   part up to n = 1600 takes about 70 KB.  So the self-check sees each
   composite part's division once per process, when the part is produced,
   and a warm primitive-part route reads no F value.
+- Every run product of the int routes, over F(lo..hi-1) or P_lo..P_(hi-1),
+  is cut along one fixed tree over the indices 1.._FIB_CAP, and the
+  products of its spans are cached, separately for the two producers
+  (`_FIB_SPAN`, `_PART_SPAN`).  Only spans at depth _SPAN_MIN_DEPTH or
+  deeper and wider than _SPAN_MIN_WIDTH indices are kept: at most about
+  0.9 * CAP^2 bits of Fibonacci spans and 0.55 * CAP^2 bits of part
+  spans, about 3.0 MB together, and about 630 KB for every span below
+  index 1600.  A repeated or overlapping call reads the spans inside its
+  range and multiplies only near the range's ends and at the top.  The
+  cache adds no division, so the self-check sees what it saw without it.
 
-Past the cap a Fibonacci run goes on by fast doubling, and parts are
-built per call; both are dropped when the call returns, so the memory kept
-between calls is bounded.
+Past the cap a Fibonacci run goes on by fast doubling, parts are built per
+call, and a run product reads and stores no span; what is built is dropped
+when the call returns, so the memory kept between calls is bounded.
 
-Each route except `fib` is written once, over a `lift` of the values those
-two producers hand out.  The public functions pass the values as they are
-and return ints.  The private `_in_base_ten` lifts each value to
-`decimal.Decimal` and runs the same route under `_exact_context()`: the
+Each route except `fib` is written once, over `_Numbers`: a lift of the
+values those two producers hand out, and a product of them.  The public
+functions pass `_INTS`, the values as they are and run products over the
+span caches, and return ints.  The private `_in_base_ten` lifts each value
+to `decimal.Decimal`, multiplies by `_product` without the span caches
+(lifting a cached product to Decimal would cost quadratic time), and runs
+the same route under `_exact_context()`: the
 widest precision and exponent range, with Inexact and Rounded trapped, so a
 rounding raises instead of giving a wrong digit.  Its routes use only *,
 divmod and the integrality check on integral values, never /, and never
@@ -61,7 +75,7 @@ import bisect
 import itertools
 import math
 import threading
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 __all__ = [
     "fib",
@@ -77,14 +91,18 @@ __all__ = [
 # 76 MB.
 _FIB_CAP = 4096
 
-# Smallest min(k, n - k) that takes the primitive-part route.  The value is
-# the crossover with the part cache cold (emptied before each call, the
-# Fibonacci cache warm) at n = 400: the parts route took 1.10x the time of
-# the direct quotient at j = 176 and 0.98x at j = 192.  The cold crossover
-# falls as n grows (0.98x at j = 160 for n = 1000, 0.94x at j = 128 for
-# n = 3000).  With the parts cached the parts route is the faster one from
-# about j = 48: 0.31-0.88x the direct route's time at j = 64..192 for
-# n = 400..3000 (best of 7-15 calls, CPython 3.11.7, 2-core host).
+# Smallest min(k, n - k) = j that takes the primitive-part route, for the
+# int and the base-ten routes alike.  It is the crossover at small n with
+# the part and span caches cold (emptied before each call, the Fibonacci
+# cache warm).  Ratios of the parts route's time to the direct quotient's,
+# best of 5-9 calls, CPython 3.11.7 on a 2-core host:
+# - int: 0.89-1.07 at j = 184 and 1.09-1.29 at j = 160-176 for
+#   n = 400-500; 0.81-1.04 at j = 160 for n = 700-3000;
+# - Decimal: 0.78-1.05 at j = 184 and 1.03-1.06 at j = 160 for
+#   n = 400-700; 0.85-0.96 at j = 160 for n = 1000-3000.
+# With both routes called once before, the parts route is the faster one
+# well below this (0.45-0.87 int, 0.62-0.78 Decimal at j = 160), but the
+# route does not depend on what the caches hold.
 _PRIMITIVE_MIN_K = 184
 
 # Product-tree leaves of at most this many factors go to math.prod.  Leaves
@@ -103,6 +121,23 @@ _FIB_LOCK = threading.Lock()
 # dict with int keys, which CPython runs whole, so neither readers nor the
 # writer take a lock.
 _PART: dict[int, int] = {}
+
+# Which spans of the span tree are cached: those at this depth or deeper,
+# the root, [1, _FIB_CAP], being at depth 0, and wider than this many
+# indices.  A span above that depth is cut into its halves instead.  Each
+# level of the tree holds every value's bits once, about 1.2 MB for both
+# producers at the cap, so caching every span would keep about 9 MB; the
+# narrow spans near the leaves are cheap to build again.
+_SPAN_MIN_DEPTH = 4
+_SPAN_MIN_WIDTH = 3 * _PRODUCT_LEAF
+
+# Append-only caches of span products, keyed by the span (lo, hi): the
+# product of F(lo..hi-1), and of P_lo..P_(hi-1).  Entries never change, and
+# each growth step is one store of a tuple key, which CPython runs whole, so
+# neither readers nor writers take a lock; two threads that build the same
+# span store equal values.
+_FIB_SPAN: dict[tuple[int, int], int] = {}
+_PART_SPAN: dict[tuple[int, int], int] = {}
 
 
 def _check_index(value: int, name: str) -> None:
@@ -187,9 +222,100 @@ def _exact_div(numerator, denominator, what: str, *args: int):
     return quotient
 
 
-def _as_is(values: list[int]) -> list[int]:
-    """The lift of the int routes: the values as they are."""
-    return values
+def _split(lo: int, hi: int) -> int:
+    """Where the span tree splits [lo, hi): the bits of its two halves balance.
+
+    F(i) has about 0.69 * i bits, and P_i on average about 0.42 * i, so the
+    bits of [lo, m) grow as m^2 - lo^2 for both, and balance those of
+    [m, hi) at m = sqrt((lo^2 + hi^2) / 2).
+    """
+    return math.isqrt((lo * lo + hi * hi) // 2)
+
+
+def _span(values: list[int], shift: int, spans: dict, a: int, b: int) -> int:
+    """Product of the span [a, b) of the tree; values[i + shift] is the value at index i.
+
+    A span of more than _SPAN_MIN_WIDTH indices is read from spans, or
+    built from its two halves and stored there.
+    """
+    if b - a <= _PRODUCT_LEAF:
+        return math.prod(values[a + shift : b + shift])
+    if (a, b) in spans:
+        return spans[a, b]
+    m = _split(a, b)
+    product = _span(values, shift, spans, a, m) * _span(values, shift, spans, m, b)
+    if b - a > _SPAN_MIN_WIDTH:
+        spans[a, b] = product
+    return product
+
+
+def _cover(
+    values: list[int], shift: int, spans: dict, lo: int, hi: int, a: int, b: int, depth: int, pieces: list[int]
+) -> None:
+    """Append to pieces the products of the values at the indices in both [lo, hi) and the span [a, b).
+
+    Each span of the tree inside [lo, hi) at _SPAN_MIN_DEPTH or deeper is
+    one piece; a leaf that [lo, hi) cuts gives the product of the values
+    it shares.
+    """
+    if lo <= a and b <= hi and depth >= _SPAN_MIN_DEPTH:
+        pieces.append(_span(values, shift, spans, a, b))
+    elif b - a <= _PRODUCT_LEAF:
+        pieces.append(math.prod(values[max(lo, a) + shift : min(hi, b) + shift]))
+    else:
+        m = _split(a, b)
+        if lo < m:
+            _cover(values, shift, spans, lo, hi, a, m, depth + 1, pieces)
+        if m < hi:
+            _cover(values, shift, spans, lo, hi, m, b, depth + 1, pieces)
+
+
+def _smallest_first(pieces: list[int]) -> int:
+    """Product of pieces, each multiply taking the two smallest left.
+
+    The pieces of a range are spans of unlike sizes, so multiplying them in
+    index order meets lopsided operands; this meets operands of like size.
+    """
+    pieces.sort(key=int.bit_length)
+    while len(pieces) > 1:
+        bisect.insort(pieces, pieces.pop(0) * pieces.pop(0), key=int.bit_length)
+    return pieces[0]
+
+
+def _run_product(values: list[int], start: int, lo: int, spans: dict) -> int:
+    """Product of values, of which values[start:] is the run at the indices lo, lo + 1, ...
+
+    The run is cut along one fixed tree over the indices 1.._FIB_CAP, whose
+    spans depend on the index alone, so calls that share indices share the
+    spans cached in spans.  values[:start] are multiplied by `_product`,
+    and the run's pieces and that product smallest first.  A run shorter
+    than two leaves, or one that passes the cap, is multiplied by
+    `_product` with the rest, and reads and stores no span.
+    """
+    hi = lo + len(values) - start
+    if hi - lo < 2 * _PRODUCT_LEAF or hi > _FIB_CAP + 1:
+        return _product(values)
+    pieces = [_product(values[:start])] if start else []
+    _cover(values, start - lo, spans, lo, hi, 1, _FIB_CAP + 1, 0, pieces)
+    return _smallest_first(pieces)
+
+
+class _Numbers(NamedTuple):
+    """The numbers a route computes in.
+
+    lift(values) maps a list of ints from `_fib_run` or `_parts` into
+    them.  product(values, start, lo, spans) is the product of those ints,
+    of which values[start:] are the values at the indices lo, lo + 1, ...
+    of the producer whose spans are cached in spans.
+    """
+
+    lift: Callable[[list[int]], list]
+    product: Callable[[list[int], int, int, dict], object]
+
+
+# The numbers of the public functions: ints, with runs multiplied over the
+# span caches.
+_INTS = _Numbers(lambda values: values, _run_product)
 
 
 def fib(n: int) -> int:
@@ -204,26 +330,26 @@ def fib(n: int) -> int:
 
 
 # Each route below is written once, over the values that `_fib_run` and
-# `_parts` hand out, passed through `lift`: `_as_is` for the public
-# functions, which return ints, and a lift to Decimal for `_in_base_ten`.
+# `_parts` hand out, in numbers: `_INTS` for the public functions, and
+# Decimals for `_in_base_ten`.
 
 
-def _fib_factorial(n: int, lift: Callable[[list[int]], list]):
+def _fib_factorial(n: int, numbers: _Numbers):
     _check_index(n, "n")
-    return _product(lift(_fib_run(1, n + 1)))
+    return numbers.product(_fib_run(1, n + 1), 0, 1, _FIB_SPAN)
 
 
 def fib_factorial(n: int) -> int:
     """Product F(1)*F(2)*...*F(n); the empty product (n = 0) is 1."""
-    return _fib_factorial(n, _as_is)
+    return _fib_factorial(n, _INTS)
 
 
-def _falling_f_factorial(n: int, k: int, lift: Callable[[list[int]], list]):
+def _falling_f_factorial(n: int, k: int, numbers: _Numbers):
     _check_index(n, "n")
     _check_index(k, "k")
     if k > n:
-        return lift([0])[0]
-    return _product(lift(_fib_run(n - k + 1, n + 1)))
+        return numbers.lift([0])[0]
+    return numbers.product(_fib_run(n - k + 1, n + 1), 0, n - k + 1, _FIB_SPAN)
 
 
 def falling_f_factorial(n: int, k: int) -> int:
@@ -233,7 +359,7 @@ def falling_f_factorial(n: int, k: int) -> int:
     meets or crosses F(0) = 0, so the result is 0 without evaluating factors
     at negative indices.
     """
-    return _falling_f_factorial(n, k, _as_is)
+    return _falling_f_factorial(n, k, _INTS)
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
@@ -286,15 +412,19 @@ def _parts(ds: list[int]) -> list[int]:
     return [new[d] if d in new else _PART[d] for d in ds]
 
 
-def _fibonomial(n: int, k: int, lift: Callable[[list[int]], list]):
+def _fibonomial(n: int, k: int, numbers: _Numbers):
     _check_index(n, "n")
     _check_index(k, "k")
     if k > n:
-        return lift([0])[0]
+        return numbers.lift([0])[0]
     j = min(k, n - k)
     if j < _PRIMITIVE_MIN_K:
-        return _exact_div(_falling_f_factorial(n, j, lift), _fib_factorial(j, lift), "fibonomial({}, {})", n, k)
-    return _product(lift(_parts([d for d in range(1, n + 1) if n % d < j % d])))
+        return _exact_div(
+            _falling_f_factorial(n, j, numbers), _fib_factorial(j, numbers), "fibonomial({}, {})", n, k
+        )
+    # Every d in (n - j, n] has n mod d = n - d < j = j mod d: a run.
+    lower = [d for d in range(1, n - j + 1) if n % d < j % d]
+    return numbers.product(_parts(lower + list(range(n - j + 1, n + 1))), len(lower), n - j + 1, _PART_SPAN)
 
 
 def fibonomial(n: int, k: int) -> int:
@@ -314,13 +444,13 @@ def fibonomial(n: int, k: int) -> int:
     P_d once per process.  A nonzero remainder in any division
     raises AssertionError.
     """
-    return _fibonomial(n, k, _as_is)
+    return _fibonomial(n, k, _INTS)
 
 
-def _fibonomial_row(n: int, lift: Callable[[list[int]], list]) -> list:
+def _fibonomial_row(n: int, numbers: _Numbers) -> list:
     _check_index(n, "n")
-    fibs = lift(_fib_run(0, n + 1))
-    half = lift([1])
+    fibs = numbers.lift(_fib_run(0, n + 1))
+    half = numbers.lift([1])
     for j in range(1, n // 2 + 1):
         half.append(_exact_div(half[-1] * fibs[n - j + 1], fibs[j], "fibonomial_row({}) at k={}", n, j))
     return half + [half[n - k] for k in range(len(half), n + 1)]
@@ -333,7 +463,7 @@ def fibonomial_row(n: int) -> list[int]:
     Each step is an exact division by F(j), and a nonzero remainder raises
     AssertionError.  The second half mirrors the first.
     """
-    return _fibonomial_row(n, _as_is)
+    return _fibonomial_row(n, _INTS)
 
 
 # The routes of `_in_base_ten`, by the name of their public function.
@@ -356,8 +486,13 @@ def _in_base_ten(function: str, *args: int):
     """
     from decimal import Decimal, localcontext
 
+    def lift(values: list[int]) -> list:
+        return list(map(Decimal, values))
+
+    # No span cache: a cached int lifted to Decimal costs quadratic time.
+    numbers = _Numbers(lift, lambda values, start, lo, spans: _product(lift(values)))
     with localcontext(_exact_context()):
-        return _ROUTES[function](*args, lambda values: list(map(Decimal, values)))
+        return _ROUTES[function](*args, numbers)
 
 
 def _exact_context():

@@ -38,18 +38,22 @@ def no_digit_limit():
 
 @pytest.fixture
 def cold_parts():
-    """fibcalc's primitive-part cache emptied; it and the Fibonacci cache are put back afterwards.
+    """fibcalc's primitive-part and span caches emptied; they and the Fibonacci cache are put back afterwards.
 
     So a test may plant a wrong value in fibcalc._FIB: the empty part cache
-    makes the plant enter the parts' divisions, and the plant goes when the
-    Fibonacci cache is put back.
+    makes the plant enter the parts' divisions, the empty span caches make
+    it enter every product, and the plant goes when the Fibonacci cache is
+    put back.
     """
-    fibs, parts = list(fibcalc._FIB), dict(fibcalc._PART)
-    fibcalc._PART.clear()
+    fibs = list(fibcalc._FIB)
+    kept = [(cache, dict(cache)) for cache in (fibcalc._PART, fibcalc._FIB_SPAN, fibcalc._PART_SPAN)]
+    for cache, _ in kept:
+        cache.clear()
     yield
     fibcalc._FIB[:] = fibs
-    fibcalc._PART.clear()
-    fibcalc._PART.update(parts)
+    for cache, entries in kept:
+        cache.clear()
+        cache.update(entries)
 
 
 @pytest.fixture

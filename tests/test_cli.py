@@ -693,7 +693,7 @@ class TestRunsInOneProcess:
 
 @pytest.fixture
 def wrong_f7(cold_parts):
-    """The cached F(7) = 13 set to 14, with the primitive parts emptied; `cold_parts` puts both caches back."""
+    """The cached F(7) = 13 set to 14, with the primitive parts and spans emptied; `cold_parts` puts every cache back."""
     fibcalc.fib(400)
     fibcalc._FIB[7] = 14
 

@@ -197,8 +197,10 @@ class TestFibonomial:
         for k in (cross - 1, cross, n - cross, n - cross + 1, n // 2):
             assert fibonomial(n, k) == naive.fibonomial(n, k)
 
-    def test_symmetry_reads_the_shorter_side(self, monkeypatch):
-        # C_F(400, 390) = C_F(400, 10): ten falling factors over 10_F!.
+    def test_symmetry_reads_the_shorter_side(self, monkeypatch, cold_parts):
+        # C_F(400, 390) = C_F(400, 10): ten falling factors over 10_F!.  At
+        # j = 120 both runs are long enough to be cut into spans, and every
+        # span cached lies in one of them.
         produce = fibcalc._fib_run
         seen = []
 
@@ -207,8 +209,13 @@ class TestFibonomial:
             return produce(lo, hi)
 
         monkeypatch.setattr(fibcalc, "_fib_run", spy)
-        assert fibonomial(400, 390) == naive.fibonomial(400, 10)
-        assert seen == [(391, 401), (1, 11)]
+        for n, k in [(400, 390), (400, 280)]:
+            j = n - k
+            del seen[:]
+            assert fibonomial(n, k) == naive.fibonomial(n, j)
+            assert seen == [(n - j + 1, n + 1), (1, j + 1)]
+        assert fibcalc._FIB_SPAN
+        assert all(281 <= a and b <= 401 or b <= 121 for a, b in fibcalc._FIB_SPAN)
 
     def test_primitive_parts_rebuild_fibonacci(self):
         # F(m) is the product of P_d over the divisors d of m.
@@ -222,6 +229,20 @@ class TestFibonomial:
                 if m % d == 0:
                     product *= parts[d]
             assert product == seq[m]
+
+    def test_a_plant_reaches_every_product_on_a_warm_cache(self, request):
+        # Warm the span caches first; `cold_parts` must empty them too, or
+        # the products would read spans built from the true values.
+        factorial, falling = fib_factorial(1000), falling_f_factorial(1000, 995)
+        fibonomial(1000, 500)
+        assert fibcalc._FIB_SPAN and fibcalc._PART_SPAN
+        request.getfixturevalue("cold_parts")
+        fib(400)
+        fibcalc._FIB[7] += 1  # F(7) = 13 becomes 14
+        assert fib_factorial(1000) == factorial // 13 * 14 != naive.f_factorial(1000)
+        assert falling_f_factorial(1000, 995) == falling // 13 * 14 != naive.f_product(6, 1000)
+        with pytest.raises(AssertionError, match="non-exact"):
+            fibonomial(1000, 500)  # primitive parts: P_21 divides by F(7)
 
     def test_corrupted_fibonacci_value_fails_integrality_check(self, cold_parts):
         fib(400)
@@ -335,6 +356,133 @@ class TestPrimitivePartCache:
         assert fibcalc._PART[7] == 13
 
 
+class Untouchable(dict):
+    """A span cache that fails any test that reads or writes it."""
+
+    def __contains__(self, key):
+        raise AssertionError(f"span cache read at {key}")
+
+    __getitem__ = get = __contains__
+
+    def __setitem__(self, key, value):
+        raise AssertionError(f"span cache written at {key}")
+
+
+def span_visits(monkeypatch) -> list[tuple[int, int]]:
+    """The spans [a, b) that `_cover` and `_span` visit from here on, in order; each visit multiplies at most once."""
+    seen: list[tuple[int, int]] = []
+    cover, span = fibcalc._cover, fibcalc._span
+
+    def cover_spy(values, shift, spans, lo, hi, a, b, depth, pieces):
+        seen.append((a, b))
+        return cover(values, shift, spans, lo, hi, a, b, depth, pieces)
+
+    def span_spy(values, shift, spans, a, b):
+        seen.append((a, b))
+        return span(values, shift, spans, a, b)
+
+    monkeypatch.setattr(fibcalc, "_cover", cover_spy)
+    monkeypatch.setattr(fibcalc, "_span", span_spy)
+    return seen
+
+
+@pytest.mark.usefixtures("cold_parts")
+class TestSpanCache:
+    def test_no_span_passes_the_cap_and_calls_past_it_add_none(self, monkeypatch):
+        cap = fibcalc._FIB_CAP
+        fibs = naive.fibonacci(cap + 60)
+        top = falling_f_factorial(cap, 400)
+        fibonomial(cap, 200)
+        before = dict(fibcalc._FIB_SPAN), dict(fibcalc._PART_SPAN)
+        assert max(b for spans in before for _, b in spans) == cap + 1
+        assert falling_f_factorial(cap + 60, 100) == math.prod(fibs[cap - 39 :])
+        assert falling_f_factorial(cap + 1, 401) == top * fibs[cap + 1]
+        monkeypatch.setattr(fibcalc, "_PRIMITIVE_MIN_K", 0)  # parts, with a run of 40 across the cap
+        assert fibonomial(cap + 60, 40) == math.prod(fibs[cap + 21 :]) // math.prod(fibs[1:41])
+        assert (fibcalc._FIB_SPAN, fibcalc._PART_SPAN) == before
+
+    def test_the_caches_stay_under_the_stated_bound_at_the_cap(self):
+        # The module docstring: at most about 0.9 * CAP^2 bits of Fibonacci
+        # spans and 0.55 * CAP^2 bits of part spans.  Each run below covers
+        # the whole tree, so every span that can be kept is.
+        cap = fibcalc._FIB_CAP
+        fib_factorial(cap)
+        falling_f_factorial(cap, cap // 3)
+        fibcalc._run_product(fibcalc._parts(list(range(1, cap + 1))), 0, 1, fibcalc._PART_SPAN)
+        fibonomial(cap, cap // 2)
+        fib_bits = sum(v.bit_length() for v in fibcalc._FIB_SPAN.values())
+        part_bits = sum(v.bit_length() for v in fibcalc._PART_SPAN.values())
+        assert fib_bits <= 0.9 * cap**2 and part_bits <= 0.55 * cap**2
+        assert (fib_bits + part_bits) / 8 < 4e6
+
+    def test_concurrent_overlapping_ranges_on_an_empty_cache(self):
+        rng = random.Random(0)
+        fibs = naive.fibonacci(1300)
+        parts = naive.primitive_parts(1300)
+        calls = []  # (function, args, expected)
+        for n in rng.sample(range(600, 1300), 24):
+            k = rng.randint(40, n)
+            calls.append((falling_f_factorial, (n, k), math.prod(fibs[n - k + 1 : n + 1])))
+        calls += [(fib_factorial, (n,), math.prod(fibs[1 : n + 1])) for n in rng.sample(range(300, 1300), 12)]
+        for n in rng.sample(range(500, 900), 8):
+            k = n // 2 - rng.randint(0, 40)
+            calls.append((fibonomial, (n, k), naive.fibonomial(n, k)))
+        rng.shuffle(calls)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda call: call[0](*call[1]), calls, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected for _, _, expected in calls]
+        assert all(span == math.prod(fibs[a:b]) for (a, b), span in fibcalc._FIB_SPAN.items())
+        assert all(span == math.prod(parts[d] for d in range(a, b)) for (a, b), span in fibcalc._PART_SPAN.items())
+
+    @pytest.mark.parametrize("function, args", [(fib_factorial, (1000,)), (fibonomial, (1000, 500))])
+    def test_a_warm_repeat_adds_no_span_and_visits_log_n_spans(self, monkeypatch, function, args):
+        seen = span_visits(monkeypatch)
+        value = function(*args)
+        cold = len(seen)
+        before = dict(fibcalc._FIB_SPAN), dict(fibcalc._PART_SPAN)
+        del seen[:]
+        assert function(*args) == value
+        assert (fibcalc._FIB_SPAN, fibcalc._PART_SPAN) == before
+        assert len(seen) <= 4 * args[0].bit_length() < cold
+
+    def test_a_short_run_visits_no_span(self, monkeypatch):
+        seen = span_visits(monkeypatch)
+        for n in range(31):
+            for k in range(n + 1):
+                falling_f_factorial(n, k)
+                fibonomial(n, k)
+            fib_factorial(n)
+        assert seen == [] and fibcalc._FIB_SPAN == {} and fibcalc._PART_SPAN == {}
+
+    @pytest.mark.usefixtures("no_digit_limit")
+    def test_base_ten_neither_reads_nor_fills_the_span_caches(self, monkeypatch):
+        for spans in ("_FIB_SPAN", "_PART_SPAN"):
+            monkeypatch.setattr(fibcalc, spans, Untouchable())
+        for function, args in [
+            ("fib_factorial", (1000,)),
+            ("falling_f_factorial", (1000, 300)),
+            ("fibonomial", (1000, 100)),
+            ("fibonomial", (1000, 500)),
+        ]:
+            assert str(fibcalc._in_base_ten(function, *args)) == str(naive_value(function, *args))
+        with pytest.raises(AssertionError, match="span cache"):
+            fib_factorial(1000)  # the int route does read them
+
+
+def naive_value(function: str, *args: int) -> int:
+    if function == "fib_factorial":
+        return naive.f_factorial(*args)
+    if function == "falling_f_factorial":
+        n, k = args
+        return naive.f_product(n - k + 1, n)
+    return naive.fibonomial(*args)
+
+
 class TestFibonomialRow:
     def test_examples(self):
         assert fibonomial_row(0) == [1]
@@ -384,8 +532,24 @@ class TestProduct:
             return tree(factors, ends, lo, hi)
 
         monkeypatch.setattr(fibcalc, "_tree", spy)
-        assert fib_factorial(1000) == naive.f_factorial(1000)
+        assert fibcalc._product(naive.fibonacci(1000)[1:]) == naive.f_factorial(1000)
         assert spans[:2] == [(0, 1000), (0, 708)]
+
+    def test_the_span_tree_splits_by_size(self, cold_parts):
+        # The root, [1, 4097), splits at 2897, where a split by count would
+        # fall at 2049; every cached Fibonacci span's halves hold bits
+        # within 3% of each other, and those of part spans within 4%.
+        cap = fibcalc._FIB_CAP
+        assert fibcalc._split(1, cap + 1) == 2897
+        fib_factorial(1500)
+        fibcalc._run_product(fibcalc._parts(list(range(1, 1501))), 0, 1, fibcalc._PART_SPAN)
+        for spans, tolerance in [(fibcalc._FIB_SPAN, 0.03), (fibcalc._PART_SPAN, 0.04)]:
+            halves = [(a, fibcalc._split(a, b), b) for a, b in spans]
+            halves = [(a, m, b) for a, m, b in halves if (a, m) in spans and (m, b) in spans]
+            assert len(halves) >= 10
+            for a, m, b in halves:
+                bits = spans[a, m].bit_length(), spans[m, b].bit_length()
+                assert abs(bits[0] - bits[1]) <= tolerance * sum(bits), (a, m, b)
 
 
 def base_ten_text(function: str, *args: int) -> str:

@@ -11,9 +11,9 @@ so the memo holds at most one entry per level.  It serves every start
 vertex of a sweep.  `iter_chains` is the chain-by-chain listing and the
 counter's ground truth in the tests.  The `chains` verb lists the same
 chains as text from the level structure alone: every vertex of a level is
-covered by every vertex of the next, so it reads one cover object per
-level, counts it, and writes the level's ids by one join per block of
-indices (`poset._node_ids`), making no vertex.  It builds the text of
+covered by every vertex of the next, so it reads the level sizes, no cover
+object, and writes each level's ids by one join per block of indices
+(`poset._node_ids`), making no vertex.  It builds the text of
 every chain from a level up to the target once, from the top level down,
 while it fits in a block; a path's ids go before each of its lines by one
 `str.replace`.
@@ -246,8 +246,8 @@ def _within(block: int, parts: Iterable[str]) -> str | None:
 
 def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
     # Every vertex of a level is covered by every vertex of the next, so the
-    # walk reads one cover object per level, from the level's first vertex,
-    # in one pass that counts it, and writes the level's ids from a range.
+    # walk reads no cover object: it takes each level's size from the level
+    # sizes and writes the level's ids from a range.
     # The text of every chain from a vertex of one level up to stop_level is
     # then the same for every path below it.  It is built from the top level
     # down while it fits in a block: the one block size of every streamed
@@ -261,7 +261,7 @@ def _walk_text(P: CobwebPoset, start: Vertex, stop_level: int) -> Iterator[str]:
         yield start.node_id() + "\n"
         return
     block = zeta._BLOCK_BYTES
-    sizes = [sum(1 for _ in P.covers_above(Vertex(s, 0))) for s in range(start.level, stop_level)]
+    sizes = P.level_sizes[start.level:stop_level]
 
     def lines(i: int) -> Iterator[str]:
         # The ids of level start.level + 1 + i, one line each, rendered a

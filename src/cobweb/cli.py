@@ -7,7 +7,8 @@ pipe ends the `cobweb` process by SIGPIPE where the platform has it, as it
 ends `seq`, with nothing on stderr; `run` itself, called in-process,
 reports it as an error with status 2.  All numeric data output is exact
 decimal; timings are wall-clock, labeled non-deterministic, and formatted
-in fixed point.
+in fixed point.  Every number that can pass CPython's int -> str digit
+limit prints from fibcalc's base-10 routes, so no verb touches the limit.
 
 `run` builds each parser it needs (one verb's, or the full one) once per
 process and reuses it: parsing leaves a parser unchanged, every default is
@@ -88,14 +89,10 @@ def _hasse_dot(P: CobwebPoset) -> Iterator[str]:
 
 
 def _cmd_value(args: argparse.Namespace) -> int:
-    # Looked up on fibcalc by name when the verb runs, so a wrapper set on
-    # that module attribute is the one called.  `fib` stays on int and str:
-    # below an index of about 50,000 its fast doubling is faster on ints.
-    values = [getattr(args, name) for name in args.arg_names]
-    if args.function == "fib":
-        print(fibcalc.fib(*values))
-    else:
-        print(fibcalc._in_base_ten(args.function, *values))
+    # Every value verb prints from fibcalc's base-10 route, looked up on
+    # fibcalc when the verb runs, so a wrapper set on that module attribute
+    # is the one called.
+    print(fibcalc._in_base_ten(args.function, *[getattr(args, name) for name in args.arg_names]))
     return EXIT_OK
 
 
@@ -110,12 +107,17 @@ def _cmd_row(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    P = build_cobweb(args.depth)
-    sizes = P.level_sizes
-    print(f"depth={P.depth}")
-    print("level_sizes=" + ",".join(map(str, sizes)))
-    print(f"vertices={P.vertex_count}")
-    print(f"edges={sum(a * b for a, b in zip(sizes, sizes[1:]))}")
+    # In base 10, under fibcalc's exact context: the level sizes by one run,
+    # the vertices as their sum, and the edges F(1)F(2) + ... +
+    # F(depth-1)F(depth) as F(depth)^2 - [depth odd].
+    import decimal
+
+    with decimal.localcontext(fibcalc._exact_context()):
+        sizes = fibcalc._in_base_ten("fib_run", 1, args.depth + 1)
+        vertices, edges = sum(sizes), sizes[-1] * sizes[-1] - args.depth % 2
+    print(f"depth={args.depth}\nlevel_sizes=", end="")
+    sys.stdout.writelines(zeta._chunks(map(str, sizes), ",", "\n"))
+    print(f"vertices={vertices}\nedges={edges}")
     return EXIT_OK
 
 
@@ -300,14 +302,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
     Only the named verb's parser is used; help, an unknown verb and an
     empty argv get the full parser.  Each is built once per process and
-    reused by later runs; parsing leaves it unchanged.  Handlers print
-    their numbers with `str`.  `binom`, `falling`, `fibfact`, `row` and
-    `bench`'s formula column print Decimals from fibcalc's base-10 routes,
-    whose text is linear and has no digit limit.  The other numbers are
-    ints: CPython 3.10.7 and later refuse int -> str past a digit limit
-    (4300 by default).  Argv is parsed under that limit; it is lifted only
-    while the verb's handler runs, so every exact number it prints comes
-    out whole, and then put back.
+    reused by later runs; parsing leaves it unchanged.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -316,10 +311,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed its diagnostic
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    get_limit = getattr(sys, "get_int_max_str_digits", None)
-    previous = None if get_limit is None else get_limit()
-    if previous is not None:
-        sys.set_int_max_str_digits(0)
     try:
         return args.handler(args)
     except GuardError as exc:
@@ -331,9 +322,6 @@ def run(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if previous is not None:
-            sys.set_int_max_str_digits(previous)
 
 
 def main() -> None:

@@ -47,26 +47,27 @@ Three bounded, append-only caches keep what depends on the index alone:
   range and multiplies only near the range's ends and at the top.  The
   cache adds no division, so the self-check sees what it saw without it.
 
-Past the cap a Fibonacci run goes on by fast doubling, parts are built per
-call, and a run product reads and stores no span; what is built is dropped
-when the call returns, so the memory kept between calls is bounded.
+Past the cap a Fibonacci run goes on by fast doubling (`_fib_pair`), parts
+are built per call, and a run product reads and stores no span; what is
+built is dropped when the call returns, so the memory kept between calls
+is bounded.
 
-Each route except `fib` is written once, over `_Numbers`: a lift of the
-values those two producers hand out, and a product of them.  The public
-functions pass `_INTS`, the values as they are and run products over the
-span caches, and return ints.  The private `_in_base_ten` lifts each value
-to `decimal.Decimal`, multiplies by `_product` without the span caches
-(lifting a cached product to Decimal would cost quadratic time), and runs
-the same route under `_exact_context()`: the
-widest precision and exponent range, with Inexact and Rounded trapped, so a
-rounding raises instead of giving a wrong digit.  Its routes use only *,
-divmod and the integrality check on integral values, never /, and never
-convert a Decimal back to an int but to name bit lengths in a failed
-check's message.  libmpdec multiplies huge operands by number-theoretic
-transform, and `str` of an integral Decimal is linear, where CPython 3.10
-and 3.11 convert an int to str in quadratic time; the CLI verbs `binom`,
-`falling`, `fibfact`, `row` and `bench` print from this entry.  `decimal`
-is imported only when it runs.
+Each route, and a Fibonacci run past the cap, is written once over
+`_Numbers`: a lift of the values the two producers hand out, and a product
+of them.  The public functions pass `_INTS`, the values as they are and
+run products over the span caches, and return ints.  The private
+`_in_base_ten` lifts each value to `decimal.Decimal`, multiplies by
+`_product` without the span caches (lifting a cached product to Decimal
+would cost quadratic time), and runs the same route under
+`_exact_context()`: the widest precision and exponent range, with Inexact
+and Rounded trapped, so a rounding raises instead of giving a wrong digit.
+Its routes use only +, -, *, divmod and the integrality check on integral
+values, never /, and never convert a Decimal back to an int but to name
+bit lengths in a failed check's message.  libmpdec multiplies huge
+operands by number-theoretic transform, and `str` of an integral Decimal
+is linear, where CPython 3.10 and 3.11 convert an int to str in quadratic
+time; every number the CLI prints past the int -> str digit limit comes
+from this entry.  `decimal` is imported only when it runs.
 """
 
 from __future__ import annotations
@@ -143,40 +144,6 @@ _PART_SPAN: dict[tuple[int, int], int] = {}
 def _check_index(value: int, name: str) -> None:
     if value < 0:
         raise ValueError(f"{name} must be a nonnegative integer, got {value}")
-
-
-def _fib_pair(n: int) -> tuple[int, int]:
-    """(F(n), F(n+1)) by fast doubling, from the top bit of n down.
-
-    F(2m) = F(m) * (2F(m+1) - F(m)) and F(2m+1) = F(m)^2 + F(m+1)^2.
-    """
-    a, b = 0, 1
-    for bit in bin(n)[2:]:
-        c = a * (2 * b - a)
-        d = a * a + b * b
-        a, b = (d, c + d) if bit == "1" else (c, d)
-    return a, b
-
-
-def _fib_run(lo: int, hi: int) -> list[int]:
-    """[F(lo), ..., F(hi - 1)]: the one producer of Fibonacci values.
-
-    A run that starts at or below _FIB_CAP grows the cache, under _FIB_LOCK,
-    to cover it up to the cap.  The rest of the run goes on by fast doubling
-    from its first uncached index and is not cached.
-    """
-    if len(_FIB) < hi and lo < hi and lo <= _FIB_CAP:
-        with _FIB_LOCK:
-            while len(_FIB) < hi and len(_FIB) <= _FIB_CAP:
-                _FIB.append(_FIB[-1] + _FIB[-2])
-    run = _FIB[lo:hi]
-    start = lo + len(run)
-    if start < hi:
-        a, b = _fib_pair(start)
-        for _ in range(start, hi):
-            run.append(a)
-            a, b = b, a + b
-    return run
 
 
 def _product(factors: Sequence) -> object:
@@ -318,20 +285,60 @@ class _Numbers(NamedTuple):
 _INTS = _Numbers(lambda values: values, _run_product)
 
 
-def fib(n: int) -> int:
-    """Return the n-th Fibonacci number, with F(0)=0 and F(1)=F(2)=1.
+def _fib_pair(n: int, numbers: _Numbers) -> tuple:
+    """(F(n), F(n+1)) in numbers, by fast doubling from the top bit of n down.
 
-    The run of one from `_fib_run`: an index up to _FIB_CAP is served from
-    the cache, and a larger one takes O(log n) multiplies by fast doubling
-    and is not cached.
+    It doubles the pair (F(i), L(i)), L the Lucas numbers, by two multiplies
+    a bit: F(2i) = F(i)L(i) and L(2i) = L(i)^2 - 2(-1)^i.  A set bit steps
+    on by F(i+1) = (F(i) + L(i)) / 2, checked exact, and L(i+1) = 2F(i) + F(i+1).
     """
-    _check_index(n, "n")
-    return _fib_run(n, n + 1)[0]
+    f, lucas = numbers.lift([0, 2])
+    odd = False
+    for bit in bin(n)[2:]:
+        f, lucas = f * lucas, lucas * lucas - (-2 if odd else 2)
+        odd = bit == "1"
+        if odd:
+            half = _exact_div(f + lucas, 2, "fast doubling to F({})", n)
+            f, lucas = half, 2 * f + half
+    return f, _exact_div(f + lucas, 2, "fast doubling to F({})", n + 1)
+
+
+def _fib_run(lo: int, hi: int, numbers: _Numbers = _INTS) -> list:
+    """[F(lo), ..., F(hi - 1)] in numbers: the one producer of Fibonacci values.
+
+    A run that starts at or below _FIB_CAP grows the cache, under _FIB_LOCK,
+    to cover it up to the cap, and lifts what it reads there.  The rest, not
+    cached, goes on in numbers: fast doubling to its first index, then sums.
+    """
+    if len(_FIB) < hi and lo < hi and lo <= _FIB_CAP:
+        with _FIB_LOCK:
+            while len(_FIB) < hi and len(_FIB) <= _FIB_CAP:
+                _FIB.append(_FIB[-1] + _FIB[-2])
+    run = _FIB[lo:hi]
+    start = lo + len(run)
+    if numbers is not _INTS:  # ints go as cached: a lift call costs them 8% of fib_factorial(9)
+        run = numbers.lift(run)
+    if start < hi:
+        a, b = _fib_pair(start, numbers)
+        for _ in range(start, hi):
+            run.append(a)
+            a, b = b, a + b
+    return run
 
 
 # Each route below is written once, over the values that `_fib_run` and
 # `_parts` hand out, in numbers: `_INTS` for the public functions, and
 # Decimals for `_in_base_ten`.
+
+
+def _fib(n: int, numbers: _Numbers):
+    _check_index(n, "n")
+    return _fib_run(n, n + 1, numbers)[0]
+
+
+def fib(n: int) -> int:
+    """Return the n-th Fibonacci number, with F(0)=0 and F(1)=F(2)=1: the run of one from `_fib_run`."""
+    return _fib(n, _INTS)
 
 
 def _fib_factorial(n: int, numbers: _Numbers):
@@ -466,8 +473,10 @@ def fibonomial_row(n: int) -> list[int]:
     return _fibonomial_row(n, _INTS)
 
 
-# The routes of `_in_base_ten`, by the name of their public function.
+# The routes of `_in_base_ten`, by the name of their public function or producer.
 _ROUTES: dict[str, Callable] = {
+    "fib": _fib,
+    "fib_run": _fib_run,
     "fib_factorial": _fib_factorial,
     "falling_f_factorial": _falling_f_factorial,
     "fibonomial": _fibonomial,
@@ -476,13 +485,13 @@ _ROUTES: dict[str, Callable] = {
 
 
 def _in_base_ten(function: str, *args: int):
-    """The value of the public `function` at args, computed in base 10.
+    """The value of `function`, a key of _ROUTES, at args, computed in base 10.
 
     The same route as the public function, over its values lifted to
     `decimal.Decimal`, under `_exact_context()`.  Returns a Decimal (a list
-    of them for fibonomial_row) whose `str` is the text of the int, made in
-    linear time; an empty product is the int 1.  Raises as the public
-    function does.
+    of them for fibonomial_row and fib_run) whose `str` is the text of the
+    int, made in linear time; an empty product is the int 1.  Raises as the
+    public function does.
     """
     from decimal import Decimal, localcontext
 

@@ -40,8 +40,20 @@ def fib(n: int) -> int:
 
 
 def f_product(lo: int, hi: int) -> int:
-    """F(lo) * ... * F(hi); 1 when lo > hi."""
-    return math.prod(fibonacci(hi)[lo:hi + 1])
+    """F(lo) * ... * F(hi); 1 when lo > hi.
+
+    Each product splits its index range at the middle, so every multiply
+    meets operands of comparable size; a product grown one factor at a
+    time is quadratic in the result.
+    """
+    fibs = fibonacci(hi)
+
+    def product(a: int, b: int) -> int:  # F(a) * ... * F(b - 1)
+        if b - a <= 2:
+            return math.prod(fibs[a:b])
+        return product(a, (a + b) // 2) * product((a + b) // 2, b)
+
+    return product(lo, hi + 1)
 
 
 def f_factorial(n: int) -> int:
@@ -132,6 +144,12 @@ def level_sizes(depth: int) -> list[int]:
 def vertex_count(depth: int) -> int:
     """F(1) + ... + F(depth)."""
     return sum(itertools.islice(fibonacci_stream(), 1, depth + 1))
+
+
+def edge_count(depth: int) -> int:
+    """F(1)F(2) + ... + F(depth - 1)F(depth): the links between each pair of consecutive levels."""
+    sizes = level_sizes(depth)
+    return sum(a * b for a, b in zip(sizes, sizes[1:]))
 
 
 def level_ids(depth: int, lo: int = 1) -> list[list[str]]:

@@ -815,10 +815,10 @@ class TestChainBlocks:
         assert first == "v1_0 v2_0 v3_0 v4_0 v5_0 v6_0 v7_0 v8_0 v9_0"
         assert chunks[-1].endswith("v1_0 v2_0 v3_1 v4_2 v5_4 v6_7 v7_12 v8_20 v9_33\n")
 
-    def test_reads_one_cover_object_per_level(self, monkeypatch):
-        # The listing reads the level structure, not the relation vertex by
-        # vertex: one covers_above call per level below the target, at every
-        # block, however many paths the walk takes through the levels.
+    def test_reads_no_cover_object(self, monkeypatch):
+        # The listing reads the level sizes, not the relation: no
+        # covers_above call at any block, however many paths the walk takes
+        # through the levels.
         P = CountingPoset(8)
         for stop in range(1, 9):
             for start in P.vertices():
@@ -827,23 +827,20 @@ class TestChainBlocks:
                         monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
                         P.calls = 0
                         assert "".join(chains._chain_text(P, start, stop))
-                        assert P.calls == stop - start.level
+                        assert P.calls == 0
 
     @pytest.mark.parametrize("k, n", [(1, 7), (4, 8), (6, 9)])
     def test_text_is_built_once_per_fresh_cover_value(self, monkeypatch, k, n):
-        # Even when every covers_above call hands out a fresh tuple, the text
-        # reads one cover value per level k..n-1 and passes over each once
-        # when the whole listing fits in a block; read per path, the walk
-        # from the root would hit the cap.  The block is set to the length
-        # of the listing (root to 7 is 109,920 bytes, past the default).
+        # Even when every covers_above call would hand out a fresh tuple, the
+        # text is built once, from the level sizes, and reads no cover value
+        # when the whole listing fits in a block.  The block is set to the
+        # length of the listing (root to 7 is 109,920 bytes, past the default).
         P = CappedFreshPoset(n, cap=10 * (n - k))
         start = P.level_vertices(k)[-1]
         listing = self.listing(build_cobweb(n), start, n)
         monkeypatch.setattr(zeta, "_BLOCK_BYTES", len(listing))
         text = "".join(chains._chain_text(P, start, n))
-        assert len(P.handed) == n - k
-        passes = P.passes_per_value()
-        assert len(passes) == n - k and set(passes.values()) == {1}
+        assert P.handed == [] and P.passes_per_value() == {}
         assert not naive.difference(text, listing)
 
     def test_wide_top_level_is_listed_without_its_vertices_held(self):

@@ -89,7 +89,7 @@ class TestScalarVerbs:
     @pytest.mark.parametrize(
         "argv, attribute, call",
         [
-            (["fib", "7"], "fib", (7,)),
+            (["fib", "7"], "_in_base_ten", ("fib", 7)),
             (["fibfact", "7"], "_in_base_ten", ("fib_factorial", 7)),
             (["falling", "7", "3"], "_in_base_ten", ("falling_f_factorial", 7, 3)),
             (["binom", "7", "3"], "_in_base_ten", ("fibonomial", 7, 3)),
@@ -98,8 +98,8 @@ class TestScalarVerbs:
     )
     def test_function_looked_up_when_verb_runs(self, capsys, monkeypatch, argv, attribute, call):
         # A wrapper set on fibcalc after import (as the benchmark tracer does)
-        # must be the one the verb calls: `fib` itself, or the base-10 entry
-        # that the other value verbs call with their public function's name.
+        # must be the one the verb calls: the base-10 entry, which every value
+        # verb calls with its public function's name.
         received = []
 
         def spy(*args):
@@ -298,12 +298,23 @@ class TestUsageErrors:
         assert "invalid" in capsys.readouterr().err
 
 
+def build_text(depth: int) -> str:
+    """The output of `build` at depth, every number from `naive`: the edges by their direct sum."""
+    sizes = ",".join(map(naive.decimal_text, naive.level_sizes(depth)))
+    vertices, edges = map(naive.decimal_text, (naive.vertex_count(depth), naive.edge_count(depth)))
+    return f"depth={depth}\nlevel_sizes={sizes}\nvertices={vertices}\nedges={edges}\n"
+
+
 class TestBuild:
     def test_summary(self, capsys):
         assert run(["build", "5"]) == EXIT_OK
         assert capsys.readouterr().out == (
             "depth=5\nlevel_sizes=1,1,2,3,5\nvertices=12\nedges=24\n"
         )
+        # Odd and even depths: the verb's edge count is a closed form.
+        for depth in [*range(1, 41), 4095, 4096, 4097, 4098]:
+            assert run(["build", str(depth)]) == EXIT_OK
+            assert not naive.difference(capsys.readouterr().out, build_text(depth))
 
     def test_deep_poset_succeeds_without_warning(self, capsys):
         assert run(["build", "30"]) == EXIT_OK
@@ -313,24 +324,36 @@ class TestBuild:
 
     def test_past_the_digit_limit(self, capsys):
         # F(3100) has 648 digits, over a limit lowered to 640 for this test
-        # on a Python that has one.
-        sizes = naive.level_sizes(3100)
-        edges = sum(a * b for a, b in zip(sizes, sizes[1:]))
-        expected = (
-            f"depth=3100\nlevel_sizes={','.join(map(naive.decimal_text, sizes))}\n"
-            f"vertices={naive.decimal_text(sum(sizes))}\nedges={naive.decimal_text(edges)}\n"
-        )
-        before = digit_limit()
-        if before is not None:
-            sys.set_int_max_str_digits(640)
-        try:
-            assert run(["build", "3100"]) == EXIT_OK
-            assert digit_limit() == (None if before is None else 640)
-        finally:
+        # on a Python that has one; 3101 is the odd depth next to it.
+        for depth in (3100, 3101):
+            before = digit_limit()
             if before is not None:
-                sys.set_int_max_str_digits(before)
-        out, err = out_of(capsys)
-        assert not naive.difference(out, expected) and err == ""
+                sys.set_int_max_str_digits(640)
+            try:
+                assert run(["build", str(depth)]) == EXIT_OK
+                assert digit_limit() == (None if before is None else 640)
+            finally:
+                if before is not None:
+                    sys.set_int_max_str_digits(before)
+            out, err = out_of(capsys)
+            assert not naive.difference(out, build_text(depth)) and err == ""
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_level_sizes_are_written_in_blocks(self, monkeypatch, record_stdout, block):
+        # The sizes go out in chunks of whole sizes, cut by the chunker; the
+        # other lines, and the line's "level_sizes=" head, are printed.
+        monkeypatch.setattr(zeta, "_BLOCK_BYTES", block)
+        sizes = ",".join(map(naive.decimal_text, naive.level_sizes(1200))) + "\n"
+        chunks, printed = record_stdout(), []
+        monkeypatch.setattr(sys.stdout, "write", printed.append, raising=False)
+        assert run(["build", "1200"]) == EXIT_OK
+        assert not naive.difference("".join(chunks), sizes)
+        assert "".join(printed) == build_text(1200).replace(sizes, "")
+        # A chunk's digits reach the block size at its last size, and only
+        # there; the last chunk is what is left, and the newline.
+        digits = [[len(t) for t in c.strip(",\n").split(",")] for c in chunks]
+        assert all(sum(d) >= block > sum(d[:-1]) for d in digits[:-1])
+        assert sum(digits[-1][:-1]) < block and chunks[-1].endswith("\n")
 
 
 class TestExport:
@@ -921,15 +944,15 @@ def test_import_leaves_out_dataclasses_and_inspect():
 
 
 def test_decimal_is_imported_when_a_base_ten_verb_runs():
-    # Under -S, as above.  `fib` prints from ints; `binom` computes in base 10.
+    # Under -S, as above.  `chains` prints vertex ids; `binom` computes in base 10.
     code = (
         "import sys, io, contextlib; sys.path.insert(0, sys.argv[1]); from cobweb import cli; "
         "seen = ['decimal' in sys.modules]; out = io.StringIO()\n"
         "with contextlib.redirect_stdout(out):\n"
-        "    for argv in (['fib', '9'], ['binom', '9', '4']):\n"
+        "    for argv in (['chains', '2'], ['binom', '9', '4']):\n"
         "        cli.run(argv); seen.append('decimal' in sys.modules)\n"
         "print(seen, out.getvalue().split())"
     )
     src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-S", "-c", code, str(src)], capture_output=True, text=True)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[False, False, True] ['34', '12376']\n", "")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[False, False, True] ['v1_0', 'v2_0', '12376']\n", "")

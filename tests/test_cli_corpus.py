@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -37,6 +38,18 @@ def test_corpus_file_holds_every_case():
 @pytest.mark.parametrize("want", RECORDS, ids=argv_id)
 def test_case_is_byte_identical(monkeypatch, want):
     monkeypatch.setenv("COLUMNS", "80")
+    assert in_process(want["argv"]) == want
+
+
+@pytest.mark.parametrize("want", RECORDS, ids=argv_id)
+def test_case_is_byte_identical_under_a_lowered_digit_limit(digit_limit_640, monkeypatch, want):
+    # Every number past the limit prints from base 10, and no verb may lift
+    # the limit: setting it raises for as long as the case runs.
+    def refuse(limit: int) -> None:
+        raise AssertionError(f"the int -> str digit limit was set to {limit}")
+
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
     assert in_process(want["argv"]) == want
 
 

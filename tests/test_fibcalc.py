@@ -101,9 +101,9 @@ class TestFib:
         produce = fibcalc._fib_run
         seen = []
 
-        def spy(lo, hi):
+        def spy(lo, hi, *numbers):
             seen.append((lo, hi))
-            return produce(lo, hi)
+            return produce(lo, hi, *numbers)
 
         monkeypatch.setattr(fibcalc, "_fib_run", spy)
         before = len(fibcalc._FIB)
@@ -120,6 +120,7 @@ class TestFibFactorial:
         assert fib_factorial(0) == 1
         assert fib_factorial(4) == 6
         assert fib_factorial(10) == 122522400
+        assert fib_factorial(fibcalc._FIB_CAP) == naive.f_factorial(fibcalc._FIB_CAP)
 
     def test_equals_full_falling_product(self):
         for n in range(61):
@@ -598,6 +599,13 @@ class TestBaseTen:
             ("fibonomial", (2, 5)),
             ("fibonomial", (400, 0)),
             ("fibonomial", (400, 401)),
+            # And fib on either side of the cache cap, and far past it.
+            ("fib", (0,)),
+            ("fib", (1,)),
+            ("fib", (4095,)),
+            ("fib", (4096,)),
+            ("fib", (4097,)),
+            ("fib", (30000,)),
         ],
     )
     def test_empty_products_zeros_and_n_zero(self, function, args):
@@ -610,6 +618,8 @@ class TestBaseTen:
     def test_values_are_integral_decimals(self):
         # Exponent 0: str gives the digits alone, in linear time.
         values = [
+            fibcalc._in_base_ten("fib", 30000),
+            *fibcalc._in_base_ten("fib_run", 4090, 4110),
             fibcalc._in_base_ten("fib_factorial", 650),
             fibcalc._in_base_ten("falling_f_factorial", 1000, 300),
             fibcalc._in_base_ten("fibonomial", 1000, 100),

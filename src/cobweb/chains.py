@@ -55,7 +55,7 @@ import operator
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import zeta
-from .fibcalc import _product, fib, fib_factorial, falling_f_factorial, fibonomial_row
+from .fibcalc import _fib_run, _product, fib_factorial, falling_f_factorial, fibonomial_row
 from .poset import CobwebPoset, GuardError, Vertex, _node_ids, build_cobweb
 
 __all__ = [
@@ -397,7 +397,7 @@ def _cases(observation: int, max_n: int, limit: int | None = None) -> Iterator[V
     if observation == 2:
         return _layer_cases(P, count)
     top = 3 * max_n
-    fibs = [fib(i) for i in range(top + 1)]
+    fibs = _fib_run(0, top + 1)
     factorials = list(itertools.accumulate(fibs[1:], operator.mul, initial=1))
     rows = {n: fibonomial_row(n) for n in range(2, top + 1)}
     counted = ((n, [count[n](Vertex(k, 0)) for k in range(1, n)]) for n in range(2, max_n + 1))

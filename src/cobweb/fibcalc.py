@@ -52,13 +52,12 @@ are built per call, and a run product reads and stores no span; what is
 built is dropped when the call returns, so the memory kept between calls
 is bounded.
 
-Each route, and a Fibonacci run past the cap, is written once over
-`_Numbers`: a lift of the values the two producers hand out, and a product
-of them.  The public functions pass `_INTS`, the values as they are and
-run products over the span caches, and return ints.  The private
-`_in_base_ten` lifts each value to `decimal.Decimal`, multiplies by
-`_product` without the span caches (lifting a cached product to Decimal
-would cost quadratic time), and runs the same route under
+Each route, and a Fibonacci run past the cap, is written once and takes
+the number type it computes in.  The public functions pass int, and their
+run products read the span caches.  The private `_in_base_ten` passes
+`decimal.Decimal`: the values the two producers hand out are lifted to it,
+`_product` multiplies them without the span caches (lifting a cached
+product to Decimal would cost quadratic time), and the route runs under
 `_exact_context()`: the widest precision and exponent range, with Inexact
 and Rounded trapped, so a rounding raises instead of giving a wrong digit.
 Its routes use only +, -, *, divmod and the integrality check on integral
@@ -76,7 +75,7 @@ import bisect
 import itertools
 import math
 import threading
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "fib",
@@ -146,18 +145,32 @@ def _check_index(value: int, name: str) -> None:
         raise ValueError(f"{name} must be a nonnegative integer, got {value}")
 
 
-def _product(factors: Sequence) -> object:
-    """Product of factors by a balanced tree, so big multiplies meet like sizes.
+def _product(values: Sequence, start: int = 0, lo: int = 0, spans: dict | None = None) -> object:
+    """Product of values, of which values[start:] is the run at the indices lo, lo + 1, ...
 
-    Each split halves the factors' total size, not their count: a run of
-    Fibonacci values or of ascending parts grows along the run, and a split
-    by count put about 3/4 of the bits on the right.  The size of an int is
-    its bit length, and that of a Decimal its adjusted exponent (digits - 1).
+    The one product of the module.  Given spans, an int run of at least two
+    leaves that ends by index _FIB_CAP is cut along one fixed tree over the
+    indices 1.._FIB_CAP, whose spans depend on the index alone, so calls
+    that share indices share the spans cached in spans; values[:start] are
+    one more piece, and the pieces are multiplied smallest first.  Any
+    other product, Decimals among them, reads and stores no span: it is one
+    balanced tree over all the values.
+
+    That tree halves the values' total size at each split, not their count:
+    a run of Fibonacci values or of ascending parts grows along the run,
+    and a split by count put about 3/4 of the bits on the right.  The size
+    of an int is its bit length, and that of a Decimal its adjusted
+    exponent (digits - 1).
     """
-    if len(factors) <= _PRODUCT_LEAF:
-        return math.prod(factors)
-    size = int.bit_length if type(factors[0]) is int else type(factors[0]).adjusted
-    return _tree(factors, list(itertools.accumulate(map(size, factors))), 0, len(factors))
+    hi = lo + len(values) - start
+    if spans is not None and 2 * _PRODUCT_LEAF <= hi - lo and hi <= _FIB_CAP + 1 and type(values[start]) is int:
+        pieces = [_product(values[:start])] if start else []
+        _cover(values, start - lo, spans, lo, hi, 1, _FIB_CAP + 1, 0, pieces)
+        return _smallest_first(pieces)
+    if len(values) <= _PRODUCT_LEAF:
+        return math.prod(values)
+    size = int.bit_length if type(values[0]) is int else type(values[0]).adjusted
+    return _tree(values, list(itertools.accumulate(map(size, values))), 0, len(values))
 
 
 def _tree(factors: Sequence, ends: list[int], lo: int, hi: int) -> object:
@@ -249,50 +262,14 @@ def _smallest_first(pieces: list[int]) -> int:
     return pieces[0]
 
 
-def _run_product(values: list[int], start: int, lo: int, spans: dict) -> int:
-    """Product of values, of which values[start:] is the run at the indices lo, lo + 1, ...
-
-    The run is cut along one fixed tree over the indices 1.._FIB_CAP, whose
-    spans depend on the index alone, so calls that share indices share the
-    spans cached in spans.  values[:start] are multiplied by `_product`,
-    and the run's pieces and that product smallest first.  A run shorter
-    than two leaves, or one that passes the cap, is multiplied by
-    `_product` with the rest, and reads and stores no span.
-    """
-    hi = lo + len(values) - start
-    if hi - lo < 2 * _PRODUCT_LEAF or hi > _FIB_CAP + 1:
-        return _product(values)
-    pieces = [_product(values[:start])] if start else []
-    _cover(values, start - lo, spans, lo, hi, 1, _FIB_CAP + 1, 0, pieces)
-    return _smallest_first(pieces)
-
-
-class _Numbers(NamedTuple):
-    """The numbers a route computes in.
-
-    lift(values) maps a list of ints from `_fib_run` or `_parts` into
-    them.  product(values, start, lo, spans) is the product of those ints,
-    of which values[start:] are the values at the indices lo, lo + 1, ...
-    of the producer whose spans are cached in spans.
-    """
-
-    lift: Callable[[list[int]], list]
-    product: Callable[[list[int], int, int, dict], object]
-
-
-# The numbers of the public functions: ints, with runs multiplied over the
-# span caches.
-_INTS = _Numbers(lambda values: values, _run_product)
-
-
-def _fib_pair(n: int, numbers: _Numbers) -> tuple:
-    """(F(n), F(n+1)) in numbers, by fast doubling from the top bit of n down.
+def _fib_pair(n: int, kind: type) -> tuple:
+    """(F(n), F(n+1)) as kind, int or Decimal, by fast doubling from the top bit of n down.
 
     It doubles the pair (F(i), L(i)), L the Lucas numbers, by two multiplies
     a bit: F(2i) = F(i)L(i) and L(2i) = L(i)^2 - 2(-1)^i.  A set bit steps
     on by F(i+1) = (F(i) + L(i)) / 2, checked exact, and L(i+1) = 2F(i) + F(i+1).
     """
-    f, lucas = numbers.lift([0, 2])
+    f, lucas = kind(0), kind(2)
     odd = False
     for bit in bin(n)[2:]:
         f, lucas = f * lucas, lucas * lucas - (-2 if odd else 2)
@@ -303,12 +280,13 @@ def _fib_pair(n: int, numbers: _Numbers) -> tuple:
     return f, _exact_div(f + lucas, 2, "fast doubling to F({})", n + 1)
 
 
-def _fib_run(lo: int, hi: int, numbers: _Numbers = _INTS) -> list:
-    """[F(lo), ..., F(hi - 1)] in numbers: the one producer of Fibonacci values.
+def _fib_run(lo: int, hi: int, kind: type = int) -> list:
+    """[F(lo), ..., F(hi - 1)] as kind, int or Decimal: the one producer of Fibonacci values.
 
     A run that starts at or below _FIB_CAP grows the cache, under _FIB_LOCK,
-    to cover it up to the cap, and lifts what it reads there.  The rest, not
-    cached, goes on in numbers: fast doubling to its first index, then sums.
+    to cover it up to the cap, and lifts what it reads there to kind.  The
+    rest, not cached, goes on in kind: fast doubling to its first index,
+    then sums.
     """
     if len(_FIB) < hi and lo < hi and lo <= _FIB_CAP:
         with _FIB_LOCK:
@@ -316,10 +294,10 @@ def _fib_run(lo: int, hi: int, numbers: _Numbers = _INTS) -> list:
                 _FIB.append(_FIB[-1] + _FIB[-2])
     run = _FIB[lo:hi]
     start = lo + len(run)
-    if numbers is not _INTS:  # ints go as cached: a lift call costs them 8% of fib_factorial(9)
-        run = numbers.lift(run)
+    if kind is not int:  # ints go as cached: a lift call costs them 8% of fib_factorial(9)
+        run = list(map(kind, run))
     if start < hi:
-        a, b = _fib_pair(start, numbers)
+        a, b = _fib_pair(start, kind)
         for _ in range(start, hi):
             run.append(a)
             a, b = b, a + b
@@ -327,36 +305,36 @@ def _fib_run(lo: int, hi: int, numbers: _Numbers = _INTS) -> list:
 
 
 # Each route below is written once, over the values that `_fib_run` and
-# `_parts` hand out, in numbers: `_INTS` for the public functions, and
-# Decimals for `_in_base_ten`.
+# `_parts` hand out, as the kind it computes in: int for the public
+# functions, Decimal for `_in_base_ten`.
 
 
-def _fib(n: int, numbers: _Numbers):
+def _fib(n: int, kind: type):
     _check_index(n, "n")
-    return _fib_run(n, n + 1, numbers)[0]
+    return _fib_run(n, n + 1, kind)[0]
 
 
 def fib(n: int) -> int:
     """Return the n-th Fibonacci number, with F(0)=0 and F(1)=F(2)=1: the run of one from `_fib_run`."""
-    return _fib(n, _INTS)
+    return _fib(n, int)
 
 
-def _fib_factorial(n: int, numbers: _Numbers):
+def _fib_factorial(n: int, kind: type):
     _check_index(n, "n")
-    return numbers.product(_fib_run(1, n + 1), 0, 1, _FIB_SPAN)
+    return _product(_fib_run(1, n + 1, kind), 0, 1, _FIB_SPAN)
 
 
 def fib_factorial(n: int) -> int:
     """Product F(1)*F(2)*...*F(n); the empty product (n = 0) is 1."""
-    return _fib_factorial(n, _INTS)
+    return _fib_factorial(n, int)
 
 
-def _falling_f_factorial(n: int, k: int, numbers: _Numbers):
+def _falling_f_factorial(n: int, k: int, kind: type):
     _check_index(n, "n")
     _check_index(k, "k")
     if k > n:
-        return numbers.lift([0])[0]
-    return numbers.product(_fib_run(n - k + 1, n + 1), 0, n - k + 1, _FIB_SPAN)
+        return kind(0)
+    return _product(_fib_run(n - k + 1, n + 1, kind), 0, n - k + 1, _FIB_SPAN)
 
 
 def falling_f_factorial(n: int, k: int) -> int:
@@ -366,7 +344,7 @@ def falling_f_factorial(n: int, k: int) -> int:
     meets or crosses F(0) = 0, so the result is 0 without evaluating factors
     at negative indices.
     """
-    return _falling_f_factorial(n, k, _INTS)
+    return _falling_f_factorial(n, k, int)
 
 
 def _smallest_prime_factors(n: int) -> list[int]:
@@ -419,19 +397,20 @@ def _parts(ds: list[int]) -> list[int]:
     return [new[d] if d in new else _PART[d] for d in ds]
 
 
-def _fibonomial(n: int, k: int, numbers: _Numbers):
+def _fibonomial(n: int, k: int, kind: type):
     _check_index(n, "n")
     _check_index(k, "k")
     if k > n:
-        return numbers.lift([0])[0]
+        return kind(0)
     j = min(k, n - k)
     if j < _PRIMITIVE_MIN_K:
-        return _exact_div(
-            _falling_f_factorial(n, j, numbers), _fib_factorial(j, numbers), "fibonomial({}, {})", n, k
-        )
+        return _exact_div(_falling_f_factorial(n, j, kind), _fib_factorial(j, kind), "fibonomial({}, {})", n, k)
     # Every d in (n - j, n] has n mod d = n - d < j = j mod d: a run.
     lower = [d for d in range(1, n - j + 1) if n % d < j % d]
-    return numbers.product(_parts(lower + list(range(n - j + 1, n + 1))), len(lower), n - j + 1, _PART_SPAN)
+    parts = _parts(lower + list(range(n - j + 1, n + 1)))
+    if kind is not int:
+        parts = list(map(kind, parts))
+    return _product(parts, len(lower), n - j + 1, _PART_SPAN)
 
 
 def fibonomial(n: int, k: int) -> int:
@@ -451,13 +430,13 @@ def fibonomial(n: int, k: int) -> int:
     P_d once per process.  A nonzero remainder in any division
     raises AssertionError.
     """
-    return _fibonomial(n, k, _INTS)
+    return _fibonomial(n, k, int)
 
 
-def _fibonomial_row(n: int, numbers: _Numbers) -> list:
+def _fibonomial_row(n: int, kind: type) -> list:
     _check_index(n, "n")
-    fibs = numbers.lift(_fib_run(0, n + 1))
-    half = numbers.lift([1])
+    fibs = _fib_run(0, n + 1, kind)
+    half = [kind(1)]
     for j in range(1, n // 2 + 1):
         half.append(_exact_div(half[-1] * fibs[n - j + 1], fibs[j], "fibonomial_row({}) at k={}", n, j))
     return half + [half[n - k] for k in range(len(half), n + 1)]
@@ -470,7 +449,7 @@ def fibonomial_row(n: int) -> list[int]:
     Each step is an exact division by F(j), and a nonzero remainder raises
     AssertionError.  The second half mirrors the first.
     """
-    return _fibonomial_row(n, _INTS)
+    return _fibonomial_row(n, int)
 
 
 # The routes of `_in_base_ten`, by the name of their public function or producer.
@@ -487,21 +466,16 @@ _ROUTES: dict[str, Callable] = {
 def _in_base_ten(function: str, *args: int):
     """The value of `function`, a key of _ROUTES, at args, computed in base 10.
 
-    The same route as the public function, over its values lifted to
-    `decimal.Decimal`, under `_exact_context()`.  Returns a Decimal (a list
-    of them for fibonomial_row and fib_run) whose `str` is the text of the
-    int, made in linear time; an empty product is the int 1.  Raises as the
-    public function does.
+    The same route as the public function, computed in `decimal.Decimal`,
+    under `_exact_context()`.  Returns a Decimal (a list of them for
+    fibonomial_row and fib_run) whose `str` is the text of the int, made in
+    linear time; an empty product is the int 1.  Raises as the public
+    function does.
     """
     from decimal import Decimal, localcontext
 
-    def lift(values: list[int]) -> list:
-        return list(map(Decimal, values))
-
-    # No span cache: a cached int lifted to Decimal costs quadratic time.
-    numbers = _Numbers(lift, lambda values, start, lo, spans: _product(lift(values)))
     with localcontext(_exact_context()):
-        return _ROUTES[function](*args, numbers)
+        return _ROUTES[function](*args, Decimal)
 
 
 def _exact_context():

@@ -615,7 +615,8 @@ class TestOracleCallsNoClosedForm:
     @staticmethod
     def closed_forms_raise(monkeypatch):
         held = {name for name, value in vars(chains).items() if getattr(value, "__module__", "") == fibcalc.__name__}
-        assert held - set(fibcalc.__all__) == {"_product"}  # the guard's product tree, no formula
+        # The Fibonacci producer and the guard's product tree: no formula.
+        assert held - set(fibcalc.__all__) == {"_fib_run", "_product"}
         for name in fibcalc.__all__:
             original = getattr(fibcalc, name)
 

@@ -205,9 +205,9 @@ class TestFibonomial:
         produce = fibcalc._fib_run
         seen = []
 
-        def spy(lo, hi):
+        def spy(lo, hi, *kind):
             seen.append((lo, hi))
-            return produce(lo, hi)
+            return produce(lo, hi, *kind)
 
         monkeypatch.setattr(fibcalc, "_fib_run", spy)
         for n, k in [(400, 390), (400, 280)]:
@@ -409,7 +409,7 @@ class TestSpanCache:
         cap = fibcalc._FIB_CAP
         fib_factorial(cap)
         falling_f_factorial(cap, cap // 3)
-        fibcalc._run_product(fibcalc._parts(list(range(1, cap + 1))), 0, 1, fibcalc._PART_SPAN)
+        fibcalc._product(fibcalc._parts(list(range(1, cap + 1))), 0, 1, fibcalc._PART_SPAN)
         fibonomial(cap, cap // 2)
         fib_bits = sum(v.bit_length() for v in fibcalc._FIB_SPAN.values())
         part_bits = sum(v.bit_length() for v in fibcalc._PART_SPAN.values())
@@ -450,6 +450,30 @@ class TestSpanCache:
         assert function(*args) == value
         assert (fibcalc._FIB_SPAN, fibcalc._PART_SPAN) == before
         assert len(seen) <= 4 * args[0].bit_length() < cold
+
+    @pytest.mark.parametrize("end", [700, fibcalc._FIB_CAP, fibcalc._FIB_CAP + 1])
+    def test_a_run_of_two_leaves_by_the_cap_is_cut_into_spans(self, monkeypatch, end):
+        # A run one index shorter never reaches `_cover`, nor does one that
+        # ends past the cap; the lower values are one more piece.
+        leaves = 2 * fibcalc._PRODUCT_LEAF
+        fibs = naive.fibonacci(end)
+        seen = span_visits(monkeypatch)
+        for length in (leaves - 1, leaves):
+            lo = end - length + 1
+            del seen[:]
+            for lower in ([], [3, 7]):
+                product = fibcalc._product(lower + fibs[lo:], len(lower), lo, fibcalc._FIB_SPAN)
+                assert product == math.prod(lower) * naive.f_product(lo, end)
+            cut = length == leaves and end <= fibcalc._FIB_CAP
+            assert seen[:1] == ([(1, fibcalc._FIB_CAP + 1)] if cut else [])
+
+    def test_a_decimal_run_reads_no_span(self):
+        fibs = naive.fibonacci(1000)
+        with decimal.localcontext(fibcalc._exact_context()):
+            run = [decimal.Decimal(v) for v in fibs[1:]]
+            assert fibcalc._product(run, 0, 1, Untouchable()) == decimal.Decimal(naive.f_factorial(1000))
+            product = fibcalc._product([decimal.Decimal(5)] + run[499:], 1, 500, Untouchable())
+            assert product == decimal.Decimal(5 * naive.f_product(500, 1000))
 
     def test_a_short_run_visits_no_span(self, monkeypatch):
         seen = span_visits(monkeypatch)
@@ -543,7 +567,7 @@ class TestProduct:
         cap = fibcalc._FIB_CAP
         assert fibcalc._split(1, cap + 1) == 2897
         fib_factorial(1500)
-        fibcalc._run_product(fibcalc._parts(list(range(1, 1501))), 0, 1, fibcalc._PART_SPAN)
+        fibcalc._product(fibcalc._parts(list(range(1, 1501))), 0, 1, fibcalc._PART_SPAN)
         for spans, tolerance in [(fibcalc._FIB_SPAN, 0.03), (fibcalc._PART_SPAN, 0.04)]:
             halves = [(a, fibcalc._split(a, b), b) for a, b in spans]
             halves = [(a, m, b) for a, m, b in halves if (a, m) in spans and (m, b) in spans]
